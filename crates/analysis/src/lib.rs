@@ -23,7 +23,7 @@
 //!   process-randomized, so anything it feeds (manifests, error strings,
 //!   CSV rows, merge order) silently loses determinism. Keyed lookups
 //!   (`get` / `insert` / `contains_key` / `entry` / `len`) are fine —
-//!   that is how `GridCache` and `PbCache` stay deterministic — and
+//!   that is how `SharedGridCache` and `PbCache` stay deterministic — and
 //!   `BTreeMap` / `BTreeSet` iterate in sorted order and are never
 //!   flagged.
 //! * [`Lint::FloatReduction`] — forbid naive `.sum()` reductions and
@@ -39,7 +39,7 @@
 //!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse floor, the
 //!   batch AVX2-vs-scalar floor, the serve admission-batching floor, the
 //!   search batched-expansion floor, the kernel fused-path and
-//!   nonuniform-grid-build floors)
+//!   interp-vs-fused floors)
 //!   must keep those labels in their guard — deleting a floor is a lint
 //!   failure, not a silent coverage loss.
 //!
@@ -660,7 +660,7 @@ pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 5] = [
     ("engine", &["engine pool_overhead", "engine pool_reuse dispatch-vs-respawn"]),
     ("serve", &["serve admission-batch-vs-sequential"]),
     ("search", &["search batched-vs-sequential-expansion"]),
-    ("kernel", &["kernel fused_speedup k=64", "kernel nonuniform-vs-uniform-grid-build"]),
+    ("kernel", &["kernel fused_speedup k=64", "kernel interp-vs-fused k=256"]),
 ];
 
 /// Check that every recorded bench trajectory has a quick guard wired
@@ -1133,7 +1133,7 @@ let lt: &'static str = unrelated;"##;
             Some(
                 "if guard::quick_mode() { \
                  check_speedup(\"kernel fused_speedup k=64\", a, b); \
-                 check_speedup(\"kernel nonuniform-vs-uniform-grid-build\", c, d); } \
+                 check_speedup(\"kernel interp-vs-fused k=256\", c, d); } \
                  criterion_main!(benches);",
             ),
             "run: cargo bench -p dispersal-bench --bench kernel -- --quick",

@@ -12,8 +12,9 @@
 //!   (bit-identical results);
 //! * `fused` — `GTable::eval_fused_many_into`: pre-divided recurrence
 //!   factors and a fused dot product (agrees to ~1e-14, not bitwise);
-//! * `interp` — the optional dense cubic-Hermite grid: O(1) per point
-//!   within a measured 1e-12 error bound.
+//! * `interp` — the optional adaptive cubic-Hermite grid
+//!   (`GridSpec::Interpolated`): O(1) per point through the bucket
+//!   lookup, within a measured 1e-12 error bound.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use dispersal_core::kernel::{GTable, GridSpec};
@@ -56,7 +57,7 @@ fn bench_g_grid(c: &mut Criterion) {
                 black_box(out[GRID / 2])
             })
         });
-        let gridded = GTable::new(&Sharing, k).unwrap().with_grid(1e-12).unwrap();
+        let gridded = gridded(k);
         let mut gscratch = gridded.scratch();
         group.bench_with_input(BenchmarkId::new("interp", k), &k, |b, _| {
             b.iter(|| {
@@ -68,15 +69,19 @@ fn bench_g_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `interp` variant's table: Sharing at `k` with a 1e-12 grid.
+fn gridded(k: usize) -> GTable {
+    GTable::new(&Sharing, k).unwrap().with_spec(GridSpec::Interpolated { tol: 1e-12 }).unwrap()
+}
+
 /// CI guard mode (`-- --quick`): two floors, both required by the
 /// analysis lint's `REQUIRED_GUARD_LABELS`:
 ///
 /// * scalar reference vs the fused kernel at `k = 64` over the 1024-point
 ///   grid (`fused_speedup` must stay above 1);
-/// * adaptive non-uniform grid build vs the uniform cell-doubling build
-///   at `k = 2048`, `tol = 1e-7` — the large-`k` regime where the uniform
-///   build burns tens of thousands of `O(k)` node evaluations resolving
-///   the boundary layer while adaptive bisection places a few hundred.
+/// * fused exact evaluation vs grid evaluation at `k = 256` over the same
+///   grid — the bucket lookup must keep the `O(1)` grid path ahead of
+///   the `O(k)` exact walk it replaces.
 fn quick_guard() -> ! {
     use dispersal_bench::guard;
     let qs = qs();
@@ -96,25 +101,18 @@ fn quick_guard() -> ! {
     });
     let fused_ok = guard::check_speedup("kernel fused_speedup k=64", scalar, fused);
 
-    const BUILD_K: usize = 2048;
-    const BUILD_TOL: f64 = 1e-7;
-    let uniform = guard::time_per_call(3, || {
-        let t = GTable::new(&Sharing, BUILD_K)
-            .unwrap()
-            .with_spec(GridSpec::Interpolated { tol: BUILD_TOL })
-            .unwrap();
-        black_box(t.grid_cells());
+    let grid = gridded(256);
+    let fused_256 = guard::time_per_call(20, || {
+        grid.eval_fused_many_into(black_box(&qs), &mut out).unwrap();
+        black_box(out[GRID / 2]);
     });
-    let adaptive = guard::time_per_call(3, || {
-        let t = GTable::new(&Sharing, BUILD_K)
-            .unwrap()
-            .with_spec(GridSpec::NonUniform { tol: BUILD_TOL })
-            .unwrap();
-        black_box(t.grid_cells());
+    let mut scratch = grid.scratch();
+    let interp = guard::time_per_call(20, || {
+        grid.eval_fast_many_with(&mut scratch, black_box(&qs), &mut out).unwrap();
+        black_box(out[GRID / 2]);
     });
-    let build_ok =
-        guard::check_speedup("kernel nonuniform-vs-uniform-grid-build", uniform, adaptive);
-    guard::finish(fused_ok && build_ok)
+    let interp_ok = guard::check_speedup("kernel interp-vs-fused k=256", fused_256, interp);
+    guard::finish(fused_ok && interp_ok)
 }
 
 criterion_group!(benches, bench_g_grid);

@@ -1,7 +1,6 @@
 //! Experiment LK — large-`k` scaling, recorded: the tier-2 assertions of
 //! `tests/large_k.rs` re-run as measurements (CSV + manifest), extended
-//! by the `k → 10⁶` non-uniform grid builds that motivate
-//! [`GridSpec::NonUniform`].
+//! by the `k → 10⁶` adaptive [`GridSpec::Interpolated`] grid builds.
 //!
 //! Three parts:
 //!
@@ -53,7 +52,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         let n = (k - 1) as i32;
         let mut prev_deviation = f64::INFINITY;
         for beta in [1.0f64, 2.0, 4.0] {
-            let table = GTable::new(&PowerLaw { beta }, k)?.with_grid(tol)?;
+            let table =
+                GTable::new(&PowerLaw { beta }, k)?.with_spec(GridSpec::Interpolated { tol })?;
             let mut scratch = table.scratch();
             let mut deviation = 0.0f64;
             for &q in &grid {
@@ -82,7 +82,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     for (name, c) in policies {
         for k in [10_000usize, 100_000, 1_000_000] {
             let started = Instant::now();
-            let table = GTable::new(c, k)?.with_spec(GridSpec::NonUniform { tol })?;
+            let table = GTable::new(c, k)?.with_spec(GridSpec::Interpolated { tol })?;
             let build_ms = started.elapsed().as_secs_f64() * 1e3;
             let scale = table.scale();
             let measured = table.grid_error().unwrap_or(f64::NAN);

@@ -46,7 +46,7 @@ pub struct Ifd {
 /// Runs through the batched kernel with a caller-owned scratch: the inner
 /// bisection evaluates `g` 64 times per site per outer step, so the
 /// allocation-free `O(k)` path matters here. Contexts carrying an
-/// interpolation grid ([`PayoffContext::with_grid`]) drop that to `O(1)`
+/// interpolation grid ([`PayoffContext::with_spec`]) drop that to `O(1)`
 /// per evaluation — the large-`k` regime path; without a grid
 /// `eval_fast_with` falls back to the exact kernel bit-identically.
 fn invert_g(ctx: &PayoffContext, scratch: &mut GScratch, target: f64) -> f64 {

@@ -27,12 +27,12 @@
 //!   division chain) and the coefficient dot product fused into the
 //!   Bernstein walk. Agrees with the reference to `O(k·ε)` ≈ 1e-14 and
 //!   needs no scratch at all.
-//! * **Per point, `O(1)`, optional** — [`GTable::with_grid`] densifies
-//!   `g` onto a uniform cubic-Hermite grid (exact values *and* exact
-//!   derivatives at the nodes), refined until the measured interpolation
-//!   error is below a caller-supplied bound (≤ 1e-12 of the coefficient
-//!   scale by default). Grid evaluation is a table lookup plus a cubic —
-//!   independent of `k`.
+//! * **Per point, `O(1)`, optional** — [`GTable::with_spec`] with
+//!   [`GridSpec::Interpolated`] densifies `g` onto a cubic-Hermite grid
+//!   (exact values *and* exact derivatives at the nodes) whose cells are
+//!   bisected only where the measured interpolation error exceeds a
+//!   caller-supplied bound. Grid evaluation is a bucket lookup plus a
+//!   cubic — independent of `k`.
 //!
 //! The degree-raising view: `b_{j,n}` satisfies the ratio recurrence
 //! `b_{j+1,n}(q) = b_{j,n}(q)·(n−j)/(j+1)·q/(1−q)`, which walks the whole
@@ -108,18 +108,12 @@ pub enum GridSpec {
     /// kernel (and [`GTable::eval_fast_with`] stays bit-identical to the
     /// scalar reference).
     Exact,
-    /// Uniform cubic-Hermite grid, refined by cell doubling until the
-    /// midpoint-measured error is at most `tol ×` [`GTable::scale`].
+    /// Adaptive cubic-Hermite grid: bisection refines where `g` is stiff
+    /// (the near-exclusive boundary layer whose width shrinks like `1/k`)
+    /// and leaves flat regions coarse, until the midpoint-measured error
+    /// of every cell is at most `tol ×` [`GTable::scale`]. Large-`k`
+    /// builds (`k → 10⁶`) meet `tol` with a few hundred nodes.
     Interpolated {
-        /// Relative error bound for the refinement loop.
-        tol: f64,
-    },
-    /// Error-equidistributing non-uniform cubic-Hermite grid: adaptive
-    /// bisection refines where `g` is stiff (the near-exclusive boundary
-    /// layer whose width shrinks like `1/k`) and leaves flat regions
-    /// coarse, so large-`k` builds (`k → 10⁶`) meet `tol` with a few
-    /// hundred nodes instead of the uniform path's `2²⁰`-cell blowup.
-    NonUniform {
         /// Relative error bound for the subdivision loop.
         tol: f64,
     },
@@ -132,31 +126,16 @@ impl GridSpec {
     pub fn validate(&self) -> Result<()> {
         match *self {
             GridSpec::Exact => Ok(()),
-            GridSpec::Interpolated { tol } | GridSpec::NonUniform { tol } => {
-                if !(tol.is_finite() && tol > 0.0) {
-                    return Err(Error::InvalidTolerance { tol });
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Stable cache-key encoding `(discriminant, tol bits)` so grid caches
-    /// key spec-distinct builds separately (`Exact` keys as `(0, 0)`).
-    pub fn key_bits(&self) -> (u8, u64) {
-        match *self {
-            GridSpec::Exact => (0, 0),
-            GridSpec::Interpolated { tol } => (1, tol.to_bits()),
-            GridSpec::NonUniform { tol } => (2, tol.to_bits()),
+            GridSpec::Interpolated { tol } if tol.is_finite() && tol > 0.0 => Ok(()),
+            GridSpec::Interpolated { tol } => Err(Error::InvalidTolerance { tol }),
         }
     }
 }
 
 /// Evaluate the cubic Hermite basis at local coordinate `t ∈ [0, 1]` with
 /// node values `y0, y1` and *pre-scaled* node derivatives `d0, d1`
-/// (already multiplied by the cell width). Shared by the uniform and
-/// non-uniform grids and by the refinement loops, so every path runs the
-/// exact same operation sequence.
+/// (already multiplied by the cell width). Shared by grid evaluation and
+/// the refinement loop, so both run the exact same operation sequence.
 #[inline]
 fn hermite_eval(t: f64, y0: f64, d0: f64, y1: f64, d1: f64) -> f64 {
     let t2 = t * t;
@@ -168,91 +147,97 @@ fn hermite_eval(t: f64, y0: f64, d0: f64, y1: f64, d1: f64) -> f64 {
     h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
 }
 
-/// Dense cubic-Hermite interpolation grid over `[0, 1]` (values and
-/// derivatives at `cells + 1` uniform nodes).
-#[derive(Debug, Clone)]
-struct HermiteGrid {
-    ys: Vec<f64>,
-    ds: Vec<f64>,
-    cells: usize,
-    measured_error: f64,
+/// One cell of a [`NonUniformGrid`], laid out for evaluation: its left
+/// node, reciprocal width, and both end nodes' exact values and
+/// derivatives, the derivatives pre-scaled by the width.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    x0: f64,
+    inv_h: f64,
+    y0: f64,
+    d0: f64,
+    y1: f64,
+    d1: f64,
 }
 
-impl HermiteGrid {
-    /// Evaluate the cubic Hermite interpolant at `q ∈ [0, 1]`.
-    fn eval(&self, q: f64) -> f64 {
-        let cells = self.cells as f64;
-        let scaled = q * cells;
-        let cell = (scaled as usize).min(self.cells - 1);
-        let t = scaled - cell as f64;
-        let h = 1.0 / cells;
-        let (y0, y1) = (self.ys[cell], self.ys[cell + 1]);
-        let (d0, d1) = (self.ds[cell] * h, self.ds[cell + 1] * h);
-        hermite_eval(t, y0, d0, y1, d1)
-    }
-}
-
-/// Non-uniform cubic-Hermite grid over `[0, 1]`: `xs` holds the ascending
-/// node positions produced by adaptive bisection, with exact values and
-/// derivatives at every node. Cell lookup is a binary search.
+/// Non-uniform cubic-Hermite grid over `[0, 1]`, built by adaptive
+/// bisection with exact values and derivatives at every node.
+///
+/// Bisecting `[0, 1]` makes every node a dyadic rational and every cell
+/// width an exact power of two, which gives an `O(1)` cell lookup: a
+/// uniform bucket array over `[0, 1]` (a power-of-two count, so
+/// `q · buckets` is exact) names the cell holding each bucket's left
+/// edge, and only that bucket's few cells are searched. The stored
+/// reciprocal widths are exact too, so `(q − x₀)·(1/h)` is bit-identical
+/// to `(q − x₀)/h`.
 #[derive(Debug, Clone)]
 struct NonUniformGrid {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    ds: Vec<f64>,
+    /// Cells in ascending order; the last one ends at `q = 1`.
+    cells: Vec<Cell>,
+    /// `first[b]` is the cell holding `b / (first.len() − 1)`, so a `q`
+    /// in bucket `b` lies in one of the cells `first[b] ..= first[b+1]`.
+    first: Vec<u32>,
+    /// First stride of the in-bucket search: the largest power of two not
+    /// above the widest bucket's `first[b+1] − first[b]` (0 when no bucket
+    /// holds an interior node). Fixed per grid, so the search loop runs
+    /// the same trip count for every `q`.
+    stride: usize,
     measured_error: f64,
 }
 
 impl NonUniformGrid {
+    /// Index the ascending cells of a finished bisection grid. Buckets
+    /// are as narrow as the narrowest cell, so each holds at most one
+    /// interior node and the search is a single probe, up to
+    /// `MAX_BUCKETS`; grids finer than that (the boundary layers of
+    /// `k ≳ 10³`) take a few more probes.
+    fn new(cells: Vec<Cell>, measured_error: f64) -> Self {
+        /// Bucket budget (256 KiB of index): one probe per lookup whenever
+        /// the narrowest cell is at least 2⁻¹⁶ wide, which covers Sharing
+        /// at `tol = 1e-12` through `k = 256`.
+        const MAX_BUCKETS: usize = 1 << 16;
+        let finest = cells.iter().fold(1.0f64, |acc, c| acc.max(c.inv_h));
+        let buckets = (finest as usize).clamp(1, MAX_BUCKETS);
+        let mut first = Vec::with_capacity(buckets + 1);
+        let mut cell = 0;
+        for b in 0..=buckets {
+            let edge = b as f64 / buckets as f64;
+            while cell + 1 < cells.len() && cells[cell + 1].x0 <= edge {
+                cell += 1;
+            }
+            // Cell indices fit: the bisection caps the cell count at 2¹⁶.
+            first.push(cell as u32);
+        }
+        let widest = first.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        let stride = (widest + 1).next_power_of_two() / 2;
+        Self { cells, first, stride, measured_error }
+    }
+
+    /// The cell holding `q ∈ [0, 1]`: the last node at or below `q`,
+    /// clamped to the final cell at `q = 1` (which reads the closing entry
+    /// `first[buckets]`). Strides halving from `stride` sum to at least any
+    /// bucket's span, so the loop is a binary search over the bucket's
+    /// cells; a probe past the bucket starts beyond `q` and is rejected.
+    #[inline]
+    fn cell(&self, q: f64) -> usize {
+        let buckets = (self.first.len() - 1) as f64;
+        let last = self.cells.len() - 1;
+        let mut cell = self.first[(q * buckets) as usize] as usize;
+        let mut stride = self.stride;
+        while stride > 0 {
+            let probe = (cell + stride).min(last);
+            if self.cells[probe].x0 <= q {
+                cell = probe;
+            }
+            stride /= 2;
+        }
+        cell
+    }
+
     /// Evaluate the interpolant at `q ∈ [0, 1]`.
     fn eval(&self, q: f64) -> f64 {
-        let last = self.xs.len() - 2;
-        let cell = match self.xs.binary_search_by(|x| x.total_cmp(&q)) {
-            Ok(i) => i.min(last),
-            Err(i) => i.saturating_sub(1).min(last),
-        };
-        let h = self.xs[cell + 1] - self.xs[cell];
-        let t = (q - self.xs[cell]) / h;
-        let (y0, y1) = (self.ys[cell], self.ys[cell + 1]);
-        let (d0, d1) = (self.ds[cell] * h, self.ds[cell + 1] * h);
-        hermite_eval(t, y0, d0, y1, d1)
-    }
-
-    /// Number of cells (`nodes − 1`).
-    fn cells(&self) -> usize {
-        self.xs.len() - 1
-    }
-}
-
-/// The grid actually attached to a [`GTable`] — uniform (the
-/// [`GridSpec::Interpolated`] build) or non-uniform
-/// ([`GridSpec::NonUniform`]).
-#[derive(Debug, Clone)]
-enum GridKind {
-    Uniform(HermiteGrid),
-    NonUniform(NonUniformGrid),
-}
-
-impl GridKind {
-    fn eval(&self, q: f64) -> f64 {
-        match self {
-            GridKind::Uniform(g) => g.eval(q),
-            GridKind::NonUniform(g) => g.eval(q),
-        }
-    }
-
-    fn cells(&self) -> usize {
-        match self {
-            GridKind::Uniform(g) => g.cells,
-            GridKind::NonUniform(g) => g.cells(),
-        }
-    }
-
-    fn measured_error(&self) -> f64 {
-        match self {
-            GridKind::Uniform(g) => g.measured_error,
-            GridKind::NonUniform(g) => g.measured_error,
-        }
+        let c = &self.cells[self.cell(q)];
+        hermite_eval((q - c.x0) * c.inv_h, c.y0, c.d0, c.y1, c.d1)
     }
 }
 
@@ -266,11 +251,12 @@ impl GridKind {
 ///   given a reused [`GScratch`];
 /// * [`GTable::eval_prime_with`] is bit-identical to
 ///   [`crate::payoff::PayoffContext::g_prime`];
-/// * after [`GTable::with_grid`], [`GTable::eval_fast_with`] answers in
-///   `O(1)`; [`GTable::grid_error`] reports the error *measured at cell
-///   midpoints* (where the cubic-Hermite error kernel peaks for smooth
-///   `g`) — treat it as an estimate and budget a small multiple (the
-///   tests use 4×) at arbitrary `q`.
+/// * after [`GTable::with_spec`] with [`GridSpec::Interpolated`],
+///   [`GTable::eval_fast_with`] answers in `O(1)`; [`GTable::grid_error`]
+///   reports the error *measured at cell midpoints* (where the
+///   cubic-Hermite error kernel peaks for smooth `g`) — treat it as an
+///   estimate and budget a small multiple (the tests use 4×) at
+///   arbitrary `q`.
 #[derive(Debug, Clone)]
 pub struct GTable {
     /// Bernstein coefficients of `g`: `coeffs[j] = C(j + 1)`, degree
@@ -289,8 +275,8 @@ pub struct GTable {
     /// Pre-divided downward recurrence factors `(j + 1)/(n − j)` for the
     /// fused path (length `n`).
     down: Vec<f64>,
-    /// Optional dense O(1) interpolation grid (uniform or non-uniform).
-    grid: Option<GridKind>,
+    /// Optional O(1) interpolation grid.
+    grid: Option<NonUniformGrid>,
 }
 
 /// Fill `out[0..=n]` with the binomial PMF `P[Bin(n, q) = j]` using the
@@ -472,12 +458,6 @@ impl GTable {
         Ok(())
     }
 
-    /// Batched exact evaluation, one internal scratch for the whole slice.
-    pub fn eval_many(&self, qs: &[f64]) -> Vec<f64> {
-        let mut scratch = self.scratch();
-        qs.iter().map(|&q| self.eval_with(&mut scratch, q)).collect()
-    }
-
     /// Throughput-oriented exact `g(q)`: the same start-at-the-mode
     /// Bernstein recurrence, but with pre-divided step factors (no serial
     /// division chain), the dot product fused into the walk (no second
@@ -533,11 +513,6 @@ impl GTable {
         n as f64 * acc
     }
 
-    /// Exact derivative `g'(q)`; allocates a fresh scratch.
-    pub fn eval_prime(&self, q: f64) -> f64 {
-        self.eval_prime_with(&mut self.scratch(), q)
-    }
-
     /// Batched exact derivatives into `out` (`out.len() == qs.len()`);
     /// mismatched lengths are [`Error::LengthMismatch`].
     pub fn eval_prime_many_with(
@@ -557,102 +532,34 @@ impl GTable {
     /// grid-configuration entry point behind [`GridSpec`]:
     ///
     /// * [`GridSpec::Exact`] removes any attached grid;
-    /// * [`GridSpec::Interpolated`] builds the uniform cell-doubling grid
-    ///   (bit-identical to the historical `with_grid(tol)` build);
-    /// * [`GridSpec::NonUniform`] runs adaptive bisection that refines
-    ///   only where the Hermite midpoint error exceeds the bound — the
-    ///   large-`k` path (`k → 10⁶`), where a uniform grid overruns its
-    ///   2²⁰-cell budget resolving a boundary layer of width `O(1/k)`.
+    /// * [`GridSpec::Interpolated`] runs adaptive bisection that refines
+    ///   only where the Hermite midpoint error exceeds
+    ///   `tol × `[`Self::scale`], so [`Self::eval_fast_with`] then answers
+    ///   in `O(1)` per point. The tolerance is per-call: sweeps and
+    ///   plotting paths typically pass `1e-9` (cheap grids), equivalence
+    ///   tests `1e-12`.
     ///
     /// Tolerances are validated once, in [`GridSpec::validate`]
     /// ([`Error::InvalidTolerance`]); a build that cannot meet the bound
     /// within its budget is [`Error::NoConvergence`].
     pub fn with_spec(mut self, spec: GridSpec) -> Result<Self> {
         spec.validate()?;
-        match spec {
-            GridSpec::Exact => {
-                self.grid = None;
-                Ok(self)
-            }
-            GridSpec::Interpolated { tol } => self.build_uniform_grid(tol),
-            GridSpec::NonUniform { tol } => {
-                let grid = self.build_nonuniform_grid(tol)?;
-                self.grid = Some(GridKind::NonUniform(grid));
-                Ok(self)
-            }
-        }
+        self.grid = match spec {
+            GridSpec::Exact => None,
+            GridSpec::Interpolated { tol } => Some(self.build_grid(tol)?),
+        };
+        Ok(self)
     }
 
-    /// Attach a **uniform** dense cubic-Hermite grid so
-    /// [`Self::eval_fast_with`] answers in `O(1)` per point — shorthand
-    /// for [`Self::with_spec`] with [`GridSpec::Interpolated`]. The grid
-    /// is refined (doubling the cell count) until the error *measured at
-    /// every cell midpoint* — where the Hermite error kernel `t²(1−t)²`
-    /// peaks — is at most `tol × `[`Self::scale`]. The tolerance is
-    /// per-call: sweeps and plotting paths typically pass `1e-9` (cheap
-    /// grids), equivalence tests `1e-12`. Fails with
-    /// [`Error::NoConvergence`] if 2²⁰ cells cannot meet the bound — at
-    /// `k ≳ 10⁴` prefer [`GridSpec::NonUniform`], whose adaptive cells
-    /// resolve the boundary layer without the budget blowup.
-    pub fn with_grid(self, tol: f64) -> Result<Self> {
-        self.with_spec(GridSpec::Interpolated { tol })
-    }
-
-    /// The uniform cell-doubling refinement build behind
-    /// [`GridSpec::Interpolated`] (`tol` already validated).
-    fn build_uniform_grid(mut self, tol: f64) -> Result<Self> {
-        let target = tol * self.scale();
-        let mut scratch = self.scratch();
-        // Start near the analytic requirement h·n ≲ (384·tol)^{1/4} (the
-        // uniform-Hermite error bound with |g''''| ≲ n⁴·scale), capped at
-        // the legacy 16·(n+1) start so tight-tolerance grids behave
-        // exactly as before; loose tolerances (the large-k regime) start
-        // far coarser and the measured refinement below guards them.
-        let n = self.coeffs.len() - 1;
-        let analytic = (n.max(1) as f64) * (384.0 * tol).powf(-0.25);
-        let legacy = (16 * (n + 1)) as f64;
-        let mut cells = (analytic.min(legacy).max(64.0) as usize).next_power_of_two();
-        const MAX_CELLS: usize = 1 << 20;
-        loop {
-            let nodes = cells + 1;
-            let mut ys = vec![0.0; nodes];
-            let mut ds = vec![0.0; nodes];
-            let h = 1.0 / cells as f64;
-            for i in 0..nodes {
-                let q = (i as f64 * h).min(1.0);
-                ys[i] = self.eval_with(&mut scratch, q);
-                ds[i] = self.eval_prime_with(&mut scratch, q);
-            }
-            let grid = HermiteGrid { ys, ds, cells, measured_error: 0.0 };
-            let mut worst = 0.0f64;
-            for i in 0..cells {
-                let q = (i as f64 + 0.5) * h;
-                let err = (grid.eval(q) - self.eval_with(&mut scratch, q)).abs();
-                worst = worst.max(err);
-            }
-            if worst <= target {
-                self.grid = Some(GridKind::Uniform(HermiteGrid { measured_error: worst, ..grid }));
-                return Ok(self);
-            }
-            if cells >= MAX_CELLS {
-                return Err(Error::NoConvergence {
-                    what: "g-table grid refinement",
-                    residual: worst,
-                });
-            }
-            cells *= 2;
-        }
-    }
-
-    /// The adaptive-bisection build behind [`GridSpec::NonUniform`]
+    /// The adaptive-bisection build behind [`GridSpec::Interpolated`]
     /// (`tol` already validated). Deterministic depth-first subdivision:
     /// each segment is tested at its midpoint against the Hermite
     /// interpolant through its endpoints; failing segments split in two
     /// (midpoint values and derivatives are exact kernel evaluations and
     /// are reused as the children's shared endpoint), passing segments
-    /// emit their left endpoint. The left child is processed first, so
-    /// nodes come out in ascending order without a sort.
-    fn build_nonuniform_grid(&self, tol: f64) -> Result<NonUniformGrid> {
+    /// become cells. The left child is processed first, so cells come out
+    /// in ascending order without a sort.
+    fn build_grid(&self, tol: f64) -> Result<NonUniformGrid> {
         /// A pending segment: endpoint positions, exact values, exact
         /// derivatives.
         struct Seg {
@@ -663,27 +570,23 @@ impl GTable {
             y1: f64,
             d1: f64,
         }
-        /// Node budget: a backstop far above any practical build (the
-        /// k = 10⁶ boundary layer needs a few hundred nodes at 1e-9).
-        const MAX_NODES: usize = 1 << 16;
+        /// Cell budget: a backstop far above any practical build (the
+        /// k = 10⁶ boundary layer needs a few hundred cells at 1e-9).
+        const MAX_CELLS: usize = 1 << 16;
         /// Narrowest cell the subdivision may produce before declaring
         /// non-convergence (the error is then round-off-dominated).
         const MIN_WIDTH: f64 = 1e-12;
         let target = tol * self.scale();
         let mut scratch = self.scratch();
-        let y_end = self.eval_with(&mut scratch, 1.0);
-        let d_end = self.eval_prime_with(&mut scratch, 1.0);
         let mut stack = vec![Seg {
             x0: 0.0,
             y0: self.eval_with(&mut scratch, 0.0),
             d0: self.eval_prime_with(&mut scratch, 0.0),
             x1: 1.0,
-            y1: y_end,
-            d1: d_end,
+            y1: self.eval_with(&mut scratch, 1.0),
+            d1: self.eval_prime_with(&mut scratch, 1.0),
         }];
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut ds = Vec::new();
+        let mut cells = Vec::new();
         let mut worst = 0.0f64;
         while let Some(seg) = stack.pop() {
             let h = seg.x1 - seg.x0;
@@ -694,32 +597,34 @@ impl GTable {
             if err <= target || h <= MIN_WIDTH {
                 if err > target {
                     return Err(Error::NoConvergence {
-                        what: "non-uniform g-table grid refinement",
+                        what: "g-table grid refinement",
                         residual: err,
                     });
                 }
                 worst = worst.max(err);
-                xs.push(seg.x0);
-                ys.push(seg.y0);
-                ds.push(seg.d0);
-                if xs.len() > MAX_NODES {
+                cells.push(Cell {
+                    x0: seg.x0,
+                    inv_h: 1.0 / h,
+                    y0: seg.y0,
+                    d0: seg.d0 * h,
+                    y1: seg.y1,
+                    d1: seg.d1 * h,
+                });
+                if cells.len() > MAX_CELLS {
                     return Err(Error::NoConvergence {
-                        what: "non-uniform g-table grid refinement",
+                        what: "g-table grid refinement",
                         residual: worst,
                     });
                 }
             } else {
                 let dm = self.eval_prime_with(&mut scratch, m);
                 // Push right first so the left child pops (and emits)
-                // first — ascending node order by construction.
+                // first — ascending cell order by construction.
                 stack.push(Seg { x0: m, y0: ym, d0: dm, x1: seg.x1, y1: seg.y1, d1: seg.d1 });
                 stack.push(Seg { x0: seg.x0, y0: seg.y0, d0: seg.d0, x1: m, y1: ym, d1: dm });
             }
         }
-        xs.push(1.0);
-        ys.push(y_end);
-        ds.push(d_end);
-        Ok(NonUniformGrid { xs, ys, ds, measured_error: worst })
+        Ok(NonUniformGrid::new(cells, worst))
     }
 
     /// Whether an interpolation grid is attached.
@@ -733,13 +638,12 @@ impl GTable {
     /// off-midpoint error can exceed it by a small factor (tests budget
     /// 4×).
     pub fn grid_error(&self) -> Option<f64> {
-        self.grid.as_ref().map(|g| g.measured_error())
+        self.grid.as_ref().map(|g| g.measured_error)
     }
 
-    /// Number of grid cells (0 without a grid). For a non-uniform grid
-    /// this is the node count minus one.
+    /// Number of grid cells (the node count minus one; 0 without a grid).
     pub fn grid_cells(&self) -> usize {
-        self.grid.as_ref().map_or(0, |g| g.cells())
+        self.grid.as_ref().map_or(0, |g| g.cells.len())
     }
 
     /// `O(1)` interpolated `g(q)` when a grid is attached; falls back to
@@ -824,20 +728,13 @@ const GEMM_BLOCK: usize = crate::simd::GEMV_BLOCK;
 ///   Agrees with per-policy `eval_fused` to `O(k·ε)` (CI enforces
 ///   1e-13 × [`GBatch::scale`] at `k = 256`).
 ///
-/// Derivative variants ([`GBatch::eval_prime_with`],
-/// [`GBatch::eval_prime_fused_many_into`]) run the same split over the
-/// degree-`(k−2)` basis and the forward-difference rows, for gradient
-/// consumers. This layout — shared basis column × policy-major matrix — is
-/// the staging ground for a wgpu/CUDA GEMM backend.
+/// This layout — shared basis column × policy-major matrix — is the
+/// staging ground for a wgpu/CUDA GEMM backend.
 #[derive(Debug, Clone)]
 pub struct GBatch {
     /// Policy-major coefficient matrix, row-major storage: row `r` lives
     /// at `coeffs[r·k .. (r+1)·k]`; rows `rows..padded` are zero padding.
     coeffs: Vec<f64>,
-    /// Row-major forward differences `C_r(j+2) − C_r(j+1)`
-    /// (`padded × (k−1)`) — up to the factor `n = k − 1`, the Bernstein
-    /// coefficients of each row's `g'`.
-    dcoeffs: Vec<f64>,
     /// Real policy count (rows of the matrix that carry data; the
     /// storage above holds `rows.div_ceil(GEMM_BLOCK) · GEMM_BLOCK` rows).
     rows: usize,
@@ -846,33 +743,10 @@ pub struct GBatch {
     /// `ln C(k−1, j)` — the shared basis row (identical to the one every
     /// per-policy [`GTable`] at this `k` builds).
     ln_binom: Vec<f64>,
-    /// `ln C(k−2, j)` for the derivative basis (empty when `k = 1`).
-    ln_binom_prime: Vec<f64>,
     /// Pre-divided upward factors `(n−j)/(j+1)` for the fused basis walk.
     up: Vec<f64>,
     /// Pre-divided downward factors `(j+1)/(n−j)` for the fused walk.
     down: Vec<f64>,
-    /// Fused factors for the degree-`(n−1)` derivative basis.
-    up_prime: Vec<f64>,
-    /// Downward fused factors for the derivative basis.
-    down_prime: Vec<f64>,
-}
-
-/// Blocked GEMV over the padded policy-major matrix:
-/// `out[r] = factor · Σ_j basis[j] · matrix[r·cols + j]` for the `rows`
-/// real rows, running [`GEMM_BLOCK`] independent accumulator chains —
-/// dispatched through [`crate::simd::gemv_block4`] (AVX2 + FMA when the
-/// host has it, the original scalar unroll otherwise).
-fn gemv_blocked(
-    matrix: &[f64],
-    cols: usize,
-    rows: usize,
-    basis: &[f64],
-    factor: f64,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(basis.len(), cols);
-    crate::simd::gemv_block4(matrix, cols, rows, basis, factor, out);
 }
 
 impl GBatch {
@@ -906,31 +780,13 @@ impl GBatch {
         }
         let rows = rows_in.len();
         let padded = rows.div_ceil(GEMM_BLOCK) * GEMM_BLOCK;
-        let n = k - 1;
         let mut coeffs = vec![0.0; padded * k];
-        let mut dcoeffs = vec![0.0; padded * n];
         for (r, row) in rows_in.iter().enumerate() {
             coeffs[r * k..(r + 1) * k].copy_from_slice(row);
-            for (slot, w) in dcoeffs[r * n..(r + 1) * n].iter_mut().zip(row.windows(2)) {
-                *slot = w[1] - w[0];
-            }
         }
-        let ln_binom = ln_binom_row(n);
-        let ln_binom_prime = if n == 0 { Vec::new() } else { ln_binom_row(n - 1) };
-        let (up, down) = fused_factors(n);
-        let (up_prime, down_prime) = fused_factors(n.saturating_sub(1));
-        Ok(Self {
-            coeffs,
-            dcoeffs,
-            rows,
-            k,
-            ln_binom,
-            ln_binom_prime,
-            up,
-            down,
-            up_prime,
-            down_prime,
-        })
+        let ln_binom = ln_binom_row(k - 1);
+        let (up, down) = fused_factors(k - 1);
+        Ok(Self { coeffs, rows, k, ln_binom, up, down })
     }
 
     /// Number of policies (real rows; padding rows are not counted).
@@ -957,36 +813,35 @@ impl GBatch {
         self.coeffs.iter().fold(1.0f64, |acc, &c| acc.max(c.abs()))
     }
 
-    /// A scratch buffer sized for this batch's shared basis column (one
-    /// scratch serves both the value and derivative bases).
+    /// A scratch buffer sized for this batch's shared basis column.
     pub fn scratch(&self) -> GScratch {
         GScratch { pmf: vec![0.0; self.k] }
     }
 
-    /// Fill `basis[0..=n]` with the fused-path Bernstein column at `q` —
-    /// the exact `b` sequence [`GTable::eval_fused`] walks (pre-divided
-    /// factors, no serial division chain).
-    fn fill_basis_fused(&self, q: f64, basis: &mut [f64], prime: bool) {
-        let n = basis.len() - 1;
+    /// The fused GEMM at one point: fill the shared Bernstein column at
+    /// `q` — the exact `b` sequence [`GTable::eval_fused`] walks
+    /// (pre-divided factors, no serial division chain) — then finish every
+    /// row with the blocked product into `out[..rows]`, dispatched through
+    /// [`crate::simd::gemv_block4`] (AVX2 + FMA when the host has it, the
+    /// scalar unroll otherwise).
+    fn fused_point(&self, scratch: &mut GScratch, q: f64, out: &mut [f64]) {
+        debug_assert!((-1e-12..=1.0 + 1e-12).contains(&q), "q out of range: {q}");
+        let q = q.clamp(0.0, 1.0);
+        let n = self.k - 1;
+        let basis = &mut scratch.pmf[..self.k];
         if n == 0 || q <= 0.0 {
             basis.fill(0.0);
             basis[0] = 1.0;
-            return;
-        }
-        if q >= 1.0 {
+        } else if q >= 1.0 {
             basis.fill(0.0);
             basis[n] = 1.0;
-            return;
-        }
-        let (ln_row, up, down) = if prime {
-            (&self.ln_binom_prime, &self.up_prime, &self.down_prime)
         } else {
-            (&self.ln_binom, &self.up, &self.down)
-        };
-        let (mode, b_mode) = seed_mode(ln_row, n, q);
-        let ratio = q / (1.0 - q);
-        let inv_ratio = (1.0 - q) / q;
-        crate::simd::fused_fill(basis, up, down, mode, b_mode, ratio, inv_ratio);
+            let (mode, b_mode) = seed_mode(&self.ln_binom, n, q);
+            let ratio = q / (1.0 - q);
+            let inv_ratio = (1.0 - q) / q;
+            crate::simd::fused_fill(basis, &self.up, &self.down, mode, b_mode, ratio, inv_ratio);
+        }
+        crate::simd::gemv_block4(&self.coeffs, self.k, self.rows, basis, 1.0, out);
     }
 
     /// Reference mode at one point: `out[r] = g_{C_r}(q)` for every row,
@@ -1013,11 +868,7 @@ impl GBatch {
     /// proptested). `out.len()` must equal [`Self::rows`].
     pub fn eval_fused_into(&self, scratch: &mut GScratch, q: f64, out: &mut [f64]) -> Result<()> {
         check_len("GBatch::eval_fused_into", self.rows, out.len())?;
-        debug_assert!((-1e-12..=1.0 + 1e-12).contains(&q), "q out of range: {q}");
-        let q = q.clamp(0.0, 1.0);
-        let basis = &mut scratch.pmf[..self.k];
-        self.fill_basis_fused(q, basis, false);
-        gemv_blocked(&self.coeffs, self.k, self.rows, basis, 1.0, out);
+        self.fused_point(scratch, q, out);
         Ok(())
     }
 
@@ -1060,65 +911,7 @@ impl GBatch {
         let nq = qs.len();
         let mut col = vec![0.0; self.rows];
         for (i, &q) in qs.iter().enumerate() {
-            debug_assert!((-1e-12..=1.0 + 1e-12).contains(&q), "q out of range: {q}");
-            let q = q.clamp(0.0, 1.0);
-            let basis = &mut scratch.pmf[..self.k];
-            self.fill_basis_fused(q, basis, false);
-            gemv_blocked(&self.coeffs, self.k, self.rows, basis, 1.0, &mut col);
-            for (r, &v) in col.iter().enumerate() {
-                out[r * nq + i] = v;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reference-mode derivatives at one point: `out[r] = g'_{C_r}(q)`,
-    /// bit-identical to the per-policy [`GTable::eval_prime_with`].
-    pub fn eval_prime_with(&self, scratch: &mut GScratch, q: f64, out: &mut [f64]) -> Result<()> {
-        check_len("GBatch::eval_prime_with", self.rows, out.len())?;
-        let n = self.k - 1;
-        if n == 0 {
-            out.fill(0.0);
-            return Ok(());
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pmf = &mut scratch.pmf[..n];
-        fill_pmf(&self.ln_binom_prime, q, pmf);
-        for (r, slot) in out.iter_mut().enumerate() {
-            let drow = &self.dcoeffs[r * n..(r + 1) * n];
-            let mut acc = 0.0;
-            for (b, d) in pmf.iter().zip(drow.iter()) {
-                acc += b * d;
-            }
-            *slot = n as f64 * acc;
-        }
-        Ok(())
-    }
-
-    /// Fused-GEMM derivative grid, policy-major output
-    /// (`out[r · qs.len() + i] = g'_{C_r}(qs[i])`) — the gradient-consumer
-    /// variant: one degree-`(k−2)` basis walk per point, then a blocked
-    /// product against the forward-difference rows scaled by `k − 1`.
-    pub fn eval_prime_fused_many_into(
-        &self,
-        scratch: &mut GScratch,
-        qs: &[f64],
-        out: &mut [f64],
-    ) -> Result<()> {
-        check_len("GBatch::eval_prime_fused_many_into", self.rows * qs.len(), out.len())?;
-        let n = self.k - 1;
-        if n == 0 {
-            out.fill(0.0);
-            return Ok(());
-        }
-        let nq = qs.len();
-        let mut col = vec![0.0; self.rows];
-        for (i, &q) in qs.iter().enumerate() {
-            debug_assert!((-1e-12..=1.0 + 1e-12).contains(&q), "q out of range: {q}");
-            let q = q.clamp(0.0, 1.0);
-            let basis = &mut scratch.pmf[..n];
-            self.fill_basis_fused(q, basis, true);
-            gemv_blocked(&self.dcoeffs, n, self.rows, basis, n as f64, &mut col);
+            self.fused_point(scratch, q, &mut col);
             for (r, &v) in col.iter().enumerate() {
                 out[r * nq + i] = v;
             }
@@ -1343,15 +1136,15 @@ impl PbTable {
 ///
 /// Rebased on [`cache::SharedCache`]: lookups take `&self`, return
 /// `Arc<PbTable>`, are safe to share across engine worker threads, and
-/// the cache is size-bounded ([`PB_CACHE_CAPACITY`] profile classes by
-/// default) with deterministic LRU eviction. Eviction only changes
+/// the cache is size-bounded ([`PB_CACHE_CAPACITY`] profile classes)
+/// with deterministic LRU eviction. Eviction only changes
 /// *allocation* — a rebuilt class reproduces the identical PMF bits.
 #[derive(Debug)]
 pub struct PbCache {
     inner: SharedCache<Vec<u64>, PbTable>,
 }
 
-/// Default resident bound for [`PbCache`]: distinct profile classes kept
+/// Resident bound for [`PbCache`]: distinct profile classes kept
 /// warm before least-recently-used classes are evicted. An ESS ledger at
 /// `k = 256` touches well under a hundred classes; 1024 keeps every
 /// workload in this workspace eviction-free while bounding a daemon's
@@ -1367,13 +1160,7 @@ impl Default for PbCache {
 impl PbCache {
     /// An empty cache with the default capacity bound.
     pub fn new() -> Self {
-        Self::with_capacity(PB_CACHE_CAPACITY)
-    }
-
-    /// An empty cache holding at most `classes` profile classes
-    /// (`0` = unbounded).
-    pub fn with_capacity(classes: usize) -> Self {
-        PbCache { inner: SharedCache::new(classes) }
+        PbCache { inner: SharedCache::new(PB_CACHE_CAPACITY) }
     }
 
     /// The table for `probs`' equivalence class, building it on first
@@ -1389,31 +1176,6 @@ impl PbCache {
             key.push(normalize_prob(p)?.to_bits());
         }
         self.inner.get_or_try_insert_with(key, || PbTable::from_probs(&sorted))
-    }
-
-    /// Number of distinct profile classes built so far (cache misses,
-    /// including rebuilds after eviction).
-    #[inline]
-    pub fn builds(&self) -> usize {
-        self.inner.stats().misses as usize
-    }
-
-    /// Number of lookups served from an existing table.
-    #[inline]
-    pub fn hits(&self) -> usize {
-        self.inner.stats().hits as usize
-    }
-
-    /// Number of cached tables.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 
     /// Uniform hit/miss/eviction snapshot ([`CacheStats`]).
@@ -1545,7 +1307,8 @@ mod tests {
     fn eval_many_matches_pointwise() {
         let table = GTable::new(&Sharing, 12).unwrap();
         let qs = grid_points(99);
-        let batch = table.eval_many(&qs);
+        let mut batch = vec![0.0; qs.len()];
+        table.eval_many_with(&mut table.scratch(), &qs, &mut batch).unwrap();
         for (&q, &v) in qs.iter().zip(batch.iter()) {
             assert_eq!(v.to_bits(), table.eval(q).to_bits(), "q={q}");
         }
@@ -1572,11 +1335,15 @@ mod tests {
         assert_eq!(t.scale(), 1e9);
     }
 
+    fn gridded(c: &dyn Congestion, k: usize, tol: f64) -> GTable {
+        GTable::new(c, k).unwrap().with_spec(GridSpec::Interpolated { tol }).unwrap()
+    }
+
     #[test]
     fn grid_meets_error_bound() {
         for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.4 }] {
             for k in [2usize, 16, 64] {
-                let table = GTable::new(c, k).unwrap().with_grid(1e-12).unwrap();
+                let table = gridded(c, k, 1e-12);
                 assert!(table.has_grid());
                 assert!(table.grid_error().unwrap() <= 1e-12 * table.scale());
                 let mut scratch = table.scratch();
@@ -1597,7 +1364,7 @@ mod tests {
 
     #[test]
     fn grid_is_exact_at_nodes_and_endpoints() {
-        let table = GTable::new(&Sharing, 8).unwrap().with_grid(1e-12).unwrap();
+        let table = gridded(&Sharing, 8, 1e-12);
         let mut s = table.scratch();
         assert_eq!(table.eval_fast_with(&mut s, 0.0), table.eval_with(&mut s, 0.0));
         assert_eq!(table.eval_fast_with(&mut s, 1.0), table.eval_with(&mut s, 1.0));
@@ -1606,57 +1373,79 @@ mod tests {
     #[test]
     fn grid_rejects_bad_tolerance() {
         let table = GTable::new(&Sharing, 4).unwrap();
-        assert!(table.clone().with_grid(0.0).is_err());
-        assert!(table.with_grid(f64::NAN).is_err());
+        assert!(table.clone().with_spec(GridSpec::Interpolated { tol: 0.0 }).is_err());
+        assert!(table.with_spec(GridSpec::Interpolated { tol: f64::NAN }).is_err());
     }
 
     #[test]
     fn grid_spec_validation_is_the_single_tolerance_path() {
         assert!(GridSpec::Exact.validate().is_ok());
         assert!(GridSpec::Interpolated { tol: 1e-9 }.validate().is_ok());
-        assert!(GridSpec::NonUniform { tol: 1e-9 }.validate().is_ok());
         for bad in [0.0, -1e-9, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 GridSpec::Interpolated { tol: bad }.validate(),
                 Err(Error::InvalidTolerance { .. })
             ));
-            assert!(matches!(
-                GridSpec::NonUniform { tol: bad }.validate(),
-                Err(Error::InvalidTolerance { .. })
-            ));
             // with_spec reports the same typed error without building.
             let table = GTable::new(&Sharing, 4).unwrap();
             assert!(matches!(
-                table.with_spec(GridSpec::NonUniform { tol: bad }),
+                table.with_spec(GridSpec::Interpolated { tol: bad }),
                 Err(Error::InvalidTolerance { .. })
             ));
         }
-        assert_eq!(GridSpec::Exact.key_bits(), (0, 0));
-        assert_eq!(GridSpec::Interpolated { tol: 1e-9 }.key_bits(), (1, 1e-9f64.to_bits()));
-        assert_eq!(GridSpec::NonUniform { tol: 1e-9 }.key_bits(), (2, 1e-9f64.to_bits()));
     }
 
     #[test]
-    fn with_spec_exact_detaches_and_interpolated_matches_with_grid_bitwise() {
+    fn with_spec_exact_detaches_the_grid() {
         let base = GTable::new(&Sharing, 16).unwrap();
-        // Interpolated spec is the same build as the with_grid shorthand.
-        let via_spec = base.clone().with_spec(GridSpec::Interpolated { tol: 1e-10 }).unwrap();
-        let via_grid = base.clone().with_grid(1e-10).unwrap();
-        assert_eq!(via_spec.grid_cells(), via_grid.grid_cells());
-        let mut s1 = via_spec.scratch();
-        let mut s2 = via_grid.scratch();
-        for i in 0..=257 {
-            let q = i as f64 / 257.0;
-            assert_eq!(
-                via_spec.eval_fast_with(&mut s1, q).to_bits(),
-                via_grid.eval_fast_with(&mut s2, q).to_bits()
-            );
-        }
+        let gridded = base.clone().with_spec(GridSpec::Interpolated { tol: 1e-10 }).unwrap();
+        assert!(gridded.has_grid());
         // Exact spec detaches the grid and restores the reference path.
-        let detached = via_spec.with_spec(GridSpec::Exact).unwrap();
+        let detached = gridded.with_spec(GridSpec::Exact).unwrap();
         assert!(!detached.has_grid());
-        let mut s3 = detached.scratch();
-        assert_eq!(detached.eval_fast_with(&mut s3, 0.42).to_bits(), base.eval(0.42).to_bits());
+        let mut s = detached.scratch();
+        assert_eq!(detached.eval_fast_with(&mut s, 0.42).to_bits(), base.eval(0.42).to_bits());
+    }
+
+    /// The binary-search cell lookup and width division the bucket index
+    /// and stored reciprocals replaced, kept as the bit-for-bit reference
+    /// for [`NonUniformGrid::eval`] over the node positions `xs`.
+    fn binary_search_eval(grid: &NonUniformGrid, xs: &[f64], q: f64) -> f64 {
+        let last = xs.len() - 2;
+        let cell = match xs.binary_search_by(|x| x.total_cmp(&q)) {
+            Ok(i) => i.min(last),
+            Err(i) => i.saturating_sub(1).min(last),
+        };
+        let h = xs[cell + 1] - xs[cell];
+        let t = (q - xs[cell]) / h;
+        let c = &grid.cells[cell];
+        hermite_eval(t, c.y0, c.d0, c.y1, c.d1)
+    }
+
+    #[test]
+    fn bucket_lookup_is_bit_identical_to_binary_search() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.4 }] {
+            for k in [2usize, 64, 512, 2048] {
+                let table = gridded(c, k, 1e-9);
+                let grid = table.grid.as_ref().unwrap();
+                let mut xs: Vec<f64> = grid.cells.iter().map(|c| c.x0).collect();
+                xs.push(1.0);
+                let mut qs = vec![0.0, 1.0];
+                qs.extend_from_slice(&xs);
+                qs.extend(xs.windows(2).map(|w| 0.5 * (w[0] + w[1])));
+                qs.extend((0..10_000).map(|_| rng.gen::<f64>()));
+                for q in qs {
+                    assert_eq!(
+                        grid.eval(q).to_bits(),
+                        binary_search_eval(grid, &xs, q).to_bits(),
+                        "{} k={k} q={q}",
+                        c.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1664,13 +1453,12 @@ mod tests {
         for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.4 }] {
             for k in [2usize, 64, 512] {
                 let tol = 1e-9;
-                let table =
-                    GTable::new(c, k).unwrap().with_spec(GridSpec::NonUniform { tol }).unwrap();
+                let table = gridded(c, k, tol);
                 assert!(table.has_grid());
                 assert!(table.grid_error().unwrap() <= tol * table.scale());
                 let mut scratch = table.scratch();
                 // Off-midpoint sample points (not used during refinement);
-                // budget the same 4× the uniform grid tests use.
+                // budget the same 4× the tight-tolerance test uses.
                 for i in 0..400 {
                     let q = (i as f64 + 0.37) / 400.0;
                     let exact = table.eval_with(&mut scratch, q);
@@ -1687,45 +1475,16 @@ mod tests {
 
     #[test]
     fn nonuniform_grid_is_exact_at_endpoints() {
-        let table = GTable::new(&Exclusive, 128)
-            .unwrap()
-            .with_spec(GridSpec::NonUniform { tol: 1e-9 })
-            .unwrap();
+        let table = gridded(&Exclusive, 128, 1e-9);
         let mut s = table.scratch();
         assert_eq!(table.eval_fast_with(&mut s, 0.0).to_bits(), table.eval(0.0).to_bits());
         assert_eq!(table.eval_fast_with(&mut s, 1.0).to_bits(), table.eval(1.0).to_bits());
     }
 
     #[test]
-    fn nonuniform_grid_is_far_smaller_than_uniform_at_large_k() {
-        // The whole point of the non-uniform build: the exclusive policy's
-        // boundary layer (width ~ 1/k) forces the uniform grid to spend
-        // its doubling budget everywhere, while adaptive bisection spends
-        // nodes only inside the layer.
-        let k = 512;
-        let tol = 1e-9;
-        let uniform = GTable::new(&Exclusive, k).unwrap().with_grid(tol).unwrap();
-        let nonuniform =
-            GTable::new(&Exclusive, k).unwrap().with_spec(GridSpec::NonUniform { tol }).unwrap();
-        assert!(
-            nonuniform.grid_cells() * 8 < uniform.grid_cells(),
-            "nonuniform {} cells vs uniform {}",
-            nonuniform.grid_cells(),
-            uniform.grid_cells()
-        );
-        assert!(nonuniform.grid_error().unwrap() <= tol * nonuniform.scale());
-    }
-
-    #[test]
     fn nonuniform_build_is_deterministic() {
-        let a = GTable::new(&Sharing, 256)
-            .unwrap()
-            .with_spec(GridSpec::NonUniform { tol: 1e-10 })
-            .unwrap();
-        let b = GTable::new(&Sharing, 256)
-            .unwrap()
-            .with_spec(GridSpec::NonUniform { tol: 1e-10 })
-            .unwrap();
+        let a = gridded(&Sharing, 256, 1e-10);
+        let b = gridded(&Sharing, 256, 1e-10);
         assert_eq!(a.grid_cells(), b.grid_cells());
         let (mut sa, mut sb) = (a.scratch(), b.scratch());
         for i in 0..=997 {
@@ -1780,21 +1539,14 @@ mod tests {
                 policies.iter().map(|c| GTable::new(*c, k).unwrap()).collect();
             let mut scratch = batch.scratch();
             let mut out = vec![0.0; policies.len()];
-            let mut out_prime = vec![0.0; policies.len()];
             for &q in grid_points(101).iter() {
                 batch.eval_with(&mut scratch, q, &mut out).unwrap();
-                batch.eval_prime_with(&mut scratch, q, &mut out_prime).unwrap();
                 for (r, table) in tables.iter().enumerate() {
                     let mut ts = table.scratch();
                     assert_eq!(
                         out[r].to_bits(),
                         table.eval_with(&mut ts, q).to_bits(),
                         "row {r} k={k} q={q}"
-                    );
-                    assert_eq!(
-                        out_prime[r].to_bits(),
-                        table.eval_prime_with(&mut ts, q).to_bits(),
-                        "prime row {r} k={k} q={q}"
                     );
                 }
             }
@@ -1852,23 +1604,10 @@ mod tests {
                 assert_eq!(fused_grid[r * qs.len() + i].to_bits(), point[r].to_bits());
             }
         }
-        // Fused derivative grid against the bit-exact reference derivative.
-        let mut prime_grid = vec![0.0; batch.rows() * qs.len()];
-        batch.eval_prime_fused_many_into(&mut scratch, &qs, &mut prime_grid).unwrap();
-        let tables: Vec<GTable> = policies.iter().map(|c| GTable::new(*c, 24).unwrap()).collect();
-        let tol = 1e-13 * 24.0 * batch.scale();
-        for (r, table) in tables.iter().enumerate() {
-            let mut ts = table.scratch();
-            for (i, &q) in qs.iter().enumerate() {
-                let reference = table.eval_prime_with(&mut ts, q);
-                let got = prime_grid[r * qs.len() + i];
-                assert!((got - reference).abs() <= tol, "row {r} q={q}: {got} vs {reference}");
-            }
-        }
     }
 
     #[test]
-    fn gbatch_single_player_is_constant_with_zero_derivative() {
+    fn gbatch_single_player_is_constant() {
         let batch = GBatch::new(&batch_policies(), 1).unwrap();
         let mut scratch = batch.scratch();
         let mut out = vec![0.0; batch.rows()];
@@ -1877,11 +1616,6 @@ mod tests {
             for (r, &v) in out.iter().enumerate() {
                 assert_eq!(v, batch.row_coefficients(r)[0], "row {r}");
             }
-            batch.eval_prime_with(&mut scratch, q, &mut out).unwrap();
-            assert!(out.iter().all(|&v| v == 0.0));
-            let mut prime_grid = vec![1.0; batch.rows()];
-            batch.eval_prime_fused_many_into(&mut scratch, &[q], &mut prime_grid).unwrap();
-            assert!(prime_grid.iter().all(|&v| v == 0.0));
         }
     }
 
@@ -1911,10 +1645,6 @@ mod tests {
             batch.eval_fused_into(&mut scratch, 0.5, &mut short),
             Err(Error::LengthMismatch { .. })
         ));
-        assert!(matches!(
-            batch.eval_prime_with(&mut scratch, 0.5, &mut short),
-            Err(Error::LengthMismatch { .. })
-        ));
         let qs = [0.25, 0.75];
         assert!(matches!(
             batch.eval_many_with(&mut scratch, &qs, &mut short),
@@ -1922,10 +1652,6 @@ mod tests {
         ));
         assert!(matches!(
             batch.eval_fused_many_into(&mut scratch, &qs, &mut short),
-            Err(Error::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            batch.eval_prime_fused_many_into(&mut scratch, &qs, &mut short),
             Err(Error::LengthMismatch { .. })
         ));
     }
@@ -2026,16 +1752,14 @@ mod tests {
         let a = cache.table(&[0.2, 0.8]).unwrap().pmf().to_vec();
         // Permutations share one table (sorted-multiset key).
         let b = cache.table(&[0.8, 0.2]).unwrap().pmf().to_vec();
-        assert_eq!(cache.builds(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
         for (&x, &y) in a.iter().zip(b.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // A different multiset builds a second table.
         cache.table(&[0.2, 0.2]).unwrap();
-        assert_eq!(cache.builds(), 2);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.stats().misses, 2);
         assert!(cache.table(&[f64::NAN]).is_err());
     }
 
@@ -2067,7 +1791,7 @@ mod tests {
         for p in profiles.iter().rev() {
             reverse.table(p).unwrap();
         }
-        assert_eq!(forward.builds(), reverse.builds());
+        assert_eq!(forward.stats().misses, reverse.stats().misses);
         for (p, expect) in profiles.iter().zip(&fwd) {
             let got = reverse.table(p).unwrap();
             for (a, b) in expect.iter().zip(got.pmf()) {

@@ -4,7 +4,7 @@
 //! grids, [`super::GBatch`] coefficient tiles, [`super::PbTable`] DP
 //! tables — is built once per key and then read many times. Before this
 //! module existed each consumer carried its own `&mut self` `HashMap`
-//! memo ([`super::PbCache`], `sim::sweep::GridCache`), which meant warm
+//! memo ([`super::PbCache`], `sim::sweep::SharedGridCache`), which meant warm
 //! tables could not be shared across engine worker threads, let alone
 //! across the requests of a long-lived daemon.
 //!

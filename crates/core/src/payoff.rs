@@ -65,26 +65,18 @@ impl PayoffContext {
         Ok(Self { kernel: GTable::from_coefficients(c_table)?, k })
     }
 
-    /// Attach a cubic-Hermite interpolation grid to this context's kernel
-    /// at a **per-call tolerance** (see [`GTable::with_grid`]): solvers
-    /// whose inner loops go through [`GTable::eval_fast_with`] — the IFD
-    /// water-filling bisections, and everything built on them (SPoA,
-    /// sweeps) — then answer in `O(1)` per evaluation instead of `O(k)`,
-    /// which is what makes `k ∈ [10³, 10⁴]` regime studies affordable.
-    /// Without this call those paths fall back to the exact kernel and
-    /// stay bit-identical to the scalar reference; with it, results move
-    /// by at most a few × `tol` × [`GTable::scale`]. At `k ≳ 10⁴` pass a
-    /// loose tolerance (`1e-12` is below the Hermite error floor there).
-    pub fn with_grid(self, tol: f64) -> Result<Self> {
-        self.with_spec(GridSpec::Interpolated { tol })
-    }
-
     /// Attach (or detach) an interpolation grid per `spec` — the
     /// context-level face of [`GTable::with_spec`], sharing the single
     /// [`GridSpec`] configuration surface and its one typed tolerance
-    /// validation path. [`GridSpec::NonUniform`] is the `k → 10⁶` entry
-    /// point: adaptive bisection resolves the `O(1/k)` boundary layer with
-    /// a few hundred nodes where the uniform build overruns its budget.
+    /// validation path. With [`GridSpec::Interpolated`] at a **per-call
+    /// tolerance**, solvers whose inner loops go through
+    /// [`GTable::eval_fast_with`] — the IFD water-filling bisections, and
+    /// everything built on them (SPoA, sweeps) — answer in `O(1)` per
+    /// evaluation instead of `O(k)`, which is what makes `k ∈ [10³, 10⁶]`
+    /// regime studies affordable. Without a grid those paths fall back to
+    /// the exact kernel and stay bit-identical to the scalar reference;
+    /// with one, results move by at most a few × `tol` ×
+    /// [`GTable::scale`].
     pub fn with_spec(mut self, spec: GridSpec) -> Result<Self> {
         self.kernel = self.kernel.with_spec(spec)?;
         Ok(self)
@@ -634,12 +626,12 @@ mod tests {
         let cache = crate::kernel::PbCache::new();
         let opponents = [&sigma, &sigma, &pi];
         let a = ctx.heterogeneous_payoff_with(&f, &rho, &opponents, &cache).unwrap();
-        let builds_first = cache.builds();
+        let builds_first = cache.stats().misses;
         assert!(builds_first > 0);
         // Second call with the same profiles: all tables come from the cache.
         let b = ctx.heterogeneous_payoff_with(&f, &rho, &opponents, &cache).unwrap();
-        assert_eq!(cache.builds(), builds_first, "no new DP builds on a repeat call");
-        assert!(cache.hits() > 0);
+        assert_eq!(cache.stats().misses, builds_first, "no new DP builds on a repeat call");
+        assert!(cache.stats().hits > 0);
         assert_eq!(a.to_bits(), b.to_bits());
         // And the cached path matches the one-shot entry point.
         let fresh = ctx.heterogeneous_payoff(&f, &rho, &opponents).unwrap();

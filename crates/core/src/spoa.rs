@@ -53,9 +53,10 @@ pub fn spoa(c: &dyn Congestion, f: &ValueProfile, k: usize) -> Result<SpoaPoint>
 
 /// Evaluate `SPoA` with a prebuilt (non-degenerate) [`PayoffContext`] —
 /// the entry point for large-`k` regime studies: attach an interpolation
-/// grid ([`PayoffContext::with_grid`], e.g. at tolerance `1e-9`) and the
-/// IFD water-filling inside runs `O(1)` per kernel evaluation instead of
-/// `O(k)`.
+/// grid ([`PayoffContext::with_spec`] with
+/// [`GridSpec::Interpolated`](crate::kernel::GridSpec::Interpolated), e.g.
+/// at tolerance `1e-9`) and the IFD water-filling inside runs `O(1)` per
+/// kernel evaluation instead of `O(k)`.
 pub fn spoa_with_context(ctx: &PayoffContext, f: &ValueProfile) -> Result<SpoaPoint> {
     let ifd: Ifd = solve_ifd_with_context(ctx, f)?;
     let k = ctx.k();

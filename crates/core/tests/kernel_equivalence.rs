@@ -4,7 +4,7 @@
 //! `cargo test --release -p dispersal-core --test kernel_equivalence`.
 
 use dispersal_core::ess::{ess_ledger, reference_ledger};
-use dispersal_core::kernel::{GBatch, GTable, PbTable};
+use dispersal_core::kernel::{GBatch, GTable, GridSpec, PbTable};
 use dispersal_core::numerics::poisson_binomial_pmf;
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::{Congestion, Exclusive, PowerLaw, Sharing, TwoLevel};
@@ -153,7 +153,8 @@ fn ess_ledger_matches_pre_kernel_path_at_k256() {
 
 #[test]
 fn interpolation_grid_meets_bound_at_k256() {
-    let table = GTable::new(&Sharing, K).unwrap().with_grid(1e-12).unwrap();
+    let table =
+        GTable::new(&Sharing, K).unwrap().with_spec(GridSpec::Interpolated { tol: 1e-12 }).unwrap();
     assert!(table.grid_error().unwrap() <= 1e-12 * table.scale());
     let mut scratch = table.scratch();
     // Sample off the refinement's midpoints.

@@ -178,7 +178,8 @@ proptest! {
         let policy = TableCongestion::new(c_table, "prop").unwrap();
         let ctx = PayoffContext::new(&policy, k).unwrap();
         let table = GTable::new(&policy, k).unwrap();
-        let batch = table.eval_many(&qs);
+        let mut batch = vec![0.0; qs.len()];
+        table.eval_many_with(&mut table.scratch(), &qs, &mut batch).unwrap();
         for (&q, &batched) in qs.iter().zip(batch.iter()) {
             let scalar = ctx.g(q).unwrap();
             prop_assert!(
@@ -252,7 +253,8 @@ proptest! {
         let table = GTable::new(&policy, k).unwrap();
         let mut sorted = qs;
         sorted.sort_by(f64::total_cmp);
-        let values = table.eval_many(&sorted);
+        let mut values = vec![0.0; sorted.len()];
+        table.eval_many_with(&mut table.scratch(), &sorted, &mut values).unwrap();
         for (w, qw) in values.windows(2).zip(sorted.windows(2)) {
             prop_assert!(
                 w[1] <= w[0] + 1e-12,

@@ -223,7 +223,7 @@ pub struct ResponseCache {
     inner: SharedCache<(Vec<u64>, usize), GBatch>,
 }
 
-/// Default resident bound for [`ResponseCache`]: distinct `(catalog, k)`
+/// Resident bound for [`ResponseCache`]: distinct `(catalog, k)`
 /// tiles kept warm. Catalog scans sweep a handful of player counts over
 /// one catalog; 64 tiles is an order of magnitude of headroom while
 /// keeping a daemon's footprint bounded.
@@ -238,12 +238,7 @@ impl Default for ResponseCache {
 impl ResponseCache {
     /// An empty cache with the default capacity bound.
     pub fn new() -> Self {
-        Self::with_capacity(RESPONSE_CACHE_CAPACITY)
-    }
-
-    /// An empty cache holding at most `tiles` entries (`0` = unbounded).
-    pub fn with_capacity(tiles: usize) -> Self {
-        ResponseCache { inner: SharedCache::new(tiles) }
+        ResponseCache { inner: SharedCache::new(RESPONSE_CACHE_CAPACITY) }
     }
 
     /// The policy-major tile for `(catalog, k)`, built on first use.
@@ -264,30 +259,6 @@ impl ResponseCache {
             rows.push(coeffs);
         }
         self.inner.get_or_try_insert_with((key, k), || GBatch::from_rows(rows))
-    }
-
-    /// Number of tiles built so far (cache misses).
-    #[inline]
-    pub fn builds(&self) -> usize {
-        self.inner.stats().misses as usize
-    }
-
-    /// Number of lookups served from an existing tile.
-    #[inline]
-    pub fn hits(&self) -> usize {
-        self.inner.stats().hits as usize
-    }
-
-    /// Number of cached tiles.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 
     /// Uniform hit/miss/eviction snapshot ([`CacheStats`]).
@@ -377,8 +348,7 @@ mod tests {
         let cache = ResponseCache::new();
         let direct = catalog_response_matrix(&catalog, 8, 64).unwrap();
         let cached = catalog_response_matrix_cached(&catalog, 8, 64, &cache).unwrap();
-        assert_eq!(cache.builds(), 1);
-        assert_eq!(cache.hits(), 0);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
         for (a, b) in direct.g.iter().zip(cached.g.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "cached tile changed response bits");
         }
@@ -388,13 +358,11 @@ mod tests {
         // Repeat scans — any resolution — reuse the warm tile; a new k
         // builds a second one.
         let again = catalog_response_matrix_cached(&catalog, 8, 256, &cache).unwrap();
-        assert_eq!(cache.builds(), 1, "repeat scan must hit the warm tile");
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.stats().misses, 1, "repeat scan must hit the warm tile");
+        assert_eq!(cache.stats().hits, 1);
         assert_eq!(again.qs.len(), 257);
         catalog_response_matrix_cached(&catalog, 12, 64, &cache).unwrap();
-        assert_eq!(cache.builds(), 2);
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
+        assert_eq!((cache.stats().misses, cache.stats().entries), (2, 2));
         // Degenerate inputs stay typed errors through the cached path.
         assert!(catalog_response_matrix_cached(&[], 8, 64, &cache).is_err());
         assert!(catalog_response_matrix_cached(&catalog, 8, 0, &cache).is_err());

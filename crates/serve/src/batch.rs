@@ -155,10 +155,10 @@ mod tests {
         let cache = SharedGridCache::new();
         let policies: Vec<&dyn Congestion> = vec![&Sharing, &TwoLevel { c: -0.3 }];
         let first = eval_interp_tile(&policies, 8, 32, 1e-9, &cache).unwrap();
-        assert_eq!(cache.builds(), 2);
+        assert_eq!(cache.stats().misses, 2);
         let second = eval_interp_tile(&policies, 8, 32, 1e-9, &cache).unwrap();
-        assert_eq!(cache.builds(), 2, "warm daemon must not re-refine");
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.stats().misses, 2, "warm daemon must not re-refine");
+        assert_eq!(cache.stats().hits, 2);
         for (a, b) in first.iter().flatten().zip(second.iter().flatten()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

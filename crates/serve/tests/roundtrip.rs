@@ -155,7 +155,10 @@ fn interpolated_responses_share_the_grid_cache_and_match_direct_grids() {
 
             let policy = parse_policy(spec).unwrap();
             let coeffs = validate_congestion(policy.as_ref(), K).unwrap();
-            let table = GTable::from_coefficients(coeffs).unwrap().with_grid(TOL).unwrap();
+            let table = GTable::from_coefficients(coeffs)
+                .unwrap()
+                .with_spec(GridSpec::Interpolated { tol: TOL })
+                .unwrap();
             let mut scratch = table.scratch();
             let qs: Vec<f64> = (0..=RESOLUTION).map(|i| i as f64 / RESOLUTION as f64).collect();
             let mut want = vec![0.0; qs.len()];

@@ -62,10 +62,8 @@ pub mod prelude {
         TrafficEvent,
     };
     pub use crate::stats::{bootstrap_mean_ci, Estimate, Welford};
-    #[allow(deprecated)]
-    pub use crate::sweep::response_grid;
     pub use crate::sweep::{
-        sweep_grid, PolicyResponseCurve, ResponseCurve, ResponseRequest, SharedGridCache,
-        SweepCell, DEFAULT_RESPONSE_RESOLUTION,
+        sweep_grid, PolicyCurve, ResponseRequest, SharedGridCache, SweepCell,
+        DEFAULT_RESPONSE_RESOLUTION,
     };
 }

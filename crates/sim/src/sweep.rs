@@ -46,19 +46,7 @@ where
     })
 }
 
-/// One congestion-response curve from [`response_grid`]: `g[i] = g_C(qs[i])`
-/// for player count `k`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ResponseCurve {
-    /// Player count the curve was evaluated for.
-    pub k: usize,
-    /// The uniform evaluation grid over `[0, 1]`.
-    pub qs: Vec<f64>,
-    /// The congestion response at each grid point.
-    pub g: Vec<f64>,
-}
-
-/// Shared validation + grid construction for the response-grid family:
+/// Validation + grid construction for [`ResponseRequest::evaluate`]:
 /// rejects an empty `ks` or a zero `resolution`, and returns the uniform
 /// `resolution + 1`-point evaluation grid over `[0, 1]`.
 fn response_qs(ks: &[usize], resolution: usize) -> Result<Vec<f64>> {
@@ -71,40 +59,10 @@ fn response_qs(ks: &[usize], resolution: usize) -> Result<Vec<f64>> {
     Ok((0..=resolution).map(|i| i as f64 / resolution as f64).collect())
 }
 
-/// Reject an empty policy batch (the multi-policy sweep entry points).
-fn check_policies(policies: &[&dyn Congestion]) -> Result<()> {
-    if policies.is_empty() {
-        return Err(Error::InvalidArgument(
-            "batched response grid needs at least one policy".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Evaluate the congestion response `g_C` of one policy over a dense
-/// uniform `q`-grid for every `k` in `ks`, in parallel (one worker per
-/// `k`). Each `k` is a one-row [`GBatch`] k-tile evaluated in the
-/// **reference mode**, so one `O(k)` kernel setup serves the whole curve
-/// and every value is bit-identical to the per-point scalar path — which
-/// is what makes sweeping `resolution = 10⁴`-point grids at `k = 256`
-/// cheap without giving up reproducibility.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ResponseRequest::new(c).ks(ks).resolution(resolution).evaluate()"
-)]
-pub fn response_grid(
-    c: &dyn Congestion,
-    ks: &[usize],
-    resolution: usize,
-) -> Result<Vec<ResponseCurve>> {
-    let curves = ResponseRequest::new(c).ks(ks).resolution(resolution).reference().evaluate()?;
-    Ok(curves.into_iter().map(|p| ResponseCurve { k: p.k, qs: p.qs, g: p.g }).collect())
-}
-
-/// One policy's curve from a multi-policy batched sweep
-/// ([`response_grid_batch`] / [`response_grid_batch_interpolated`]).
+/// One `(policy, k)` curve from [`ResponseRequest::evaluate`]:
+/// `g[i] = g_C(qs[i])`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyResponseCurve {
+pub struct PolicyCurve {
     /// Policy name (from [`Congestion::name`]).
     pub policy: String,
     /// Player count the curve was evaluated for.
@@ -115,41 +73,21 @@ pub struct PolicyResponseCurve {
     pub g: Vec<f64>,
 }
 
-/// Evaluate *many* policies over one shared `q`-grid for every `k` in
-/// `ks`: per `k` a single policy-major [`GBatch`] k-tile is built and the
-/// whole grid runs through the fused GEMM path — the per-point Bernstein
-/// column is computed once and every policy finishes with a blocked dot,
-/// instead of each policy paying its own recurrence setup per point.
-/// Workers fan out across k-tiles; output is k-major (all policies of
-/// `ks[0]`, then `ks[1]`, …), matching per-policy [`GTable::eval_fused`]
-/// to ≤ 1e-13 × the coefficient scale.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ResponseRequest::policies(policies).ks(ks).resolution(resolution).evaluate()"
-)]
-pub fn response_grid_batch(
-    policies: &[&dyn Congestion],
-    ks: &[usize],
-    resolution: usize,
-) -> Result<Vec<PolicyResponseCurve>> {
-    ResponseRequest::policies(policies).ks(ks).resolution(resolution).fused().evaluate()
-}
-
 /// Memoized interpolation grids for the sweep layer, keyed by the
 /// `(policy, k)` fingerprint (the congestion coefficient table, which
 /// determines both) plus the requested tolerance.
 ///
-/// Building a [`GTable::with_grid`] interpolant is the expensive part of
-/// an interpolated sweep — refinement evaluates the exact `O(k)` kernel
-/// at every node until the measured midpoint error meets the bound.
-/// Sweeps that revisit the same `(policy, k)` cell (ε-grids, resolution
-/// scans, repeated plotting calls) should hold one `SharedGridCache` so
-/// the grid is built once and shared as an [`Arc`]; the tolerance is
-/// per-call — plotting sweeps typically pass `1e-9` (cheap, coarse
-/// grids), verification sweeps `1e-12` — and each distinct tolerance
-/// memoizes its own entry. Non-finite or non-positive tolerances are
-/// rejected with [`dispersal_core::Error::InvalidTolerance`] (propagated
-/// from [`GTable::with_grid`]).
+/// Building a [`GridSpec::Interpolated`] grid is the expensive part of an
+/// interpolated sweep — refinement evaluates the exact `O(k)` kernel at
+/// every node until the measured midpoint error meets the bound. Sweeps
+/// that revisit the same `(policy, k)` cell (ε-grids, resolution scans,
+/// repeated plotting calls) should hold one `SharedGridCache` so the grid
+/// is built once and shared as an [`Arc`]; the tolerance is per-call —
+/// plotting sweeps typically pass `1e-9` (cheap, coarse grids),
+/// verification sweeps `1e-12` — and each distinct tolerance memoizes its
+/// own entry. Non-finite or non-positive tolerances are rejected with
+/// [`dispersal_core::Error::InvalidTolerance`] (propagated from
+/// [`GTable::with_spec`]).
 ///
 /// Rebased on [`SharedCache`]: lookups take `&self`, so one cache is
 /// shared *by reference* across engine worker threads (sweep workers
@@ -157,24 +95,20 @@ pub fn response_grid_batch(
 /// long-lived daemon. Concurrent lookups of the same cell coordinate
 /// through a shard lock — the grid refinement runs at most once per
 /// residency — and the cache is size-bounded ([`GRID_CACHE_CAPACITY`]
-/// grids by default) with deterministic LRU eviction. Sharing and
-/// eviction change only *allocation*: a rebuilt cell reproduces the
-/// identical grid bits, so every evaluated curve is independent of who
-/// warmed the cache and in what order.
+/// grids) with deterministic LRU eviction. Sharing and eviction change
+/// only *allocation*: a rebuilt cell reproduces the identical grid bits,
+/// so every evaluated curve is independent of who warmed the cache and in
+/// what order.
 #[derive(Debug)]
 pub struct SharedGridCache {
-    inner: SharedCache<(Vec<u64>, u8, u64), GTable>,
+    inner: SharedCache<(Vec<u64>, u64), GTable>,
 }
 
-/// Transitional name: the pre-refactor `&mut` memo was called
-/// `GridCache`; the concurrent rebase keeps the old name as an alias.
-pub type GridCache = SharedGridCache;
-
-/// Default resident bound for [`SharedGridCache`]: distinct
-/// `(policy, k, tol)` grids kept warm before least-recently-used grids
-/// are evicted. The full mechanism catalog at a handful of player counts
-/// and tolerances stays well inside 256 while bounding the footprint of
-/// a daemon that sees adversarial key diversity.
+/// Resident bound for [`SharedGridCache`]: distinct `(policy, k, tol)`
+/// grids kept warm before least-recently-used grids are evicted. The full
+/// mechanism catalog at a handful of player counts and tolerances stays
+/// well inside 256 while bounding the footprint of a daemon that sees
+/// adversarial key diversity.
 pub const GRID_CACHE_CAPACITY: usize = 256;
 
 impl Default for SharedGridCache {
@@ -186,66 +120,20 @@ impl Default for SharedGridCache {
 impl SharedGridCache {
     /// An empty cache with the default capacity bound.
     pub fn new() -> Self {
-        Self::with_capacity(GRID_CACHE_CAPACITY)
+        SharedGridCache { inner: SharedCache::new(GRID_CACHE_CAPACITY) }
     }
 
-    /// An empty cache holding at most `grids` entries (`0` = unbounded).
-    pub fn with_capacity(grids: usize) -> Self {
-        SharedGridCache { inner: SharedCache::new(grids) }
-    }
-
-    /// The gridded table for `(c, k)` at the **uniform** interpolation
-    /// tolerance `tol` — shorthand for [`Self::table_with_spec`] with
-    /// [`GridSpec::Interpolated`]. Returned as an [`Arc`] so parallel
-    /// sweep workers can share one instance without cloning the grid;
-    /// concurrent callers of the same cell block on its shard until the
-    /// single build finishes.
+    /// The gridded table for `(c, k)` at interpolation tolerance `tol`,
+    /// memoized per `(coefficients, tol)` cell. Returned as an [`Arc`] so
+    /// parallel sweep workers can share one instance without cloning the
+    /// grid; concurrent callers of the same cell block on its shard until
+    /// the single build finishes.
     pub fn table(&self, c: &dyn Congestion, k: usize, tol: f64) -> Result<Arc<GTable>> {
-        self.table_with_spec(c, k, GridSpec::Interpolated { tol })
-    }
-
-    /// The table for `(c, k)` built per `spec`, memoized per
-    /// `(coefficients, spec)` cell: distinct specs (uniform vs
-    /// non-uniform, distinct tolerances) memoize distinct grids, and the
-    /// tolerance check runs through the single [`GridSpec::validate`]
-    /// path. [`GridSpec::NonUniform`] is the `k → 10⁶` entry point.
-    pub fn table_with_spec(
-        &self,
-        c: &dyn Congestion,
-        k: usize,
-        spec: GridSpec,
-    ) -> Result<Arc<GTable>> {
         let coeffs = validate_congestion(c, k)?;
-        spec.validate()?;
-        let (kind, tol_bits) = spec.key_bits();
-        let key = (coeffs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), kind, tol_bits);
-        self.inner
-            .get_or_try_insert_with(key, || GTable::from_coefficients(coeffs)?.with_spec(spec))
-    }
-
-    /// Number of grids built so far (cache misses, including rebuilds
-    /// after eviction).
-    #[inline]
-    pub fn builds(&self) -> usize {
-        self.inner.stats().misses as usize
-    }
-
-    /// Number of lookups served from an existing grid.
-    #[inline]
-    pub fn hits(&self) -> usize {
-        self.inner.stats().hits as usize
-    }
-
-    /// Number of memoized grids.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache holds no grids.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        let key = (coeffs.iter().map(|v| v.to_bits()).collect(), tol.to_bits());
+        self.inner.get_or_try_insert_with(key, || {
+            GTable::from_coefficients(coeffs)?.with_spec(GridSpec::Interpolated { tol })
+        })
     }
 
     /// Uniform hit/miss/eviction snapshot ([`CacheStats`]).
@@ -254,10 +142,8 @@ impl SharedGridCache {
     }
 }
 
-/// The unified response-evaluation request — the **single** entry point
-/// that replaced the four-way `response_grid` /
-/// `response_grid_batch` / `response_grid_interpolated` /
-/// `response_grid_batch_interpolated` sprawl. Build one with
+/// The response-evaluation request — the **single** entry point for
+/// evaluating congestion responses over a `q`-grid. Build one with
 /// [`ResponseRequest::new`] (single policy) or
 /// [`ResponseRequest::policies`] (a batch), chain the knobs, and call
 /// [`ResponseRequest::evaluate`]:
@@ -291,15 +177,14 @@ impl SharedGridCache {
 /// * [`GridSpec::Exact`] + reference mode (the default for a single
 ///   policy, forced with [`ResponseRequest::reference`]) — per-`k`
 ///   [`GBatch`] reference tiles; every curve is **bit-identical** to the
-///   per-point scalar `g` and to the legacy `response_grid`.
+///   per-point scalar `g`.
 /// * [`GridSpec::Exact`] + fused mode (the default for a multi-policy
-///   batch, forced with [`ResponseRequest::fused`]) — the fused-GEMM
-///   tile of the legacy `response_grid_batch`: ≤ 1e-13 × scale from the
-///   reference, shared Bernstein column per point.
-/// * [`GridSpec::Interpolated`] / [`GridSpec::NonUniform`] — `O(1)`
-///   per-point grids pulled from the supplied [`SharedGridCache`] (or a
-///   private per-call cache when none is given), bit-identical to the
-///   legacy interpolated paths.
+///   batch, forced with [`ResponseRequest::fused`]) — one fused-GEMM
+///   [`GBatch`] tile per `k`: ≤ 1e-13 × scale from the reference, shared
+///   Bernstein column per point.
+/// * [`GridSpec::Interpolated`] — `O(1)` per-point grids pulled from the
+///   supplied [`SharedGridCache`] (or a private per-call cache when none
+///   is given); the cache never changes the bits.
 #[derive(Clone, Copy)]
 pub struct ResponseRequest<'a> {
     policies: &'a [&'a dyn Congestion],
@@ -397,11 +282,15 @@ impl<'a> ResponseRequest<'a> {
     }
 
     /// Run the request. Output is k-major: all policies (input order) of
-    /// `ks[0]`, then `ks[1]`, … — one [`PolicyResponseCurve`] per
+    /// `ks[0]`, then `ks[1]`, … — one [`PolicyCurve`] per
     /// `(k, policy)` cell.
-    pub fn evaluate(&self) -> Result<Vec<PolicyResponseCurve>> {
+    pub fn evaluate(&self) -> Result<Vec<PolicyCurve>> {
         let policies = self.policy_slice();
-        check_policies(&policies)?;
+        if policies.is_empty() {
+            return Err(Error::InvalidArgument(
+                "batched response grid needs at least one policy".into(),
+            ));
+        }
         let qs = response_qs(self.ks, self.resolution)?;
         match self.grid {
             GridSpec::Exact => {
@@ -415,10 +304,10 @@ impl<'a> ResponseRequest<'a> {
                     } else {
                         batch.eval_fused_many_into(&mut scratch, &qs, &mut g)?;
                     }
-                    let curves: Vec<PolicyResponseCurve> = policies
+                    let curves: Vec<PolicyCurve> = policies
                         .iter()
                         .enumerate()
-                        .map(|(r, c)| PolicyResponseCurve {
+                        .map(|(r, c)| PolicyCurve {
                             policy: c.name(),
                             k,
                             qs: qs.clone(),
@@ -429,7 +318,7 @@ impl<'a> ResponseRequest<'a> {
                 })?;
                 Ok(tiles.into_iter().flatten().collect())
             }
-            spec => {
+            GridSpec::Interpolated { tol } => {
                 // Validate every cell up front so a bad tolerance or
                 // degenerate policy fails before any worker runs, then
                 // fan the whole k-major grid of (policy, k) cells out at
@@ -439,7 +328,7 @@ impl<'a> ResponseRequest<'a> {
                 for c in &policies {
                     validate_congestion(*c, self.ks[0])?;
                 }
-                spec.validate()?;
+                self.grid.validate()?;
                 let owned;
                 let cache = match self.cache {
                     Some(shared) => shared,
@@ -456,80 +345,23 @@ impl<'a> ResponseRequest<'a> {
                     }
                 }
                 engine::par_map(cells, |(k, c)| {
-                    let table = cache.table_with_spec(c, k, spec)?;
+                    let table = cache.table(c, k, tol)?;
                     let mut scratch = table.scratch();
                     let mut g = vec![0.0; qs.len()];
                     table.eval_fast_many_with(&mut scratch, &qs, &mut g)?;
-                    Ok(PolicyResponseCurve { policy: c.name(), k, qs: qs.clone(), g })
+                    Ok(PolicyCurve { policy: c.name(), k, qs: qs.clone(), g })
                 })
             }
         }
     }
 }
 
-/// [`response_grid`] through memoized `O(1)`-per-point interpolation
-/// grids: grids are pulled from (or built into) `cache` at the per-call
-/// tolerance `tol`, then every curve is evaluated in parallel. The
-/// workhorse for large-`k` sweeps — at `k = 10⁴` an exact curve pays
-/// `O(k)` per point while the interpolated one is a table lookup, and
-/// repeated sweeps over the same `(policy, k)` cells pay the grid build
-/// only once.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ResponseRequest::new(c).grid(GridSpec::Interpolated { tol }).cache(cache).evaluate()"
-)]
-pub fn response_grid_interpolated(
-    c: &dyn Congestion,
-    ks: &[usize],
-    resolution: usize,
-    tol: f64,
-    cache: &SharedGridCache,
-) -> Result<Vec<ResponseCurve>> {
-    let curves = ResponseRequest::new(c)
-        .ks(ks)
-        .resolution(resolution)
-        .grid(GridSpec::Interpolated { tol })
-        .cache(cache)
-        .evaluate()?;
-    Ok(curves.into_iter().map(|p| ResponseCurve { k: p.k, qs: p.qs, g: p.g }).collect())
-}
-
-/// The multi-policy sibling of [`response_grid_interpolated`]: every
-/// `(policy, k)` cell pulls its `O(1)`-per-point interpolation grid from
-/// (or builds it into) the shared [`SharedGridCache`] at tolerance
-/// `tol`, then all cells evaluate in parallel over the shared `q`-grid.
-/// The cache is keyed by the coefficient fingerprint, so cells revisited
-/// by *either* this batched path or the single-policy
-/// [`response_grid_interpolated`] path reuse one [`Arc`]-shared grid —
-/// k-tiles of a batched sweep and stand-alone sweeps never build the
-/// same grid twice. Output is k-major (all policies of `ks[0]`, then
-/// `ks[1]`, …), matching [`response_grid_batch`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use ResponseRequest::policies(policies).grid(GridSpec::Interpolated { tol }).cache(cache).evaluate()"
-)]
-pub fn response_grid_batch_interpolated(
-    policies: &[&dyn Congestion],
-    ks: &[usize],
-    resolution: usize,
-    tol: f64,
-    cache: &SharedGridCache,
-) -> Result<Vec<PolicyResponseCurve>> {
-    ResponseRequest::policies(policies)
-        .ks(ks)
-        .resolution(resolution)
-        .grid(GridSpec::Interpolated { tol })
-        .cache(cache)
-        .evaluate()
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy wrappers stay pinned until removal
 mod tests {
     use super::*;
     use dispersal_core::optimal::optimal_coverage;
     use dispersal_core::payoff::PayoffContext;
-    use dispersal_core::policy::Sharing;
+    use dispersal_core::policy::{Exclusive, PowerLaw, Sharing, TwoLevel};
 
     fn instances() -> Vec<(String, ValueProfile)> {
         vec![
@@ -575,9 +407,51 @@ mod tests {
         assert!(cells.is_err());
     }
 
+    /// One policy's exact curves (reference mode, the single-policy
+    /// default).
+    fn exact(c: &dyn Congestion, ks: &[usize], resolution: usize) -> Result<Vec<PolicyCurve>> {
+        ResponseRequest::new(c).ks(ks).resolution(resolution).evaluate()
+    }
+
+    /// One policy's interpolated curves through `cache`.
+    fn interpolated(
+        c: &dyn Congestion,
+        ks: &[usize],
+        resolution: usize,
+        tol: f64,
+        cache: &SharedGridCache,
+    ) -> Result<Vec<PolicyCurve>> {
+        ResponseRequest::new(c)
+            .ks(ks)
+            .resolution(resolution)
+            .grid(GridSpec::Interpolated { tol })
+            .cache(cache)
+            .evaluate()
+    }
+
+    /// A policy batch's interpolated curves through `cache`.
+    fn interpolated_batch(
+        policies: &[&dyn Congestion],
+        ks: &[usize],
+        resolution: usize,
+        tol: f64,
+        cache: &SharedGridCache,
+    ) -> Result<Vec<PolicyCurve>> {
+        ResponseRequest::policies(policies)
+            .ks(ks)
+            .resolution(resolution)
+            .grid(GridSpec::Interpolated { tol })
+            .cache(cache)
+            .evaluate()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn response_grid_matches_scalar_reference() {
-        let curves = response_grid(&Sharing, &[2, 8, 33], 64).unwrap();
+        let curves = exact(&Sharing, &[2, 8, 33], 64).unwrap();
         assert_eq!(curves.len(), 3);
         for curve in &curves {
             assert_eq!(curve.qs.len(), 65);
@@ -590,24 +464,22 @@ mod tests {
 
     #[test]
     fn response_grid_validates() {
-        assert!(response_grid(&Sharing, &[], 10).is_err());
-        assert!(response_grid(&Sharing, &[2], 0).is_err());
-        assert!(response_grid(&Sharing, &[0], 10).is_err());
+        assert!(exact(&Sharing, &[], 10).is_err());
+        assert!(exact(&Sharing, &[2], 0).is_err());
+        assert!(exact(&Sharing, &[0], 10).is_err());
     }
 
     #[test]
     fn grid_cache_reuses_memoized_tables_across_sweep_calls() {
         let cache = SharedGridCache::new();
         let ks = [4usize, 16];
-        let a = response_grid_interpolated(&Sharing, &ks, 32, 1e-9, &cache).unwrap();
-        assert_eq!(cache.builds(), 2);
-        assert_eq!(cache.hits(), 0);
+        let a = interpolated(&Sharing, &ks, 32, 1e-9, &cache).unwrap();
+        assert_eq!((cache.stats().misses, cache.stats().hits), (2, 0));
         // Second sweep over the same cells: zero new builds, all hits.
-        let b = response_grid_interpolated(&Sharing, &ks, 64, 1e-9, &cache).unwrap();
-        assert_eq!(cache.builds(), 2, "memoized grids must be reused");
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
+        let b = interpolated(&Sharing, &ks, 64, 1e-9, &cache).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 2, "memoized grids must be reused");
+        assert_eq!((stats.hits, stats.entries), (2, 2));
         // Pointer check: the cache hands back the *same* Arc, not a rebuild.
         let first = cache.table(&Sharing, 4, 1e-9).unwrap();
         let second = cache.table(&Sharing, 4, 1e-9).unwrap();
@@ -627,7 +499,7 @@ mod tests {
         // Distinct tolerances memoize distinct grids; the coarse one is
         // genuinely cheaper (fewer cells).
         assert!(!Arc::ptr_eq(&fine, &coarse));
-        assert_eq!(cache.builds(), 2);
+        assert_eq!(cache.stats().misses, 2);
         assert!(coarse.grid_cells() <= fine.grid_cells());
         assert!(fine.grid_error().unwrap() <= 1e-12 * fine.scale());
         // Bad tolerances are rejected with the typed error.
@@ -641,7 +513,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            response_grid_interpolated(&Sharing, &[4], 8, -1.0, &cache),
+            interpolated(&Sharing, &[4], 8, -1.0, &cache),
             Err(dispersal_core::Error::InvalidTolerance { .. })
         ));
     }
@@ -651,8 +523,8 @@ mod tests {
         let cache = SharedGridCache::new();
         let ks = [2usize, 8, 33];
         let tol = 1e-9;
-        let interp = response_grid_interpolated(&Sharing, &ks, 64, tol, &cache).unwrap();
-        let exact = response_grid(&Sharing, &ks, 64).unwrap();
+        let interp = interpolated(&Sharing, &ks, 64, tol, &cache).unwrap();
+        let exact = exact(&Sharing, &ks, 64).unwrap();
         for (ci, ce) in interp.iter().zip(exact.iter()) {
             assert_eq!(ci.k, ce.k);
             let scale = cache.table(&Sharing, ci.k, tol).unwrap().scale();
@@ -664,18 +536,23 @@ mod tests {
                 );
             }
         }
-        assert!(response_grid_interpolated(&Sharing, &[], 8, tol, &cache).is_err());
-        assert!(response_grid_interpolated(&Sharing, &[2], 0, tol, &cache).is_err());
+        assert!(interpolated(&Sharing, &[], 8, tol, &cache).is_err());
+        assert!(interpolated(&Sharing, &[2], 0, tol, &cache).is_err());
     }
 
     #[test]
     fn batched_response_grid_matches_per_policy_reference() {
-        use dispersal_core::kernel::GTable;
-        use dispersal_core::policy::{Exclusive, PowerLaw, TwoLevel};
         let policies: Vec<&dyn Congestion> =
             vec![&Exclusive, &Sharing, &TwoLevel { c: -0.4 }, &PowerLaw { beta: 2.0 }];
         let ks = [2usize, 8, 33];
-        let curves = response_grid_batch(&policies, &ks, 64).unwrap();
+        fn batch(
+            policies: &[&dyn Congestion],
+            ks: &[usize],
+            resolution: usize,
+        ) -> Result<Vec<PolicyCurve>> {
+            ResponseRequest::policies(policies).ks(ks).resolution(resolution).evaluate()
+        }
+        let curves = batch(&policies, &ks, 64).unwrap();
         assert_eq!(curves.len(), policies.len() * ks.len());
         // Output is k-major with rows in policy order; every curve matches
         // the per-policy exact table within the fused-GEMM contract.
@@ -697,154 +574,92 @@ mod tests {
                 }
             }
         }
-        assert!(response_grid_batch(&[], &ks, 64).is_err());
-        assert!(response_grid_batch(&policies, &[], 64).is_err());
-        assert!(response_grid_batch(&policies, &ks, 0).is_err());
+        assert!(batch(&[], &ks, 64).is_err());
+        assert!(batch(&policies, &[], 64).is_err());
+        assert!(batch(&policies, &ks, 0).is_err());
     }
 
     #[test]
     fn grid_cache_is_shared_between_batch_and_single_policy_paths() {
-        use dispersal_core::policy::Exclusive;
         let cache = SharedGridCache::new();
         let policies: Vec<&dyn Congestion> = vec![&Sharing, &Exclusive];
         let ks = [4usize, 16];
         let tol = 1e-9;
-        let batched = response_grid_batch_interpolated(&policies, &ks, 32, tol, &cache).unwrap();
+        let batched = interpolated_batch(&policies, &ks, 32, tol, &cache).unwrap();
         assert_eq!(batched.len(), 4);
-        assert_eq!(cache.builds(), 4, "one grid per (policy, k) cell");
-        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.stats().misses, 4, "one grid per (policy, k) cell");
+        assert_eq!(cache.stats().hits, 0);
         // Pin the Arc the batch path populated, then re-sweep: the second
         // batched sweep must reuse every memoized grid (pure hits)...
         let pinned = cache.table(&Sharing, 4, tol).unwrap();
-        assert_eq!(cache.hits(), 1);
-        response_grid_batch_interpolated(&policies, &ks, 64, tol, &cache).unwrap();
-        assert_eq!(cache.builds(), 4);
-        assert_eq!(cache.hits(), 5);
-        // ...and the single-policy GTable path requesting the same
-        // (policy, k, tol) cells is served from the same entries.
-        let single = response_grid_interpolated(&Sharing, &ks, 32, tol, &cache).unwrap();
-        assert_eq!(cache.builds(), 4, "GTable path must not rebuild GBatch-tile grids");
-        assert_eq!(cache.hits(), 7);
+        assert_eq!(cache.stats().hits, 1);
+        interpolated_batch(&policies, &ks, 64, tol, &cache).unwrap();
+        assert_eq!((cache.stats().misses, cache.stats().hits), (4, 5));
+        // ...and a single-policy request for the same (policy, k, tol)
+        // cells is served from the same entries.
+        let single = interpolated(&Sharing, &ks, 32, tol, &cache).unwrap();
+        assert_eq!(cache.stats().misses, 4, "single-policy path must not rebuild batch grids");
+        assert_eq!(cache.stats().hits, 7);
         assert!(Arc::ptr_eq(&pinned, &cache.table(&Sharing, 4, tol).unwrap()));
         // Same Arc'd grid on both paths => bit-identical curves.
         let sharing_k4 = &batched[0];
         assert_eq!((sharing_k4.policy.as_str(), sharing_k4.k), ("sharing", 4));
-        for (&a, &b) in sharing_k4.g.iter().zip(single[0].g.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&sharing_k4.g), bits(&single[0].g));
         // Bad tolerances propagate as the typed error through the batch
         // path, exactly like the single-policy one.
         for bad in [0.0, -1.0, f64::NAN] {
             assert!(matches!(
-                response_grid_batch_interpolated(&policies, &ks, 8, bad, &cache),
+                interpolated_batch(&policies, &ks, 8, bad, &cache),
                 Err(dispersal_core::Error::InvalidTolerance { .. })
             ));
         }
-        assert!(response_grid_batch_interpolated(&[], &ks, 8, tol, &cache).is_err());
-        assert!(response_grid_batch_interpolated(&policies, &[], 8, tol, &cache).is_err());
-        assert!(response_grid_batch_interpolated(&policies, &ks, 0, tol, &cache).is_err());
+        assert!(interpolated_batch(&[], &ks, 8, tol, &cache).is_err());
+        assert!(interpolated_batch(&policies, &[], 8, tol, &cache).is_err());
+        assert!(interpolated_batch(&policies, &ks, 0, tol, &cache).is_err());
     }
 
-    /// The unified-API regression: every legacy entry point must produce
-    /// bit-identical curves through [`ResponseRequest`]. (CI's
+    /// Every evaluation mode of [`ResponseRequest`] is bit-identical to the
+    /// kernel call it wraps, and interpolated curves do not depend on
+    /// whether a shared or a private cache built their grids. (CI's
     /// thread-matrix job repeats the whole suite at
     /// `RAYON_NUM_THREADS ∈ {1, 4}`; together with the serial run this
     /// pins the contract across thread counts.)
     #[test]
-    fn unified_request_is_bit_identical_to_all_four_legacy_entry_points() {
-        use dispersal_core::policy::{Exclusive, PowerLaw, TwoLevel};
+    fn unified_request_modes_are_bit_identical_to_direct_kernel_calls() {
         let policies: Vec<&dyn Congestion> =
             vec![&Exclusive, &Sharing, &TwoLevel { c: -0.4 }, &PowerLaw { beta: 2.0 }];
         let ks = [2usize, 8, 33];
         let resolution = 64;
-        let tol = 1e-9;
-
-        // 1. response_grid (single policy, exact reference mode).
-        let legacy = response_grid(&Sharing, &ks, resolution).unwrap();
-        let unified =
-            ResponseRequest::new(&Sharing).ks(&ks).resolution(resolution).evaluate().unwrap();
-        assert_eq!(legacy.len(), unified.len());
-        for (l, u) in legacy.iter().zip(unified.iter()) {
-            assert_eq!((l.k, &l.qs), (u.k, &u.qs));
-            assert_eq!(u.policy, "sharing");
-            for (a, b) in l.g.iter().zip(u.g.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "response_grid diverged at k={}", l.k);
-            }
-        }
-
-        // 2. response_grid_batch (multi-policy, exact fused mode).
-        let legacy = response_grid_batch(&policies, &ks, resolution).unwrap();
-        let unified =
-            ResponseRequest::policies(&policies).ks(&ks).resolution(resolution).evaluate().unwrap();
-        assert_eq!(legacy.len(), unified.len());
-        for (l, u) in legacy.iter().zip(unified.iter()) {
-            assert_eq!((l.k, &l.policy), (u.k, &u.policy));
-            for (a, b) in l.g.iter().zip(u.g.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch diverged at k={} {}", l.k, l.policy);
-            }
-        }
-
-        // 3. response_grid_interpolated (single policy, uniform grid).
-        let legacy_cache = SharedGridCache::new();
-        let unified_cache = SharedGridCache::new();
-        let legacy =
-            response_grid_interpolated(&Sharing, &ks, resolution, tol, &legacy_cache).unwrap();
-        let unified = ResponseRequest::new(&Sharing)
-            .ks(&ks)
-            .resolution(resolution)
-            .grid(GridSpec::Interpolated { tol })
-            .cache(&unified_cache)
-            .evaluate()
-            .unwrap();
-        for (l, u) in legacy.iter().zip(unified.iter()) {
-            assert_eq!(l.k, u.k);
-            for (a, b) in l.g.iter().zip(u.g.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "interpolated diverged at k={}", l.k);
-            }
-        }
-
-        // 4. response_grid_batch_interpolated (multi-policy, shared cache).
-        let legacy =
-            response_grid_batch_interpolated(&policies, &ks, resolution, tol, &legacy_cache)
-                .unwrap();
-        let unified = ResponseRequest::policies(&policies)
-            .ks(&ks)
-            .resolution(resolution)
-            .grid(GridSpec::Interpolated { tol })
-            .cache(&unified_cache)
-            .evaluate()
-            .unwrap();
-        assert_eq!(legacy.len(), unified.len());
-        for (l, u) in legacy.iter().zip(unified.iter()) {
-            assert_eq!((l.k, &l.policy), (u.k, &u.policy));
-            for (a, b) in l.g.iter().zip(u.g.iter()) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "batch interpolated diverged at k={} {}",
-                    l.k,
-                    l.policy
-                );
-            }
-        }
-        // Without a caller cache the interpolated path builds privately —
-        // same bits, no shared memoization.
-        let private = ResponseRequest::new(&Sharing)
-            .ks(&ks)
-            .resolution(resolution)
-            .grid(GridSpec::Interpolated { tol })
-            .evaluate()
-            .unwrap();
-        for (l, u) in unified.iter().filter(|c| c.policy == "sharing").zip(private.iter()) {
-            for (a, b) in l.g.iter().zip(u.g.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "private-cache path diverged at k={}", l.k);
+        let grid = GridSpec::Interpolated { tol: 1e-9 };
+        let request = ResponseRequest::policies(&policies).ks(&ks).resolution(resolution);
+        let reference = request.reference().evaluate().unwrap();
+        let fused = request.fused().evaluate().unwrap();
+        let cache = SharedGridCache::new();
+        let shared = request.grid(grid).cache(&cache).evaluate().unwrap();
+        let private = request.grid(grid).evaluate().unwrap();
+        let qs: Vec<f64> = (0..=resolution).map(|i| i as f64 / resolution as f64).collect();
+        let n = qs.len();
+        for (t, &k) in ks.iter().enumerate() {
+            let batch = GBatch::new(&policies, k).unwrap();
+            let mut want_reference = vec![0.0; policies.len() * n];
+            batch.eval_many_with(&mut batch.scratch(), &qs, &mut want_reference).unwrap();
+            let want_fused = batch.eval_grid(&qs);
+            for (r, c) in policies.iter().enumerate() {
+                let cell = t * policies.len() + r;
+                assert_eq!((reference[cell].k, &reference[cell].policy), (k, &c.name()));
+                assert_eq!(bits(&reference[cell].g), bits(&want_reference[r * n..(r + 1) * n]));
+                assert_eq!(bits(&fused[cell].g), bits(&want_fused[r * n..(r + 1) * n]));
+                let table = GTable::new(*c, k).unwrap().with_spec(grid).unwrap();
+                let mut want = vec![0.0; n];
+                table.eval_fast_many_with(&mut table.scratch(), &qs, &mut want).unwrap();
+                assert_eq!(bits(&shared[cell].g), bits(&want), "shared cache k={k} row {r}");
+                assert_eq!(bits(&private[cell].g), bits(&want), "private cache k={k} row {r}");
             }
         }
     }
 
     #[test]
     fn unified_request_reference_mode_matches_exact_tile_rows_in_any_company() {
-        use dispersal_core::policy::{PowerLaw, TwoLevel};
         // A multi-policy exact request in forced reference mode must give
         // each policy the same bits it gets alone — the serving layer's
         // per-row bit-identity contract.
@@ -857,18 +672,14 @@ mod tests {
             .evaluate()
             .unwrap();
         for (r, c) in policies.iter().enumerate() {
-            let alone = ResponseRequest::new(*c).ks(&[16]).resolution(64).evaluate().unwrap();
-            for (a, b) in grouped[r].g.iter().zip(alone[0].g.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged under batching");
-            }
+            let alone = exact(*c, &[16], 64).unwrap();
+            assert_eq!(bits(&grouped[r].g), bits(&alone[0].g), "row {r} diverged under batching");
         }
-        // And forced fused mode on a single policy matches the batch path.
+        // And forced fused mode on a single policy is the one-row GEMM tile.
         let fused_single =
             ResponseRequest::new(&Sharing).ks(&[16]).resolution(64).fused().evaluate().unwrap();
-        let batch_single = response_grid_batch(&[&Sharing], &[16], 64).unwrap();
-        for (a, b) in fused_single[0].g.iter().zip(batch_single[0].g.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let tile = GBatch::new(&[&Sharing], 16).unwrap().eval_grid(&fused_single[0].qs);
+        assert_eq!(bits(&fused_single[0].g), bits(&tile));
     }
 
     #[test]
@@ -876,40 +687,20 @@ mod tests {
         let cache = SharedGridCache::new();
         let tol = 1e-9;
         let ks = [64usize, 512];
-        let curves = ResponseRequest::new(&dispersal_core::policy::Exclusive)
-            .ks(&ks)
-            .resolution(128)
-            .grid(GridSpec::NonUniform { tol })
-            .cache(&cache)
-            .evaluate()
-            .unwrap();
-        assert_eq!(cache.builds(), 2);
-        let exact = ResponseRequest::new(&dispersal_core::policy::Exclusive)
-            .ks(&ks)
-            .resolution(128)
-            .evaluate()
-            .unwrap();
+        let curves = interpolated(&Exclusive, &ks, 128, tol, &cache).unwrap();
+        assert_eq!(cache.stats().misses, 2);
+        let exact = exact(&Exclusive, &ks, 128).unwrap();
         for (ci, ce) in curves.iter().zip(exact.iter()) {
             assert_eq!(ci.k, ce.k);
-            let table = cache
-                .table_with_spec(
-                    &dispersal_core::policy::Exclusive,
-                    ci.k,
-                    GridSpec::NonUniform { tol },
-                )
-                .unwrap();
+            let scale = cache.table(&Exclusive, ci.k, tol).unwrap().scale();
             for (&gi, &ge) in ci.g.iter().zip(ce.g.iter()) {
                 assert!(
-                    (gi - ge).abs() <= 4.0 * tol * table.scale(),
-                    "k = {}: nonuniform {gi} vs exact {ge}",
+                    (gi - ge).abs() <= 4.0 * tol * scale,
+                    "k = {}: interpolated {gi} vs exact {ge}",
                     ci.k
                 );
             }
         }
-        // Spec-distinct cells memoize separately: the uniform grid for the
-        // same (policy, k) is a new build, not a hit on the nonuniform one.
-        cache.table(&dispersal_core::policy::Exclusive, 64, tol).unwrap();
-        assert_eq!(cache.builds(), 3);
     }
 
     #[test]
@@ -942,9 +733,9 @@ mod tests {
         for t in &tables[1..] {
             assert!(Arc::ptr_eq(&tables[0], t), "all threads must share one grid");
         }
-        assert_eq!(cache.builds(), 1, "the refinement must run exactly once");
-        assert_eq!(cache.hits(), 7);
-        assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "the refinement must run exactly once");
+        assert_eq!((stats.hits, stats.entries), (7, 1));
     }
 
     #[test]
@@ -976,7 +767,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(cache.builds(), cells.len(), "each cell built exactly once");
+        assert_eq!(cache.stats().misses, cells.len() as u64, "each cell built exactly once");
         for &(k, tol) in &cells {
             let shared = cache.table(&Sharing, k, tol).unwrap();
             let fresh = SharedGridCache::new().table(&Sharing, k, tol).unwrap();

@@ -55,8 +55,8 @@ fn grid_cache_results_independent_of_warm_order() {
             reverse.table(*c, k, TOL).expect("grid build");
         }
     }
-    assert_eq!(forward.builds(), reverse.builds());
-    assert_eq!(forward.len(), reverse.len());
+    assert_eq!(forward.stats().misses, reverse.stats().misses);
+    assert_eq!(forward.stats().entries, reverse.stats().entries);
     for c in policies {
         let a = curve_bits(c, &forward);
         let b = curve_bits(c, &reverse);
@@ -74,7 +74,7 @@ fn grid_cache_shared_across_single_and_batched_paths() {
     for c in policies {
         curve_bits(c, &warmed);
     }
-    let builds_after_warm = warmed.builds();
+    let builds_after_warm = warmed.stats().misses;
     let cold = SharedGridCache::new();
     let batched = |cache: &SharedGridCache| {
         ResponseRequest::policies(&policies)
@@ -87,7 +87,7 @@ fn grid_cache_shared_across_single_and_batched_paths() {
     };
     let via_warm = batched(&warmed);
     let via_cold = batched(&cold);
-    assert_eq!(warmed.builds(), builds_after_warm, "batched path rebuilt a warmed grid");
+    assert_eq!(warmed.stats().misses, builds_after_warm, "batched path rebuilt a warmed grid");
     for (a, b) in via_warm.iter().zip(via_cold.iter()) {
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.k, b.k);
@@ -153,6 +153,6 @@ fn grid_cache_concurrent_clients_bit_identical_to_serial_warm_up() {
         assert_eq!(got, expected, "a concurrent client observed different sweep bits");
     }
     // Each (policy, k) cell was refined exactly once across all clients.
-    assert_eq!(shared.builds(), policies.len() * KS.len());
+    assert_eq!(shared.stats().misses as usize, policies.len() * KS.len());
     assert_eq!(shared.stats().evictions, 0);
 }

@@ -70,8 +70,9 @@ fn pb_cache_stress_bit_identical_to_serial_warm_up() {
     }
     // 7 profiles collapse onto 5 sorted-multiset classes; every class was
     // built exactly once across all threads and rounds.
-    assert_eq!(cache.builds(), 5);
-    assert_eq!(cache.hits(), THREADS * ROUNDS * pb_profiles().len() - 5);
+    let stats = cache.stats();
+    assert_eq!(stats.misses, 5);
+    assert_eq!(stats.hits as usize, THREADS * ROUNDS * pb_profiles().len() - 5);
 }
 
 #[test]
@@ -145,6 +146,10 @@ fn grid_cache_stress_bit_identical_to_serial_warm_up() {
     for handle in handles {
         handle.join().expect("stress thread");
     }
-    assert_eq!(cache.builds(), cells.len(), "each (policy, k, tol) cell built exactly once");
+    assert_eq!(
+        cache.stats().misses as usize,
+        cells.len(),
+        "each (policy, k, tol) cell built exactly once"
+    );
     assert_eq!(cache.stats().evictions, 0);
 }

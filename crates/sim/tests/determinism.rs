@@ -128,12 +128,12 @@ fn ess_checker_and_barrier_bit_identical_across_thread_counts() {
 fn batched_response_grids_bit_identical_across_thread_counts() {
     // The GBatch-backed sweep paths must be thread-count-invariant: the
     // exact batch path, the fused multi-policy GEMM path, and the
-    // GridCache-interpolated path (workers concurrently sharing one Arc'd
+    // SharedGridCache-interpolated path (workers concurrently sharing one Arc'd
     // grid per (policy, k) cell) all produce identical bits at
     // RAYON_NUM_THREADS ∈ {1, 8}.
     use dispersal_core::kernel::GridSpec;
     use dispersal_core::policy::{Congestion, PowerLaw, TwoLevel};
-    use dispersal_sim::sweep::{GridCache, ResponseRequest};
+    use dispersal_sim::sweep::{ResponseRequest, SharedGridCache};
     let _guard = THREAD_SWEEP_LOCK.lock().unwrap();
     let policies: Vec<&dyn Congestion> =
         vec![&Exclusive, &Sharing, &TwoLevel { c: -0.4 }, &PowerLaw { beta: 2.0 }];
@@ -143,7 +143,7 @@ fn batched_response_grids_bit_identical_across_thread_counts() {
     let mut interp = Vec::new();
     for threads in [1usize, 8] {
         rayon::set_num_threads(threads);
-        let cache = GridCache::new();
+        let cache = SharedGridCache::new();
         exact.push(ResponseRequest::new(&Sharing).ks(&ks).resolution(96).evaluate().unwrap());
         batch.push(ResponseRequest::policies(&policies).ks(&ks).resolution(96).evaluate().unwrap());
         interp.push(

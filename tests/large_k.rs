@@ -9,12 +9,12 @@
 //! ```
 //!
 //! What makes this tier affordable is the interpolated kernel path: a
-//! [`PayoffContext::with_grid`] context answers `g_C` queries in `O(1)`
-//! (loose per-call tolerances — `1e-12` sits below the cubic-Hermite
-//! error floor at `k ≳ 10⁴`, so these tests pass `1e-9`/`1e-6`), and the
-//! σ⋆ closed form needs no kernel at all.
+//! [`PayoffContext::with_spec`] context with a [`GridSpec::Interpolated`]
+//! grid answers `g_C` queries in `O(1)` (loose per-call tolerances —
+//! these tests pass `1e-9`/`1e-6`), and the σ⋆ closed form needs no
+//! kernel at all.
 
-use selfish_explorers::dispersal_core::kernel::GTable;
+use selfish_explorers::dispersal_core::kernel::{GTable, GridSpec};
 use selfish_explorers::dispersal_core::payoff::PayoffContext;
 use selfish_explorers::dispersal_core::policy::{PowerLaw, TwoLevel};
 use selfish_explorers::dispersal_core::sigma_star::{ifd_residual_exclusive, sigma_star};
@@ -64,7 +64,10 @@ fn near_exclusive_g_curves_converge_to_exclusive_at_large_k() {
         let n = (k - 1) as i32;
         let mut prev_deviation = f64::INFINITY;
         for beta in [1.0f64, 2.0, 4.0] {
-            let table = GTable::new(&PowerLaw { beta }, k).unwrap().with_grid(tol).unwrap();
+            let table = GTable::new(&PowerLaw { beta }, k)
+                .unwrap()
+                .with_spec(GridSpec::Interpolated { tol })
+                .unwrap();
             let mut scratch = table.scratch();
             let mut deviation = 0.0f64;
             for &q in &grid {
@@ -94,7 +97,10 @@ fn near_exclusive_spoa_trends_to_one_at_k_one_thousand() {
     let f = ValueProfile::slow_decay_witness(4 * k, k).unwrap();
     let mut prev_ratio = f64::INFINITY;
     for c in [0.5f64, 0.2, 0.05] {
-        let ctx = PayoffContext::new(&TwoLevel { c }, k).unwrap().with_grid(1e-9).unwrap();
+        let ctx = PayoffContext::new(&TwoLevel { c }, k)
+            .unwrap()
+            .with_spec(GridSpec::Interpolated { tol: 1e-9 })
+            .unwrap();
         let point = spoa_with_context(&ctx, &f).unwrap();
         assert!(
             point.ratio >= 1.0 - 1e-6,
