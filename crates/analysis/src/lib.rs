@@ -11,8 +11,10 @@
 //! four project lints:
 //!
 //! * [`Lint::NoUnwrapInLib`] — forbid `.unwrap()` / `.expect(` /
-//!   `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test
-//!   library code of `crates/core`, `crates/sim`, and `crates/mech`.
+//!   `panic!` / `unreachable!` / `todo!` / `unimplemented!` / `assert!` /
+//!   `assert_eq!` / `assert_ne!` in non-test library code of
+//!   `crates/{core,sim,search,mech,serve}` (`debug_assert*` stays
+//!   allowed).
 //!   Library entry points return typed `dispersal_core::Error` values;
 //!   panicking belongs to tests and binaries. A checked-in allowlist
 //!   (`crates/analysis/allowlist.txt`) exists to burn down — it ships
@@ -86,9 +88,7 @@ impl Lint {
     /// One-line description for `analysis lints`.
     pub fn describe(self) -> &'static str {
         match self {
-            Lint::NoUnwrapInLib => {
-                "unwrap()/expect()/panic! in core/sim/mech non-test library code"
-            }
+            Lint::NoUnwrapInLib => "unwrap()/expect()/panic!/assert! in non-test library code",
             Lint::DeterministicIteration => {
                 "HashMap/HashSet iteration in non-test code (order is process-randomized)"
             }
@@ -395,9 +395,19 @@ fn boundary_matches(hay: &str, pat: &str) -> Vec<usize> {
 // Lint: no-unwrap-in-lib
 // ---------------------------------------------------------------------------
 
-/// Panicking constructs forbidden in library code.
-const PANIC_PATTERNS: [&str; 6] =
-    [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
+/// Panicking constructs forbidden in library code. The left word
+/// boundary keeps `debug_assert!` and friends out of the `assert` matches.
+const PANIC_PATTERNS: [&str; 9] = [
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "unreachable!",
+    "todo!",
+    "unimplemented!",
+    "assert!",
+    "assert_eq!",
+    "assert_ne!",
+];
 
 /// Scan one library file for panicking constructs outside `#[cfg(test)]`
 /// items. `file` is the workspace-relative path used in reports.
@@ -859,10 +869,15 @@ impl Report {
 // Filesystem driver
 // ---------------------------------------------------------------------------
 
-/// Directories whose non-test code must be panic-free (library crates of
-/// the analytic stack).
-const UNWRAP_ROOTS: [&str; 4] =
-    ["crates/core/src", "crates/sim/src", "crates/search/src", "crates/mech/src"];
+/// Directories whose non-test code must be panic-free (the library
+/// crates).
+const UNWRAP_ROOTS: [&str; 5] = [
+    "crates/core/src",
+    "crates/sim/src",
+    "crates/search/src",
+    "crates/mech/src",
+    "crates/serve/src",
+];
 
 /// Directories scanned for hash-iteration (everything that produces
 /// output, including the bench bins and this crate).
@@ -1040,6 +1055,14 @@ let lt: &'static str = unrelated;"##;
             "fn a() { x.expect(\"m\"); }\nfn b() { panic!(\"m\"); }\nfn c() { unreachable!() }\n";
         let v = lint_no_unwrap("x.rs", src);
         assert_eq!(v.len(), 3);
+    }
+
+    #[test]
+    fn planted_asserts_fire_but_debug_asserts_do_not() {
+        let src = "pub fn f(n: usize) {\n    assert!(n > 0);\n    assert_eq!(n, 1);\n    \
+                   assert_ne!(n, 2);\n    debug_assert!(n > 0);\n    debug_assert_eq!(n, 1);\n}\n";
+        let v = lint_no_unwrap("crates/core/src/seed.rs", src);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [2, 3, 4], "{v:?}");
     }
 
     #[test]

@@ -146,25 +146,11 @@ fn quick_guard() -> ! {
         let basis: Vec<f64> = (0..lk).map(|j| ((j as f64) + 0.5) / lk as f64).collect();
         let mut lane_out = vec![0.0f64; lp];
         let scalar_time = guard::time_per_call(2000, || {
-            simd::gemv_block4_scalar(
-                black_box(&matrix),
-                lk,
-                lp,
-                black_box(&basis),
-                1.0,
-                &mut lane_out,
-            );
+            simd::gemv_block4_scalar(black_box(&matrix), lk, lp, black_box(&basis), &mut lane_out);
             black_box(lane_out[0]);
         });
         let avx2_time = guard::time_per_call(2000, || {
-            simd::gemv_block4_avx2(
-                black_box(&matrix),
-                lk,
-                lp,
-                black_box(&basis),
-                1.0,
-                &mut lane_out,
-            );
+            simd::gemv_block4_avx2(black_box(&matrix), lk, lp, black_box(&basis), &mut lane_out);
             black_box(lane_out[0]);
         });
         guard::check_speedup("batch gbatch_gemm avx2-vs-scalar p=16 k=256", scalar_time, avx2_time)

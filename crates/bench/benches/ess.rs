@@ -17,11 +17,13 @@
 //!   resident faces many mutants;
 //! * `barrier/scalar` — invasion barrier via two `mixture_payoff`
 //!   evaluations per grid point (two site-value passes + allocations);
-//! * `barrier/kernel` — the rewired `invasion_barrier`: one shared
-//!   scratch, one site-value pass per point (bit-identical results).
+//! * `barrier/kernel` — `invasion_barrier` with a one-type invader
+//!   mixture: one site-value pass per point (bit-identical results).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use dispersal_core::ess::{ess_ledger, invasion_barrier, reference_ledger, LedgerEvaluator};
+use dispersal_core::ess::{
+    ess_ledger, invasion_barrier, reference_ledger, LedgerEvaluator, Mixture,
+};
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::Exclusive;
 use dispersal_core::sigma_star::sigma_star;
@@ -77,6 +79,7 @@ fn bench_ess(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("invasion_barrier");
     group.sample_size(10);
+    let invaders = Mixture::new(vec![pi.clone()], vec![1.0]).unwrap();
     for &k in &[16usize, 64, 256] {
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
         let sigma = sigma_star(&f, k).unwrap().strategy;
@@ -85,7 +88,9 @@ fn bench_ess(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("kernel", k), &k, |b, _| {
             b.iter(|| {
-                black_box(invasion_barrier(&ctx, &f, &sigma, black_box(&pi), BARRIER_GRID).unwrap())
+                black_box(
+                    invasion_barrier(&ctx, &f, &sigma, black_box(&invaders), BARRIER_GRID).unwrap(),
+                )
             })
         });
     }

@@ -52,11 +52,11 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         for &k in &[1usize, 2, 4, 8] {
             let mut astar = IteratedSigmaStar::new(prior, k)?;
             let a = evaluate_plan(&mut astar, prior, k, horizon)?;
-            let mut uni = UniformPlan::new(m);
+            let mut uni = UniformPlan::new(m)?;
             let u = evaluate_plan(&mut uni, prior, k, horizon)?;
             let mut prop = ProportionalPlan::new(prior)?;
             let p = evaluate_plan(&mut prop, prior, k, horizon)?;
-            let mut sweep = SweepPlan::new(m);
+            let mut sweep = SweepPlan::new(m)?;
             let s = evaluate_plan(&mut sweep, prior, k, horizon)?;
             let mut astar_mem = IteratedSigmaStar::new(prior, k)?;
             let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed_or(17));

@@ -40,7 +40,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         // Invasion barrier against the uniform mutant.
         let payoff_ctx = PayoffContext::new(&Exclusive, *k)?;
         let mutant = Strategy::uniform(f.len())?;
-        let barrier = invasion_barrier(&payoff_ctx, f, &star.strategy, &mutant, 200)?;
+        let invaders = Mixture::new(vec![mutant.clone()], vec![1.0])?;
+        let barrier = invasion_barrier(&payoff_ctx, f, &star.strategy, &invaders, 200)?;
 
         // Finite-sample invasion: epsilon = 0.1 mutants.
         let inv = run_invasion(

@@ -71,7 +71,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
                 Series { label: "ESS (IFD of C_c)".into(), glyph: '*', values: ess_cov.clone() },
             ],
             20,
-        );
+        )?;
         ascii_all.push_str(&plot);
         ascii_all.push('\n');
     }

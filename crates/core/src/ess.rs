@@ -8,8 +8,12 @@
 //!
 //! This module evaluates those conditions *exactly* (via the
 //! Poisson–binomial payoff evaluator) for any finite set of candidate
-//! mutants, and estimates the invasion barrier `ε_π` from the
-//! population-mixture payoff of Eq. (3).
+//! mutants, and prices populations of several strategy types: a
+//! [`Mixture`] is the mixed population `(1−ε)σ + επ` of Eq. (3) or any
+//! `M`-type generalization, with exact field payoffs
+//! ([`mixture_field_payoffs`]), the invasion barrier
+//! ([`invasion_barrier`]) and per-type transfer ledgers
+//! ([`MixtureEvaluator`]).
 //!
 //! ## Kernel-backed evaluation
 //!
@@ -24,10 +28,13 @@
 //! per site instead of a fresh `O(k²)` DP — an `O(k)` total speedup that
 //! is what makes the tier-2 large-`k` theorem tests affordable. Level 0
 //! remains bit-identical to the pre-kernel per-site DP path; rank-updated
-//! levels agree to `O(k·ε)` (≈ 1e-13 at `k = 256`, checked in CI).
+//! levels agree to `O(k·ε)` (≈ 1e-13 at `k = 256`, checked in CI). The
+//! same level walk serves the two-column [`EssLedger`] and the
+//! one-row-per-type [`MixtureLedger`].
 
 use crate::error::{Error, Result};
 use crate::kernel::{PbCache, PbTable};
+use crate::numerics::kahan_sum;
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::strategy::Strategy;
@@ -96,6 +103,17 @@ pub struct LedgerEvaluator<'a> {
 impl<'a> LedgerEvaluator<'a> {
     /// Build the baseline tables for resident `sigma` (requires `k ≥ 2`).
     pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, sigma: &'a Strategy) -> Result<Self> {
+        Self::with_cache(ctx, f, sigma, &PbCache::new())
+    }
+
+    /// [`Self::new`] drawing the baseline tables from `cache`, which a
+    /// [`MixtureEvaluator`] keeps warm for its composition payoffs.
+    fn with_cache(
+        ctx: &'a PayoffContext,
+        f: &'a ValueProfile,
+        sigma: &'a Strategy,
+        cache: &PbCache,
+    ) -> Result<Self> {
         let k = ctx.k();
         if k < 2 {
             return Err(Error::InvalidPlayerCount { k });
@@ -103,7 +121,6 @@ impl<'a> LedgerEvaluator<'a> {
         if f.len() != sigma.len() {
             return Err(Error::DimensionMismatch { strategy: sigma.len(), profile: f.len() });
         }
-        let cache = PbCache::new();
         let mut profile = vec![0.0; k - 1];
         let mut base = Vec::with_capacity(f.len());
         for x in 0..f.len() {
@@ -119,48 +136,50 @@ impl<'a> LedgerEvaluator<'a> {
         self.sigma
     }
 
-    /// Compute the full per-level payoff ledger against mutant `pi`.
-    ///
-    /// Level 0 is evaluated on the cloned baseline tables (bit-identical
-    /// to the exact per-site DP); each subsequent level replaces one
-    /// `σ(x)` factor with `π(x)` per site. Both ledger columns share the
-    /// per-site expectation `E[C(1 + N_x)]` — the resident and mutant
-    /// face the *same* opponent law, they only weight sites differently.
+    /// Compute the full per-level payoff ledger against mutant `pi`: the
+    /// level walk with focal strategies `[σ, π]`.
     pub fn ledger(&self, pi: &Strategy) -> Result<EssLedger> {
         if pi.len() != self.f.len() {
             return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
         }
         let k = self.ctx.k();
+        let mut rows = [vec![0.0; k], vec![0.0; k]];
+        self.walk(pi, &[self.sigma, pi], &mut rows)?;
+        let [resident, mutant] = rows;
+        Ok(EssLedger { resident, mutant })
+    }
+
+    /// The level walk shared by every ledger: at level `ℓ`, `ℓ` of the
+    /// `k − 1` opponents play `to` and the rest play the resident, and
+    /// `rows[t][ℓ]` (zeroed, `k` long) receives the payoff of a focal
+    /// `focal[t]` player. Level 0 runs on the cloned baseline tables
+    /// (bit-identical to the exact per-site DP); each later level replaces
+    /// one `σ(x)` factor with `to(x)` per site. Every focal strategy faces
+    /// the *same* opponent law, so all rows share the per-site expectation
+    /// `E[C(1 + N_x)]` and only weight sites differently.
+    fn walk(&self, to: &Strategy, focal: &[&Strategy], rows: &mut [Vec<f64>]) -> Result<()> {
         let c_table = self.ctx.c_table();
         let mut tables = self.base.clone();
-        let mut resident = Vec::with_capacity(k);
-        let mut mutant = Vec::with_capacity(k);
-        for ell in 0..k {
+        for ell in 0..self.ctx.k() {
             if ell > 0 {
                 for (x, table) in tables.iter_mut().enumerate() {
-                    table.replace(self.sigma.prob(x), pi.prob(x))?;
+                    table.replace(self.sigma.prob(x), to.prob(x))?;
                 }
             }
-            let mut res_acc = 0.0;
-            let mut mut_acc = 0.0;
             for (x, table) in tables.iter().enumerate() {
-                let sx = self.sigma.prob(x);
-                let px = pi.prob(x);
-                if sx == 0.0 && px == 0.0 {
+                if focal.iter().all(|t| t.prob(x) == 0.0) {
                     continue;
                 }
                 let expected_c = table.expectation(c_table);
-                if sx != 0.0 {
-                    res_acc += sx * self.f.value(x) * expected_c;
-                }
-                if px != 0.0 {
-                    mut_acc += px * self.f.value(x) * expected_c;
+                for (row, t) in rows.iter_mut().zip(focal) {
+                    let px = t.prob(x);
+                    if px != 0.0 {
+                        row[ell] += px * self.f.value(x) * expected_c;
+                    }
                 }
             }
-            resident.push(res_acc);
-            mutant.push(mut_acc);
         }
-        Ok(EssLedger { resident, mutant })
+        Ok(())
     }
 
     /// Apply the ESS characterization to one mutant (ledger + verdict).
@@ -348,41 +367,266 @@ pub fn probe_ess_k<R: Rng + ?Sized>(
     Ok(report)
 }
 
-/// Estimate the invasion barrier `ε_π`: the largest `ε ∈ (0, 1]` such that
-/// the resident strictly out-earns the mutant in every population mixture
-/// with mutant share `ε' ≤ ε` (Eq. 3). Returns 0 when the mutant invades
-/// immediately.
+// ---------------------------------------------------------------------
+// Population mixtures: the resident + mutant pair of Eq. (3) is the
+// two-type case of a population of `M` strategy types.
+// ---------------------------------------------------------------------
+
+/// Tolerance for the mixture weights summing to one, matching the
+/// normalization contract of [`Strategy`].
+const WEIGHT_TOL: f64 = 1e-9;
+
+/// A population of `M` strategy types with weights `w_t ≥ 0`, `Σ_t w_t =
+/// 1`. Every type is a full site strategy over the same `m` sites. The
+/// resident + mutant population `(1 − ε)σ + επ` of Eq. (3) is
+/// [`Mixture::two`]; a single mutant `π` invading is the one-type
+/// mixture `Mixture::new(vec![π], vec![1.0])`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Mixture {
+    types: Vec<Strategy>,
+    weights: Vec<f64>,
+}
+
+impl Mixture {
+    /// Build a mixture from `types` and matching `weights` (finite,
+    /// non-negative, summing to one within `1e-9`).
+    pub fn new(types: Vec<Strategy>, weights: Vec<f64>) -> Result<Self> {
+        if types.is_empty() {
+            return Err(Error::InvalidArgument("mixture needs at least one type".into()));
+        }
+        if types.len() != weights.len() {
+            return Err(Error::InvalidArgument(format!(
+                "mixture has {} types but {} weights",
+                types.len(),
+                weights.len()
+            )));
+        }
+        let m = types[0].len();
+        for t in &types[1..] {
+            if t.len() != m {
+                return Err(Error::DimensionMismatch { strategy: t.len(), profile: m });
+            }
+        }
+        for &w in &weights {
+            if !w.is_finite() || w < 0.0 {
+                return Err(Error::InvalidArgument(format!(
+                    "mixture weights must be finite and non-negative, got {w}"
+                )));
+            }
+        }
+        let total = kahan_sum(weights.iter().copied());
+        if (total - 1.0).abs() > WEIGHT_TOL {
+            return Err(Error::InvalidArgument(format!(
+                "mixture weights must sum to 1, got {total}"
+            )));
+        }
+        Ok(Self { types, weights })
+    }
+
+    /// The resident + mutant pair: weights `(1 − ε, ε)` with `ε ∈ (0, 1)`.
+    pub fn two(resident: &Strategy, mutant: &Strategy, eps: f64) -> Result<Self> {
+        if !(0.0 < eps && eps < 1.0) {
+            return Err(Error::InvalidArgument(format!("epsilon must be in (0, 1), got {eps}")));
+        }
+        Self::new(vec![resident.clone(), mutant.clone()], vec![1.0 - eps, eps])
+    }
+
+    /// Number of types `M`.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.types.len()
+    }
+
+    /// Whether the mixture is empty (never true for a validated mixture).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.types.is_empty()
+    }
+
+    /// Number of sites every type plays over.
+    #[inline]
+    pub fn sites(&self) -> usize {
+        self.types[0].len()
+    }
+
+    /// The type strategies, in input order.
+    #[inline]
+    pub fn types(&self) -> &[Strategy] {
+        &self.types
+    }
+
+    /// The population weights, in type order.
+    #[inline]
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// The population-mean strategy `μ(x) = Σ_t w_t·p_t(x)`.
+    ///
+    /// Each site is a compensated sum over types; for `M = 2` with
+    /// weights `(1 − ε, ε)` this is bit-identical to
+    /// [`Strategy::mix`]`(ε)` (a two-term Kahan sum carries zero
+    /// compensation, so the bits equal the plain `(1−ε)a + εb`).
+    pub fn mean_strategy(&self) -> Result<Strategy> {
+        let probs = (0..self.sites())
+            .map(|x| {
+                kahan_sum(self.types.iter().zip(self.weights.iter()).map(|(t, &w)| w * t.prob(x)))
+            })
+            .collect();
+        Strategy::new(probs)
+    }
+}
+
+/// Field payoff of every type against the population mean (Eq. 3): `U_t
+/// = Σ_x p_t(x)·ν_μ(x)`, where `ν_μ` are the site values under the mean
+/// field `μ`. One site-value pass serves all `M` types; the Eq. (3)
+/// advantage of type `a` over type `b` is `U_a − U_b`, bit-identical to
+/// the difference of two [`PayoffContext::mixture_payoff`] calls.
+pub fn mixture_field_payoffs(
+    ctx: &PayoffContext,
+    f: &ValueProfile,
+    mixture: &Mixture,
+) -> Result<Vec<f64>> {
+    let mean = mixture.mean_strategy()?;
+    let nu = ctx.site_values(f, &mean)?;
+    Ok(mixture
+        .types()
+        .iter()
+        .map(|t| kahan_sum(t.probs().iter().zip(nu.iter()).map(|(r, v)| r * v)))
+        .collect())
+}
+
+/// Estimate the invasion barrier: the largest invading share `ε` on the
+/// grid `{1/grid, …, 1}` such that the resident strictly out-earns
+/// **every** invader type in every population with share `ε' ≤ ε` (Eq.
+/// 3). At share `ε` the resident has weight `1 − ε` and invader type `t`
+/// weight `ε·w_t`, where `w` are the `invaders` weights. Returns 0 when
+/// the invaders win immediately. A single mutant is a one-type
+/// `invaders` mixture.
 ///
-/// Each grid point evaluates the mixture field **once** through
-/// [`PayoffContext::mixture_advantage`] (both payoffs dot the same
-/// `ν_μ` vector) — bit-identical to the two-`mixture_payoff`
-/// formulation at less than half its work.
+/// Each grid point evaluates the mixture field once through
+/// [`mixture_field_payoffs`]: every type's payoff dots the same `ν_μ`
+/// vector.
 pub fn invasion_barrier(
     ctx: &PayoffContext,
     f: &ValueProfile,
-    sigma: &Strategy,
-    pi: &Strategy,
+    resident: &Strategy,
+    invaders: &Mixture,
     grid: usize,
 ) -> Result<f64> {
     if grid < 2 {
         return Err(Error::InvalidArgument("invasion barrier grid must be >= 2".into()));
     }
-    if sigma.len() != f.len() {
-        return Err(Error::DimensionMismatch { strategy: sigma.len(), profile: f.len() });
+    if resident.len() != f.len() {
+        return Err(Error::DimensionMismatch { strategy: resident.len(), profile: f.len() });
     }
-    if pi.len() != f.len() {
-        return Err(Error::DimensionMismatch { strategy: pi.len(), profile: f.len() });
+    if invaders.sites() != f.len() {
+        return Err(Error::DimensionMismatch { strategy: invaders.sites(), profile: f.len() });
     }
+    let mut pop = Mixture {
+        types: std::iter::once(resident).chain(&invaders.types).cloned().collect(),
+        weights: vec![0.0; 1 + invaders.len()],
+    };
     let mut last_good = 0.0;
     for i in 1..=grid {
         let eps = i as f64 / grid as f64;
-        if ctx.mixture_advantage(f, sigma, pi, eps)? > 0.0 {
+        pop.weights[0] = 1.0 - eps;
+        for (w, &v) in pop.weights[1..].iter_mut().zip(&invaders.weights) {
+            *w = eps * v;
+        }
+        let u = mixture_field_payoffs(ctx, f, &pop)?;
+        if u[1..].iter().all(|&ut| u[0] - ut > 0.0) {
             last_good = eps;
         } else {
             break;
         }
     }
     Ok(last_good)
+}
+
+/// The per-level exact payoff ledger of a one-directional type transfer:
+/// `payoffs[t][ℓ]` is the expected payoff of a focal type-`t` player when
+/// `ℓ` of the `k − 1` opponents play the transfer target and the rest
+/// play type 0.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MixtureLedger {
+    /// `payoffs[t][ℓ]`, one row per mixture type, `k` levels per row.
+    pub payoffs: Vec<Vec<f64>>,
+}
+
+/// Exact `PbTable`-backed evaluator for a multi-type mixture: a
+/// [`LedgerEvaluator`] anchored on type 0 whose level walk prices every
+/// type at once, plus the [`PbCache`] that served its baseline tables for
+/// fixed-composition payoffs.
+#[derive(Debug)]
+pub struct MixtureEvaluator<'a> {
+    ledger: LedgerEvaluator<'a>,
+    mixture: &'a Mixture,
+    cache: PbCache,
+}
+
+impl<'a> MixtureEvaluator<'a> {
+    /// Build the baseline tables anchored on type 0 (requires `k ≥ 2`).
+    pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, mixture: &'a Mixture) -> Result<Self> {
+        let cache = PbCache::new();
+        let ledger = LedgerEvaluator::with_cache(ctx, f, &mixture.types()[0], &cache)?;
+        Ok(Self { ledger, mixture, cache })
+    }
+
+    /// The full per-level ledger of transferring opponents from type 0 to
+    /// type `to`: the level walk with every type as a focal strategy.
+    pub fn transfer_ledger(&self, to: usize) -> Result<MixtureLedger> {
+        let types = self.mixture.types();
+        if to == 0 || to >= types.len() {
+            return Err(Error::InvalidArgument(format!(
+                "transfer target {to} out of range for a {}-type mixture",
+                types.len()
+            )));
+        }
+        let focal: Vec<&Strategy> = types.iter().collect();
+        let mut payoffs = vec![vec![0.0; self.ledger.ctx.k()]; types.len()];
+        self.ledger.walk(&types[to], &focal, &mut payoffs)?;
+        Ok(MixtureLedger { payoffs })
+    }
+
+    /// Exact expected payoff of a focal player of every type against a
+    /// **fixed** opponent composition: `opponent_counts[t]` opponents of
+    /// type `t`, summing to `k − 1`. Opponent site occupancies are exact
+    /// Poisson-binomial expectations through the shared [`PbCache`].
+    pub fn composition_payoffs(&self, opponent_counts: &[usize]) -> Result<Vec<f64>> {
+        let types = self.mixture.types();
+        let k = self.ledger.ctx.k();
+        if opponent_counts.len() != types.len() {
+            return Err(Error::InvalidArgument(format!(
+                "expected {} opponent counts, got {}",
+                types.len(),
+                opponent_counts.len()
+            )));
+        }
+        let total: usize = opponent_counts.iter().sum();
+        if total != k - 1 {
+            return Err(Error::InvalidArgument(format!(
+                "opponent counts must sum to k - 1 = {}, got {total}",
+                k - 1
+            )));
+        }
+        let opponents: Vec<&Strategy> = opponent_counts
+            .iter()
+            .zip(types.iter())
+            .flat_map(|(&n, t)| std::iter::repeat_n(t, n))
+            .collect();
+        types
+            .iter()
+            .map(|rho| {
+                self.ledger.ctx.heterogeneous_payoff_with(
+                    self.ledger.f,
+                    rho,
+                    &opponents,
+                    &self.cache,
+                )
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -392,6 +636,10 @@ mod tests {
     use crate::sigma_star::sigma_star;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn one_type(pi: &Strategy) -> Mixture {
+        Mixture::new(vec![pi.clone()], vec![1.0]).unwrap()
+    }
 
     #[test]
     fn ledger_shape() {
@@ -474,7 +722,7 @@ mod tests {
         let star = sigma_star(&f, k).unwrap().strategy;
         let pi = Strategy::uniform(3).unwrap();
         let grid = 64;
-        let fast = invasion_barrier(&ctx, &f, &star, &pi, grid).unwrap();
+        let fast = invasion_barrier(&ctx, &f, &star, &one_type(&pi), grid).unwrap();
         // Pre-kernel formulation: two mixture payoffs per grid point.
         let mut reference = 0.0;
         for i in 1..=grid {
@@ -488,6 +736,92 @@ mod tests {
             }
         }
         assert_eq!(fast.to_bits(), reference.to_bits());
+    }
+
+    #[test]
+    fn field_payoff_difference_is_bit_identical_to_mixture_payoffs() {
+        let f = ValueProfile::new(vec![1.0, 0.7, 0.3]).unwrap();
+        let sigma = Strategy::new(vec![0.6, 0.3, 0.1]).unwrap();
+        let pi = Strategy::new(vec![0.1, 0.1, 0.8]).unwrap();
+        for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.2 }] {
+            let ctx = PayoffContext::new(c, 4).unwrap();
+            for &eps in &[0.0, 0.05, 0.3, 0.9, 1.0] {
+                let direct = ctx.mixture_payoff(&f, &sigma, &sigma, &pi, eps).unwrap()
+                    - ctx.mixture_payoff(&f, &pi, &sigma, &pi, eps).unwrap();
+                let pop = Mixture::new(vec![sigma.clone(), pi.clone()], vec![1.0 - eps, eps]);
+                let u = mixture_field_payoffs(&ctx, &f, &pop.unwrap()).unwrap();
+                assert_eq!(direct.to_bits(), (u[0] - u[1]).to_bits(), "{} eps = {eps}", c.name());
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_ledger_matches_reference_ledger_for_every_target() {
+        let f = ValueProfile::zipf(5, 1.0, 1.0).unwrap();
+        let k = 6;
+        let ctx = PayoffContext::new(&Sharing, k).unwrap();
+        let types = vec![
+            sigma_star(&f, k).unwrap().strategy,
+            Strategy::uniform(5).unwrap(),
+            Strategy::delta(5, 1).unwrap(),
+        ];
+        let mix = Mixture::new(types.clone(), vec![0.5, 0.3, 0.2]).unwrap();
+        let evaluator = MixtureEvaluator::new(&ctx, &f, &mix).unwrap();
+        for to in 1..types.len() {
+            let ledger = evaluator.transfer_ledger(to).unwrap();
+            let reference = reference_ledger(&ctx, &f, &types[0], &types[to]).unwrap();
+            for (row, expect) in [
+                (&ledger.payoffs[0], &reference.resident),
+                (&ledger.payoffs[to], &reference.mutant),
+            ] {
+                assert_eq!(row[0].to_bits(), expect[0].to_bits(), "to = {to}");
+                for (a, b) in row.iter().zip(expect.iter()) {
+                    assert!((a - b).abs() <= 1e-12, "to = {to}: {a} vs {b}");
+                }
+            }
+        }
+        assert!(evaluator.transfer_ledger(0).is_err());
+        assert!(evaluator.transfer_ledger(3).is_err());
+    }
+
+    #[test]
+    fn invasion_barrier_with_several_invaders_matches_expected_payoffs() {
+        let f = ValueProfile::new(vec![1.0, 0.6, 0.3, 0.1]).unwrap();
+        let k = 4;
+        let ctx = PayoffContext::new(&Exclusive, k).unwrap();
+        let star = sigma_star(&f, k).unwrap().strategy;
+        let invaders = Mixture::new(
+            vec![
+                Strategy::uniform(4).unwrap(),
+                Strategy::proportional(f.values()).unwrap(),
+                Strategy::delta(4, 0).unwrap(),
+            ],
+            vec![0.5, 0.3, 0.2],
+        )
+        .unwrap();
+        let grid = 40;
+        let fast = invasion_barrier(&ctx, &f, &star, &invaders, grid).unwrap();
+        // Scalar formulation: one expected-payoff pass per type per point.
+        let mut reference = 0.0;
+        for i in 1..=grid {
+            let eps = i as f64 / grid as f64;
+            let mut types = vec![star.clone()];
+            types.extend(invaders.types().iter().cloned());
+            let mut weights = vec![1.0 - eps];
+            weights.extend(invaders.weights().iter().map(|w| eps * w));
+            let mean = Mixture::new(types, weights).unwrap().mean_strategy().unwrap();
+            let u0 = ctx.expected_payoff(&f, &star, &mean).unwrap();
+            let wins = invaders
+                .types()
+                .iter()
+                .all(|t| u0 - ctx.expected_payoff(&f, t, &mean).unwrap() > 0.0);
+            if !wins {
+                break;
+            }
+            reference = eps;
+        }
+        assert_eq!(fast.to_bits(), reference.to_bits());
+        assert!(fast > 0.0, "sigma* must hold off a small mixed invasion");
     }
 
     #[test]
@@ -578,7 +912,7 @@ mod tests {
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
         let star = sigma_star(&f, k).unwrap().strategy;
         let pi = Strategy::uniform(2).unwrap();
-        let barrier = invasion_barrier(&ctx, &f, &star, &pi, 100).unwrap();
+        let barrier = invasion_barrier(&ctx, &f, &star, &one_type(&pi), 100).unwrap();
         assert!(barrier > 0.0, "barrier = {barrier}");
     }
 
@@ -591,7 +925,7 @@ mod tests {
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
         let resident = Strategy::delta(2, 1).unwrap();
         let mutant = Strategy::delta(2, 0).unwrap();
-        let barrier = invasion_barrier(&ctx, &f, &resident, &mutant, 50).unwrap();
+        let barrier = invasion_barrier(&ctx, &f, &resident, &one_type(&mutant), 50).unwrap();
         assert_eq!(barrier, 0.0);
     }
 
@@ -600,7 +934,7 @@ mod tests {
         let f = ValueProfile::new(vec![1.0, 0.4]).unwrap();
         let ctx = PayoffContext::new(&Exclusive, 2).unwrap();
         let s = Strategy::uniform(2).unwrap();
-        assert!(invasion_barrier(&ctx, &f, &s, &s, 1).is_err());
+        assert!(invasion_barrier(&ctx, &f, &s, &one_type(&s), 1).is_err());
     }
 
     #[test]

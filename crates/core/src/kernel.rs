@@ -801,10 +801,16 @@ impl GBatch {
         self.k
     }
 
-    /// Row `r`'s coefficient table `[C_r(1), …, C_r(k)]`.
-    pub fn row_coefficients(&self, r: usize) -> &[f64] {
-        assert!(r < self.rows, "row {r} out of range ({} rows)", self.rows);
-        &self.coeffs[r * self.k..(r + 1) * self.k]
+    /// Row `r`'s coefficient table `[C_r(1), …, C_r(k)]`
+    /// ([`Error::InvalidArgument`] for `r ≥` [`Self::rows`]).
+    pub fn row_coefficients(&self, r: usize) -> Result<&[f64]> {
+        if r >= self.rows {
+            return Err(Error::InvalidArgument(format!(
+                "row {r} out of range for a {}-row batch",
+                self.rows
+            )));
+        }
+        Ok(&self.coeffs[r * self.k..(r + 1) * self.k])
     }
 
     /// Magnitude scale across the whole batch (for relative error
@@ -841,7 +847,7 @@ impl GBatch {
             let inv_ratio = (1.0 - q) / q;
             crate::simd::fused_fill(basis, &self.up, &self.down, mode, b_mode, ratio, inv_ratio);
         }
-        crate::simd::gemv_block4(&self.coeffs, self.k, self.rows, basis, 1.0, out);
+        crate::simd::gemv_block4(&self.coeffs, self.k, self.rows, basis, out);
     }
 
     /// Reference mode at one point: `out[r] = g_{C_r}(q)` for every row,
@@ -1614,7 +1620,7 @@ mod tests {
         for &q in &[0.0, 0.4, 1.0] {
             batch.eval_fused_into(&mut scratch, q, &mut out).unwrap();
             for (r, &v) in out.iter().enumerate() {
-                assert_eq!(v, batch.row_coefficients(r)[0], "row {r}");
+                assert_eq!(v, batch.row_coefficients(r).unwrap()[0], "row {r}");
             }
         }
     }
@@ -1633,7 +1639,8 @@ mod tests {
         // Scaled (C(1) != 1) rows are allowed, and scale() sees them.
         let batch = GBatch::from_rows(vec![vec![1e9, 5e8], vec![1.0, 0.5]]).unwrap();
         assert_eq!(batch.scale(), 1e9);
-        assert_eq!(batch.row_coefficients(1), &[1.0, 0.5]);
+        assert_eq!(batch.row_coefficients(1).unwrap(), &[1.0, 0.5]);
+        assert!(batch.row_coefficients(2).is_err());
         // Output-length mismatches are typed errors on every entry point.
         let mut scratch = batch.scratch();
         let mut short = vec![0.0; 1];

@@ -230,73 +230,23 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
         Ok(value)
     }
 
-    /// The resident value for `key` without building: bumps recency and
-    /// the hit counter on success, counts a miss otherwise.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let mut shard = match self.shards[self.shard_index(key)].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(key) {
-            Some(slot) => {
-                let value = Arc::clone(&slot.value);
-                let old_tick = slot.tick;
-                slot.tick = tick;
-                shard.order.remove(&old_tick);
-                shard.order.insert(tick, key.clone());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Number of resident entries (sums the shards; a racing insert can
-    /// make this momentarily stale, which is fine for reporting).
-    pub fn len(&self) -> usize {
-        self.shards
+    /// Snapshot of the hit/miss/eviction counters and current size (the
+    /// entry count sums the shards; a racing insert can make it
+    /// momentarily stale, which is fine for reporting).
+    pub fn stats(&self) -> CacheStats {
+        let entries = self
+            .shards
             .iter()
             .map(|s| match s.lock() {
                 Ok(guard) => guard.map.len(),
                 Err(poisoned) => poisoned.into_inner().map.len(),
             })
-            .sum()
-    }
-
-    /// Whether no entry is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured total capacity (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drop every resident entry (counters are kept).
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            let mut shard = match s.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            shard.map.clear();
-            shard.order.clear();
-        }
-    }
-
-    /// Snapshot of the hit/miss/eviction counters and current size.
-    pub fn stats(&self) -> CacheStats {
+            .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
+            entries,
             capacity: self.capacity,
         }
     }
@@ -310,6 +260,12 @@ mod tests {
 
     fn build(n: u64) -> Result<u64> {
         Ok(n * 10)
+    }
+
+    /// Whether `key` is resident, without inserting it: a failing builder
+    /// caches nothing. Like any lookup it bumps recency on a hit.
+    fn resident(cache: &SharedCache<u64, u64>, key: u64) -> bool {
+        cache.get_or_try_insert_with(key, || Err(crate::error::Error::EmptyProfile)).is_ok()
     }
 
     #[test]
@@ -332,7 +288,7 @@ mod tests {
         let err =
             cache.get_or_try_insert_with(1, || Err(crate::error::Error::EmptyProfile)).unwrap_err();
         assert_eq!(err, crate::error::Error::EmptyProfile);
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats().entries, 0);
         // The key is still buildable afterwards.
         assert_eq!(*cache.get_or_try_insert_with(1, || build(1)).unwrap(), 10);
     }
@@ -344,12 +300,12 @@ mod tests {
         cache.get_or_try_insert_with(1, || build(1)).unwrap();
         cache.get_or_try_insert_with(2, || build(2)).unwrap();
         // Touch 1 so 2 becomes the least-recent entry.
-        assert!(cache.get(&1).is_some());
+        assert!(resident(&cache, 1));
         cache.get_or_try_insert_with(3, || build(3)).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&2).is_none(), "2 was least-recent and must be the victim");
-        assert!(cache.get(&1).is_some());
-        assert!(cache.get(&3).is_some());
+        assert_eq!(cache.stats().entries, 2);
+        assert!(!resident(&cache, 2), "2 was least-recent and must be the victim");
+        assert!(resident(&cache, 1));
+        assert!(resident(&cache, 3));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -361,7 +317,7 @@ mod tests {
             for key in 0..32u64 {
                 caches.get_or_try_insert_with(key, || build(key)).unwrap();
             }
-            (0..32u64).map(|key| caches.get(&key).is_some()).collect()
+            (0..32u64).map(|key| resident(caches, key)).collect()
         };
         let a = trace(&SharedCache::new(8));
         let b = trace(&SharedCache::new(8));
@@ -375,10 +331,8 @@ mod tests {
         for key in 0..100 {
             cache.get_or_try_insert_with(key, || build(key)).unwrap();
         }
-        assert_eq!(cache.len(), 100);
-        assert_eq!(cache.stats().evictions, 0);
-        cache.clear();
-        assert!(cache.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions, stats.capacity), (100, 0, 0));
     }
 
     #[test]

@@ -338,27 +338,6 @@ impl PayoffContext {
         let mu = sigma.mix(pi, eps)?;
         self.expected_payoff(f, rho, &mu)
     }
-
-    /// Resident-minus-mutant advantage in the `ε`-mixed population:
-    /// `U[σ; μ_ε] − U[π; μ_ε]` with `μ_ε = (1−ε)σ + επ` — the quantity
-    /// the invasion barrier and the invasion experiments threshold on.
-    ///
-    /// Computed from **one** site-value pass over `μ_ε` (both payoffs dot
-    /// the same `ν_{μ}` vector), so it is bit-identical to the difference
-    /// of two [`Self::mixture_payoff`] calls at half the kernel work.
-    pub fn mixture_advantage(
-        &self,
-        f: &ValueProfile,
-        sigma: &Strategy,
-        pi: &Strategy,
-        eps: f64,
-    ) -> Result<f64> {
-        let mu = sigma.mix(pi, eps)?;
-        let nu = self.site_values(f, &mu)?;
-        let u_sigma = kahan_sum(sigma.probs().iter().zip(nu.iter()).map(|(r, v)| r * v));
-        let u_pi = kahan_sum(pi.probs().iter().zip(nu.iter()).map(|(r, v)| r * v));
-        Ok(u_sigma - u_pi)
-    }
 }
 
 #[cfg(test)]
@@ -598,22 +577,6 @@ mod tests {
             series += w * e;
         }
         close(direct, series, 1e-12);
-    }
-
-    #[test]
-    fn mixture_advantage_is_bit_identical_to_payoff_difference() {
-        let f = ValueProfile::new(vec![1.0, 0.7, 0.3]).unwrap();
-        let sigma = Strategy::new(vec![0.6, 0.3, 0.1]).unwrap();
-        let pi = Strategy::new(vec![0.1, 0.1, 0.8]).unwrap();
-        for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.2 }] {
-            let ctx = PayoffContext::new(c, 4).unwrap();
-            for &eps in &[0.0, 0.05, 0.3, 0.9, 1.0] {
-                let direct = ctx.mixture_payoff(&f, &sigma, &sigma, &pi, eps).unwrap()
-                    - ctx.mixture_payoff(&f, &pi, &sigma, &pi, eps).unwrap();
-                let fused = ctx.mixture_advantage(&f, &sigma, &pi, eps).unwrap();
-                assert_eq!(direct.to_bits(), fused.to_bits(), "{} eps = {eps}", c.name());
-            }
-        }
     }
 
     #[test]

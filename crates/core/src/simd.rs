@@ -112,21 +112,14 @@ pub fn active_lane() -> Lane {
 // Blocked GEMV (GBatch's policy-major matvec)
 // ---------------------------------------------------------------------------
 
-/// `out[r] = factor · Σ_j basis[j] · matrix[r·cols + j]` for `r <
-/// rows`, over a row-major matrix zero-padded to a multiple of
+/// `out[r] = Σ_j basis[j] · matrix[r·cols + j]` for `r < rows`, over a
+/// row-major matrix zero-padded to a multiple of
 /// [`GEMV_BLOCK`] rows. Dispatched on [`active_lane`]; fused-path
 /// contract (≤ 1e-13 × scale vs the scalar lane).
-pub fn gemv_block4(
-    matrix: &[f64],
-    cols: usize,
-    rows: usize,
-    basis: &[f64],
-    factor: f64,
-    out: &mut [f64],
-) {
+pub fn gemv_block4(matrix: &[f64], cols: usize, rows: usize, basis: &[f64], out: &mut [f64]) {
     match active_lane() {
-        Lane::Scalar => gemv_block4_scalar(matrix, cols, rows, basis, factor, out),
-        Lane::Avx2 => gemv_block4_avx2(matrix, cols, rows, basis, factor, out),
+        Lane::Scalar => gemv_block4_scalar(matrix, cols, rows, basis, out),
+        Lane::Avx2 => gemv_block4_avx2(matrix, cols, rows, basis, out),
     }
 }
 
@@ -137,7 +130,6 @@ pub fn gemv_block4_scalar(
     cols: usize,
     rows: usize,
     basis: &[f64],
-    factor: f64,
     out: &mut [f64],
 ) {
     debug_assert_eq!(basis.len(), cols);
@@ -157,7 +149,7 @@ pub fn gemv_block4_scalar(
         }
         for (lane, &a) in acc.iter().enumerate() {
             if r + lane < rows {
-                out[r + lane] = factor * a;
+                out[r + lane] = a;
             }
         }
         r += GEMV_BLOCK;
@@ -168,14 +160,7 @@ pub fn gemv_block4_scalar(
 /// of the block, shared basis load). Falls back to the scalar lane when
 /// the host lacks AVX2/FMA, so it is always safe to call — seam tests
 /// use it to compare lanes directly regardless of the dispatch choice.
-pub fn gemv_block4_avx2(
-    matrix: &[f64],
-    cols: usize,
-    rows: usize,
-    basis: &[f64],
-    factor: f64,
-    out: &mut [f64],
-) {
+pub fn gemv_block4_avx2(matrix: &[f64], cols: usize, rows: usize, basis: &[f64], out: &mut [f64]) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if avx2_available() {
         debug_assert_eq!(basis.len(), cols);
@@ -185,10 +170,10 @@ pub fn gemv_block4_avx2(
         // callers' padded layouts (checked indexing inside on release
         // paths would defeat the kernel, so the unsafe block's contract
         // is the padded `rows.div_ceil(4)·4 × cols` matrix shape).
-        unsafe { avx2::gemv_block4(matrix, cols, rows, basis, factor, out) };
+        unsafe { avx2::gemv_block4(matrix, cols, rows, basis, out) };
         return;
     }
-    gemv_block4_scalar(matrix, cols, rows, basis, factor, out);
+    gemv_block4_scalar(matrix, cols, rows, basis, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +394,6 @@ mod avx2 {
         cols: usize,
         rows: usize,
         basis: &[f64],
-        factor: f64,
         out: &mut [f64],
     ) {
         let bp = basis.as_ptr();
@@ -446,7 +430,7 @@ mod avx2 {
             }
             for (lane, &s) in sums.iter().enumerate() {
                 if r + lane < rows {
-                    out[r + lane] = factor * s;
+                    out[r + lane] = s;
                 }
             }
             r += GEMV_BLOCK;
@@ -641,8 +625,8 @@ mod tests {
         let basis: Vec<f64> = (0..cols).map(|j| ((j as f64) * 0.51).cos()).collect();
         let mut out_s = vec![0.0f64; rows];
         let mut out_v = vec![0.0f64; rows];
-        gemv_block4_scalar(&matrix, cols, rows, &basis, 2.0, &mut out_s);
-        gemv_block4_avx2(&matrix, cols, rows, &basis, 2.0, &mut out_v);
+        gemv_block4_scalar(&matrix, cols, rows, &basis, &mut out_s);
+        gemv_block4_avx2(&matrix, cols, rows, &basis, &mut out_v);
         for (s, v) in out_s.iter().zip(out_v.iter()) {
             assert!((s - v).abs() <= 1e-13 * s.abs().max(1.0), "{s} vs {v}");
         }

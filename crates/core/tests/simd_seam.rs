@@ -63,7 +63,6 @@ proptest! {
     fn gemv_lanes_agree_to_contract(
         rows in 1usize..10,
         cols in 1usize..70,
-        factor in 0.25f64..4.0,
         seed_cells in proptest::collection::vec(-5.0f64..5.0, 1..=700),
         basis_seed in proptest::collection::vec(0.0f64..1.0, 1..=70),
     ) {
@@ -77,11 +76,11 @@ proptest! {
         let scale = matrix.iter().fold(1.0f64, |a, &c| a.max(c.abs()));
         let mut out_s = vec![0.0f64; rows];
         let mut out_v = vec![0.0f64; rows];
-        gemv_block4_scalar(&matrix, cols, rows, &basis, factor, &mut out_s);
-        gemv_block4_avx2(&matrix, cols, rows, &basis, factor, &mut out_v);
+        gemv_block4_scalar(&matrix, cols, rows, &basis, &mut out_s);
+        gemv_block4_avx2(&matrix, cols, rows, &basis, &mut out_v);
         // Basis entries are ≤ 1 and cols ≤ 70, so row dots are bounded by
         // cols × scale; 1e-13 × (cols × scale) is the documented O(k·ε).
-        let bound = 1e-13 * (cols as f64) * scale * factor.max(1.0);
+        let bound = 1e-13 * (cols as f64) * scale;
         for (s, v) in out_s.iter().zip(out_v.iter()) {
             prop_assert!((s - v).abs() <= bound, "{s} vs {v} (bound {bound})");
         }

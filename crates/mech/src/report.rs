@@ -2,6 +2,7 @@
 //! fixed-width ASCII line plots (the repository's stand-in for the paper's
 //! gnuplot figures).
 
+use dispersal_core::{Error, Result};
 use std::fmt::Write as _;
 
 /// Render rows as CSV with the given header.
@@ -30,13 +31,25 @@ pub struct Series {
 
 /// Render an ASCII line plot of several series over a shared x grid.
 ///
-/// The plot is `height` rows tall and one column per x sample; later series
-/// overwrite earlier ones where they overlap.
-pub fn ascii_plot(title: &str, xs: &[f64], series: &[Series], height: usize) -> String {
-    assert!(height >= 2, "plot needs at least 2 rows");
-    assert!(!xs.is_empty(), "empty x grid");
+/// The plot is `height ≥ 2` rows tall and one column per x sample; later
+/// series overwrite earlier ones where they overlap. An empty x grid or a
+/// series of the wrong length is an [`Error::InvalidArgument`].
+pub fn ascii_plot(title: &str, xs: &[f64], series: &[Series], height: usize) -> Result<String> {
+    if height < 2 || xs.is_empty() {
+        return Err(Error::InvalidArgument(format!(
+            "plot needs 2+ rows and x samples, got {height} rows and {} x samples",
+            xs.len()
+        )));
+    }
     for s in series {
-        assert_eq!(s.values.len(), xs.len(), "series {} length mismatch", s.label);
+        if s.values.len() != xs.len() {
+            return Err(Error::InvalidArgument(format!(
+                "series {} has {} values for {} x samples",
+                s.label,
+                s.values.len(),
+                xs.len()
+            )));
+        }
     }
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -71,7 +84,7 @@ pub fn ascii_plot(title: &str, xs: &[f64], series: &[Series], height: usize) -> 
     }
     let legend: Vec<String> = series.iter().map(|s| format!("{} = {}", s.glyph, s.label)).collect();
     let _ = writeln!(out, "# legend: {}", legend.join(", "));
-    out
+    Ok(out)
 }
 
 /// Format a Markdown table from header and stringified rows.
@@ -102,7 +115,7 @@ mod tests {
     fn ascii_plot_contains_glyphs_and_legend() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let s = Series { label: "line".into(), glyph: '*', values: xs.clone() };
-        let plot = ascii_plot("test", &xs, &[s], 8);
+        let plot = ascii_plot("test", &xs, &[s], 8).unwrap();
         assert!(plot.contains('*'));
         assert!(plot.contains("legend: * = line"));
         assert!(plot.contains("# test"));
@@ -112,16 +125,18 @@ mod tests {
     fn ascii_plot_flat_series_does_not_panic() {
         let xs = vec![0.0, 1.0];
         let s = Series { label: "flat".into(), glyph: 'o', values: vec![2.0, 2.0] };
-        let plot = ascii_plot("flat", &xs, &[s], 4);
+        let plot = ascii_plot("flat", &xs, &[s], 4).unwrap();
         assert!(plot.contains('o'));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "series bad has 1 values for 2 x samples")]
     fn ascii_plot_rejects_mismatched_series() {
         let xs = vec![0.0, 1.0];
+        assert!(ascii_plot("short", &xs, &[], 1).is_err());
+        assert!(ascii_plot("empty", &[], &[], 4).is_err());
         let s = Series { label: "bad".into(), glyph: 'x', values: vec![1.0] };
-        ascii_plot("bad", &xs, &[s], 4);
+        ascii_plot("bad", &xs, &[s], 4).unwrap();
     }
 
     #[test]

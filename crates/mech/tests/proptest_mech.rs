@@ -63,7 +63,8 @@ proptest! {
             &xs,
             &[Series { label: "s".into(), glyph: '#', values: ys.clone() }],
             10,
-        );
+        )
+        .unwrap();
         // Count glyphs only inside the plot grid (lines framed by '|'),
         // not in the '#'-prefixed header/legend lines.
         let glyphs: usize = plot

@@ -3,7 +3,7 @@
 use crate::plan::SearchPlan;
 use crate::prior::Prior;
 use dispersal_core::strategy::Strategy;
-use dispersal_core::Result;
+use dispersal_core::{Error, Result};
 
 /// Every round, every searcher samples uniformly over all boxes.
 #[derive(Debug, Clone)]
@@ -12,10 +12,12 @@ pub struct UniformPlan {
 }
 
 impl UniformPlan {
-    /// Build over `m` boxes.
-    pub fn new(m: usize) -> Self {
-        assert!(m > 0);
-        Self { m }
+    /// Build over `m ≥ 1` boxes.
+    pub fn new(m: usize) -> Result<Self> {
+        if m == 0 {
+            return Err(Error::InvalidArgument("uniform plan needs at least one box".into()));
+        }
+        Ok(Self { m })
     }
 }
 
@@ -64,10 +66,12 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Build over `m` boxes.
-    pub fn new(m: usize) -> Self {
-        assert!(m > 0);
-        Self { m }
+    /// Build over `m ≥ 1` boxes.
+    pub fn new(m: usize) -> Result<Self> {
+        if m == 0 {
+            return Err(Error::InvalidArgument("sweep plan needs at least one box".into()));
+        }
+        Ok(Self { m })
     }
 }
 
@@ -87,7 +91,7 @@ mod tests {
 
     #[test]
     fn uniform_plan_rounds() {
-        let mut plan = UniformPlan::new(4);
+        let mut plan = UniformPlan::new(4).unwrap();
         let r = plan.round(0).unwrap();
         assert_eq!(r.probs(), &[0.25; 4]);
         assert_eq!(plan.name(), "uniform");
@@ -104,15 +108,16 @@ mod tests {
 
     #[test]
     fn sweep_plan_cycles() {
-        let mut plan = SweepPlan::new(3);
+        let mut plan = SweepPlan::new(3).unwrap();
         assert_eq!(plan.round(0).unwrap().prob(0), 1.0);
         assert_eq!(plan.round(1).unwrap().prob(1), 1.0);
         assert_eq!(plan.round(3).unwrap().prob(0), 1.0);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "uniform plan needs at least one box")]
     fn uniform_plan_rejects_zero_boxes() {
-        UniformPlan::new(0);
+        assert!(SweepPlan::new(0).is_err());
+        UniformPlan::new(0).unwrap();
     }
 }

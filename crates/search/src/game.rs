@@ -220,7 +220,7 @@ mod tests {
         let m = 8;
         let k = 2;
         let prior = Prior::uniform(m).unwrap();
-        let mut plan = UniformPlan::new(m);
+        let mut plan = UniformPlan::new(m).unwrap();
         let eval = evaluate_plan(&mut plan, &prior, k, 400).unwrap();
         let q = 1.0 - (1.0 - 1.0 / m as f64).powi(k as i32);
         let geometric_mean = 1.0 / q;
@@ -252,9 +252,9 @@ mod tests {
         let horizon = 200;
         let mut astar = IteratedSigmaStar::new(&prior, k).unwrap();
         let astar_eval = evaluate_plan(&mut astar, &prior, k, horizon).unwrap();
-        let mut uniform = UniformPlan::new(20);
+        let mut uniform = UniformPlan::new(20).unwrap();
         let uniform_eval = evaluate_plan(&mut uniform, &prior, k, horizon).unwrap();
-        let mut sweep = SweepPlan::new(20);
+        let mut sweep = SweepPlan::new(20).unwrap();
         let sweep_eval = evaluate_plan(&mut sweep, &prior, k, horizon).unwrap();
         assert!(
             astar_eval.expected_rounds < uniform_eval.expected_rounds,
@@ -305,10 +305,10 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let prior = Prior::uniform(3).unwrap();
-        let mut plan = UniformPlan::new(3);
+        let mut plan = UniformPlan::new(3).unwrap();
         assert!(evaluate_plan(&mut plan, &prior, 0, 10).is_err());
         assert!(evaluate_plan(&mut plan, &prior, 2, 0).is_err());
-        let mut wrong = UniformPlan::new(4);
+        let mut wrong = UniformPlan::new(4).unwrap();
         assert!(evaluate_plan(&mut wrong, &prior, 2, 10).is_err());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert!(simulate_detection_time(&mut plan, &prior, 0, 10, 10, &mut rng).is_err());
@@ -349,12 +349,12 @@ mod tests {
     #[test]
     fn memory_validates_inputs() {
         let prior = Prior::uniform(3).unwrap();
-        let mut plan = UniformPlan::new(3);
+        let mut plan = UniformPlan::new(3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert!(
             simulate_detection_time_with_memory(&mut plan, &prior, 0, 10, 10, &mut rng).is_err()
         );
-        let mut wrong = UniformPlan::new(4);
+        let mut wrong = UniformPlan::new(4).unwrap();
         assert!(
             simulate_detection_time_with_memory(&mut wrong, &prior, 2, 10, 10, &mut rng).is_err()
         );

@@ -269,7 +269,7 @@ fn evaluate_boxes(
         let spec = point.spec();
         let score = score_table(
             &spec,
-            batch.row_coefficients(r),
+            batch.row_coefficients(r)?,
             &cfg.profile,
             cfg.k,
             cfg.ess_mutants,

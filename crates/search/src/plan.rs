@@ -7,7 +7,7 @@
 //! — exactly the symmetric-strategy restriction of the dispersal game).
 
 use dispersal_core::strategy::Strategy;
-use dispersal_core::Result;
+use dispersal_core::{Error, Result};
 
 /// A (possibly adaptive) plan assigning a sampling distribution to every
 /// round. Plans observe only *time*, not outcomes: the searchers learn
@@ -31,9 +31,11 @@ pub struct SchedulePlan {
 
 impl SchedulePlan {
     /// Build from an explicit non-empty schedule.
-    pub fn new(label: impl Into<String>, rounds: Vec<Strategy>) -> Self {
-        assert!(!rounds.is_empty(), "schedule must contain at least one round");
-        Self { label: label.into(), rounds }
+    pub fn new(label: impl Into<String>, rounds: Vec<Strategy>) -> Result<Self> {
+        if rounds.is_empty() {
+            return Err(Error::InvalidArgument("schedule must contain at least one round".into()));
+        }
+        Ok(Self { label: label.into(), rounds })
     }
 
     /// Number of distinct scheduled rounds.
@@ -65,7 +67,7 @@ mod tests {
     fn schedule_repeats_last_round() {
         let a = Strategy::delta(2, 0).unwrap();
         let b = Strategy::delta(2, 1).unwrap();
-        let mut plan = SchedulePlan::new("test", vec![a.clone(), b.clone()]);
+        let mut plan = SchedulePlan::new("test", vec![a.clone(), b.clone()]).unwrap();
         assert_eq!(plan.round(0).unwrap(), a);
         assert_eq!(plan.round(1).unwrap(), b);
         assert_eq!(plan.round(7).unwrap(), b);
@@ -75,8 +77,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "schedule must contain at least one round")]
     fn empty_schedule_panics() {
-        SchedulePlan::new("empty", vec![]);
+        SchedulePlan::new("empty", vec![]).unwrap();
     }
 }

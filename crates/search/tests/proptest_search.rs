@@ -69,7 +69,7 @@ proptest! {
         let m = prior.len();
         let mut astar = IteratedSigmaStar::new(&prior, k).unwrap();
         let a = evaluate_plan(&mut astar, &prior, k, 200).unwrap();
-        let mut uni = UniformPlan::new(m);
+        let mut uni = UniformPlan::new(m).unwrap();
         let u = evaluate_plan(&mut uni, &prior, k, 200).unwrap();
         prop_assert!(
             a.expected_rounds <= u.expected_rounds + 1e-6,

@@ -84,6 +84,25 @@ fn idle_connections_are_reaped_by_the_read_timeout() {
 }
 
 #[test]
+fn deep_nesting_is_refused_and_the_connection_survives() {
+    // Regression for the unbounded recursive JSON parser: 10⁵ nested `[`
+    // (about 100 KB, well under the line cap) overflowed the reader
+    // thread's stack and aborted the whole daemon. The codec now refuses
+    // nesting past its depth limit with an error naming that limit.
+    let server = bounded_server(1 << 20);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let raw = client.call(&"[".repeat(100_000)).unwrap();
+    assert!(raw.contains("\"ok\":false"), "deep nesting must be refused: {raw}");
+    assert!(raw.contains("128 levels"), "the error should name the depth limit: {raw}");
+
+    let result = client
+        .request(r#"{"id":2,"cmd":"response","policy":"sharing","k":4,"resolution":8}"#)
+        .unwrap();
+    assert!(format!("{result:?}").contains("g"), "connection must survive: {result:?}");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_requests_answer_in_place_without_panicking() {
     let server = bounded_server(1 << 20);
     let mut client = Client::connect(server.addr()).unwrap();

@@ -1,15 +1,17 @@
 //! Empirical ESS invasion experiments (Section 1.4, Eq. 3).
 //!
-//! A population holds residents playing `σ` and a fraction `ε` of mutants
-//! playing `π`. Repeatedly, `k` individuals are drawn i.i.d. from the
-//! population and play the one-shot game; we record the average payoff of
-//! residents and mutants. Theorem 3 predicts residents strictly out-earn
-//! mutants for small `ε` when `σ = σ⋆` under the exclusive policy.
+//! A population holds strategy types in fixed shares — residents playing
+//! `σ` and a fraction `ε` of mutants playing `π`, or any
+//! [`Mixture`] of `M` types. Repeatedly, `k` individuals are drawn i.i.d.
+//! from the population and play the one-shot game; we record the average
+//! payoff of every type. Theorem 3 predicts residents strictly out-earn
+//! mutants for small `ε` when `σ = σ⋆` under the exclusive policy. The
+//! exact side (field payoffs, ledgers, barriers) lives in
+//! [`dispersal_core::ess`]; this module is the sampled tournament.
 
 use crate::engine::{self, Experiment, Merge, ShardPlan};
 use crate::stats::{Estimate, Welford};
-use dispersal_core::kernel::{PbCache, PbTable};
-use dispersal_core::numerics::kahan_sum;
+use dispersal_core::ess::{mixture_field_payoffs, Mixture};
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::Congestion;
 use dispersal_core::strategy::{Strategy, StrategySampler};
@@ -59,60 +61,10 @@ impl InvasionReport {
     }
 }
 
-/// One sampled match as an engine [`Experiment`]: per-shard state is the
-/// occupancy/choice scratch; each trial draws a `k`-tuple from the
-/// resident/mutant mixture and records both sides' payoffs via the
-/// precomputed site-major reward matrix `rewards[x·k + ℓ − 1] = f(x)·C(ℓ)`
-/// (one batched setup instead of a value-times-table multiply per player
-/// per trial).
-struct InvasionMc<'a> {
-    f: &'a ValueProfile,
-    res_sampler: StrategySampler,
-    mut_sampler: StrategySampler,
-    rewards: Vec<f64>,
-    epsilon: f64,
-    k: usize,
-}
-
-/// Reusable per-shard scratch buffers for [`InvasionMc`].
-struct MatchScratch {
-    occupancy: Vec<usize>,
-    choices: Vec<(usize, bool)>,
-}
-
-impl Experiment for InvasionMc<'_> {
-    type State = MatchScratch;
-    type Output = (Welford, Welford);
-
-    fn make_state(&self) -> Result<MatchScratch> {
-        Ok(MatchScratch {
-            occupancy: vec![0usize; self.f.len()],
-            choices: vec![(0usize, false); self.k],
-        })
-    }
-
-    fn trial(&self, scratch: &mut MatchScratch, rng: &mut ChaCha8Rng, acc: &mut Self::Output) {
-        let (res_acc, mut_acc) = acc;
-        scratch.occupancy.iter_mut().for_each(|o| *o = 0);
-        for slot in scratch.choices.iter_mut() {
-            let is_mutant = rng.gen::<f64>() < self.epsilon;
-            let site =
-                if is_mutant { self.mut_sampler.sample(rng) } else { self.res_sampler.sample(rng) };
-            scratch.occupancy[site] += 1;
-            *slot = (site, is_mutant);
-        }
-        for &(site, is_mutant) in &scratch.choices {
-            let payoff = self.rewards[site * self.k + scratch.occupancy[site] - 1];
-            if is_mutant {
-                mut_acc.push(payoff);
-            } else {
-                res_acc.push(payoff);
-            }
-        }
-    }
-}
-
-/// Run the invasion experiment.
+/// Run the invasion experiment: the two-type tournament of
+/// [`Mixture::two`]`(resident, mutant, ε)` through
+/// [`run_invasion_mixture`], with type 0 reported as the resident and
+/// type 1 as the mutant.
 pub fn run_invasion(
     c: &dyn Congestion,
     f: &ValueProfile,
@@ -127,34 +79,14 @@ pub fn run_invasion(
     if mutant.len() != f.len() {
         return Err(Error::DimensionMismatch { strategy: mutant.len(), profile: f.len() });
     }
-    if !(0.0 < config.epsilon && config.epsilon < 1.0) {
-        return Err(Error::InvalidArgument(format!(
-            "epsilon must be in (0, 1), got {}",
-            config.epsilon
-        )));
-    }
-    let ctx = PayoffContext::new(c, k)?;
-    // Analytic prediction: U[sigma; mix] - U[pi; mix] (Eq. 3 collapses to
-    // the mixture-field payoff for i.i.d. opponents); one site-value pass
-    // serves both sides.
-    let analytic_advantage = ctx.mixture_advantage(f, resident, mutant, config.epsilon)?;
-    let experiment = InvasionMc {
-        f,
-        res_sampler: StrategySampler::new(resident),
-        mut_sampler: StrategySampler::new(mutant),
-        rewards: crate::oneshot::reward_matrix(f, ctx.c_table()),
-        epsilon: config.epsilon,
-        k,
-    };
-    let plan = ShardPlan::new(config.matches, config.shards, config.seed);
-    let (res_total, mut_total) = engine::run(&experiment, plan)?;
-    let resident_payoff = Estimate::from_welford(&res_total);
-    let mutant_payoff = Estimate::from_welford(&mut_total);
+    let mixture = Mixture::two(resident, mutant, config.epsilon)?;
+    let report = run_invasion_mixture(c, f, &mixture, k, config)?;
+    let (resident_payoff, mutant_payoff) = (report.type_payoffs[0], report.type_payoffs[1]);
     Ok(InvasionReport {
         resident_payoff,
         mutant_payoff,
-        advantage: resident_payoff.mean - mutant_payoff.mean,
-        analytic_advantage,
+        advantage: report.advantage(0, 1),
+        analytic_advantage: report.analytic_advantage(0, 1),
     })
 }
 
@@ -176,335 +108,6 @@ pub fn invasion_sweep(
             run_invasion(c, f, resident, mutant, k, config).map(|r| (eps, r))
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Asymmetric multi-type mixtures: the population-scale generalization of
-// the resident + mutant pair. A `Mixture` holds M policy types with
-// population weights; the analytic machinery (field payoffs, pairwise
-// advantage, invasion barrier) and the exact PbTable ledger generalize
-// the 2-type special case, which stays **bit-identical** as the
-// degenerate path (pinned in this module's tests).
-// ---------------------------------------------------------------------
-
-/// Tolerance for the mixture weights summing to one, matching the
-/// normalization contract of [`Strategy`].
-const WEIGHT_TOL: f64 = 1e-9;
-
-/// An asymmetric resident population: `M` policy types with population
-/// weights `w_t ≥ 0`, `Σ_t w_t = 1`. Every type is a full site strategy
-/// over the same `m` sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mixture {
-    types: Vec<Strategy>,
-    weights: Vec<f64>,
-}
-
-impl Mixture {
-    /// Build a mixture from `types` and matching `weights` (finite,
-    /// non-negative, summing to one within `1e-9`).
-    pub fn new(types: Vec<Strategy>, weights: Vec<f64>) -> Result<Self> {
-        if types.is_empty() {
-            return Err(Error::InvalidArgument("mixture needs at least one type".into()));
-        }
-        if types.len() != weights.len() {
-            return Err(Error::InvalidArgument(format!(
-                "mixture has {} types but {} weights",
-                types.len(),
-                weights.len()
-            )));
-        }
-        let m = types[0].len();
-        for t in &types[1..] {
-            if t.len() != m {
-                return Err(Error::DimensionMismatch { strategy: t.len(), profile: m });
-            }
-        }
-        for &w in &weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(Error::InvalidArgument(format!(
-                    "mixture weights must be finite and non-negative, got {w}"
-                )));
-            }
-        }
-        let total = kahan_sum(weights.iter().copied());
-        if (total - 1.0).abs() > WEIGHT_TOL {
-            return Err(Error::InvalidArgument(format!(
-                "mixture weights must sum to 1, got {total}"
-            )));
-        }
-        Ok(Self { types, weights })
-    }
-
-    /// The resident + mutant pair as a degenerate two-type mixture:
-    /// weights `(1 − ε, ε)` with `ε ∈ (0, 1)`.
-    pub fn two(resident: &Strategy, mutant: &Strategy, eps: f64) -> Result<Self> {
-        if !(0.0 < eps && eps < 1.0) {
-            return Err(Error::InvalidArgument(format!("epsilon must be in (0, 1), got {eps}")));
-        }
-        Self::new(vec![resident.clone(), mutant.clone()], vec![1.0 - eps, eps])
-    }
-
-    /// A resident at share `1 − ε` invaded by an `invaders` mixture whose
-    /// weights give the *relative* composition of the invading share
-    /// `ε ∈ (0, 1]`. Type 0 of the result is the resident; type `t + 1`
-    /// carries weight `ε·w_t`.
-    pub fn invaded(resident: &Strategy, invaders: &Mixture, eps: f64) -> Result<Self> {
-        if !(0.0 < eps && eps <= 1.0) {
-            return Err(Error::InvalidArgument(format!(
-                "invader share must be in (0, 1], got {eps}"
-            )));
-        }
-        let mut types = Vec::with_capacity(1 + invaders.types.len());
-        types.push(resident.clone());
-        types.extend(invaders.types.iter().cloned());
-        let mut weights = Vec::with_capacity(1 + invaders.weights.len());
-        weights.push(1.0 - eps);
-        weights.extend(invaders.weights.iter().map(|&w| eps * w));
-        Self::new(types, weights)
-    }
-
-    /// Number of types `M`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.types.len()
-    }
-
-    /// Whether the mixture is empty (never true for a validated mixture).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
-
-    /// Number of sites every type plays over.
-    #[inline]
-    pub fn sites(&self) -> usize {
-        self.types[0].len()
-    }
-
-    /// The type strategies, in input order.
-    #[inline]
-    pub fn types(&self) -> &[Strategy] {
-        &self.types
-    }
-
-    /// The population weights, in type order.
-    #[inline]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The population-mean strategy `μ(x) = Σ_t w_t·p_t(x)`.
-    ///
-    /// Each site is a compensated sum over types; for `M = 2` with
-    /// weights `(1 − ε, ε)` this is bit-identical to
-    /// [`Strategy::mix`]`(ε)` (a two-term Kahan sum carries zero
-    /// compensation, so the bits equal the plain `(1−ε)a + εb`).
-    pub fn mean_strategy(&self) -> Result<Strategy> {
-        let probs = (0..self.sites())
-            .map(|x| {
-                kahan_sum(self.types.iter().zip(self.weights.iter()).map(|(t, &w)| w * t.prob(x)))
-            })
-            .collect();
-        Strategy::new(probs)
-    }
-}
-
-/// Field payoff of every type against the population mean: `U_t = Σ_x
-/// p_t(x)·ν_μ(x)` where `ν_μ` are the site values under the mean field
-/// `μ`. One site-value pass serves all `M` types; for `M = 2` the pair
-/// `U_0 − U_1` is bit-identical to
-/// [`PayoffContext::mixture_advantage`].
-pub fn mixture_field_payoffs(
-    ctx: &PayoffContext,
-    f: &ValueProfile,
-    mixture: &Mixture,
-) -> Result<Vec<f64>> {
-    let mean = mixture.mean_strategy()?;
-    let nu = ctx.site_values(f, &mean)?;
-    Ok(mixture
-        .types()
-        .iter()
-        .map(|t| kahan_sum(t.probs().iter().zip(nu.iter()).map(|(r, v)| r * v)))
-        .collect())
-}
-
-/// Generalized Eq. (3) advantage of type `a` over type `b` inside the
-/// population `mixture`: `U_a − U_b`. The `M = 2` case with indices
-/// `(0, 1)` is bit-identical to [`PayoffContext::mixture_advantage`].
-pub fn mixture_type_advantage(
-    ctx: &PayoffContext,
-    f: &ValueProfile,
-    mixture: &Mixture,
-    a: usize,
-    b: usize,
-) -> Result<f64> {
-    if a >= mixture.len() || b >= mixture.len() {
-        return Err(Error::InvalidArgument(format!(
-            "type indices ({a}, {b}) out of range for a {}-type mixture",
-            mixture.len()
-        )));
-    }
-    let u = mixture_field_payoffs(ctx, f, mixture)?;
-    Ok(u[a] - u[b])
-}
-
-/// Generalized invasion barrier: the largest invading share `ε` on the
-/// grid `{1/grid, …, 1}` at which the resident strictly out-earns
-/// **every** invader type of the `invaders` composition. With a single
-/// invader type this is bit-identical to
-/// [`dispersal_core::ess::invasion_barrier`].
-pub fn mixture_invasion_barrier(
-    ctx: &PayoffContext,
-    f: &ValueProfile,
-    resident: &Strategy,
-    invaders: &Mixture,
-    grid: usize,
-) -> Result<f64> {
-    if grid < 2 {
-        return Err(Error::InvalidArgument("invasion barrier grid must be >= 2".into()));
-    }
-    if resident.len() != f.len() {
-        return Err(Error::DimensionMismatch { strategy: resident.len(), profile: f.len() });
-    }
-    if invaders.sites() != f.len() {
-        return Err(Error::DimensionMismatch { strategy: invaders.sites(), profile: f.len() });
-    }
-    let mut last_good = 0.0;
-    for i in 1..=grid {
-        let eps = i as f64 / grid as f64;
-        let pop = Mixture::invaded(resident, invaders, eps)?;
-        let u = mixture_field_payoffs(ctx, f, &pop)?;
-        if u[1..].iter().all(|&ut| u[0] - ut > 0.0) {
-            last_good = eps;
-        } else {
-            break;
-        }
-    }
-    Ok(last_good)
-}
-
-/// The per-level exact payoff ledger of a one-directional type transfer:
-/// `payoffs[t][ℓ]` is the expected payoff of a focal type-`t` player when
-/// `ℓ` of the `k − 1` opponents play the transfer target and the rest
-/// play type 0. The two-type case reproduces
-/// [`dispersal_core::ess::EssLedger`] bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MixtureLedger {
-    /// `payoffs[t][ℓ]`, one row per mixture type, `k` levels per row.
-    pub payoffs: Vec<Vec<f64>>,
-}
-
-/// Exact `PbTable`-backed evaluator for a multi-type mixture: per-site
-/// occupancy laws are Poisson-binomial tables updated **incrementally**
-/// through [`PbCache`] rank updates (one contractive
-/// [`PbTable::replace`] per site per unit transfer), generalizing
-/// [`dispersal_core::ess::LedgerEvaluator`] from the resident + mutant
-/// pair to `M` types.
-#[derive(Debug)]
-pub struct MixtureEvaluator<'a> {
-    ctx: &'a PayoffContext,
-    f: &'a ValueProfile,
-    mixture: &'a Mixture,
-    /// Per-site baseline tables for the all-type-0 profile `{p_0(x)}^{k−1}`.
-    base: Vec<PbTable>,
-    cache: PbCache,
-}
-
-impl<'a> MixtureEvaluator<'a> {
-    /// Build the baseline tables anchored on type 0 (requires `k ≥ 2`).
-    pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, mixture: &'a Mixture) -> Result<Self> {
-        let k = ctx.k();
-        if k < 2 {
-            return Err(Error::InvalidPlayerCount { k });
-        }
-        if f.len() != mixture.sites() {
-            return Err(Error::DimensionMismatch { strategy: mixture.sites(), profile: f.len() });
-        }
-        let cache = PbCache::new();
-        let mut profile = vec![0.0; k - 1];
-        let mut base = Vec::with_capacity(f.len());
-        let anchor = &mixture.types()[0];
-        for x in 0..f.len() {
-            profile.fill(anchor.prob(x));
-            base.push(cache.table(&profile)?.as_ref().clone());
-        }
-        Ok(Self { ctx, f, mixture, base, cache })
-    }
-
-    /// The full per-level ledger of transferring opponents from type 0 to
-    /// type `to`, one incremental rank update per site per level. For a
-    /// two-type mixture with `to = 1` the rows are bit-identical to
-    /// [`dispersal_core::ess::LedgerEvaluator::ledger`]'s resident and
-    /// mutant columns.
-    pub fn transfer_ledger(&self, to: usize) -> Result<MixtureLedger> {
-        if to == 0 || to >= self.mixture.len() {
-            return Err(Error::InvalidArgument(format!(
-                "transfer target {to} out of range for a {}-type mixture",
-                self.mixture.len()
-            )));
-        }
-        let k = self.ctx.k();
-        let c_table = self.ctx.c_table();
-        let types = self.mixture.types();
-        let mut tables = self.base.clone();
-        let mut payoffs = vec![Vec::with_capacity(k); types.len()];
-        for ell in 0..k {
-            if ell > 0 {
-                for (x, table) in tables.iter_mut().enumerate() {
-                    table.replace(types[0].prob(x), types[to].prob(x))?;
-                }
-            }
-            let mut accs = vec![0.0; types.len()];
-            for (x, table) in tables.iter().enumerate() {
-                if types.iter().all(|t| t.prob(x) == 0.0) {
-                    continue;
-                }
-                let expected_c = table.expectation(c_table);
-                for (acc, t) in accs.iter_mut().zip(types.iter()) {
-                    let px = t.prob(x);
-                    if px != 0.0 {
-                        *acc += px * self.f.value(x) * expected_c;
-                    }
-                }
-            }
-            for (row, acc) in payoffs.iter_mut().zip(accs) {
-                row.push(acc);
-            }
-        }
-        Ok(MixtureLedger { payoffs })
-    }
-
-    /// Exact expected payoff of a focal player of every type against a
-    /// **fixed** opponent composition: `opponent_counts[t]` opponents of
-    /// type `t`, summing to `k − 1`. Opponent site occupancies are exact
-    /// Poisson-binomial expectations through the shared [`PbCache`].
-    pub fn composition_payoffs(&self, opponent_counts: &[usize]) -> Result<Vec<f64>> {
-        let types = self.mixture.types();
-        if opponent_counts.len() != types.len() {
-            return Err(Error::InvalidArgument(format!(
-                "expected {} opponent counts, got {}",
-                types.len(),
-                opponent_counts.len()
-            )));
-        }
-        let total: usize = opponent_counts.iter().sum();
-        if total != self.ctx.k() - 1 {
-            return Err(Error::InvalidArgument(format!(
-                "opponent counts must sum to k - 1 = {}, got {total}",
-                self.ctx.k() - 1
-            )));
-        }
-        let opponents: Vec<&Strategy> = opponent_counts
-            .iter()
-            .zip(types.iter())
-            .flat_map(|(&n, t)| std::iter::repeat_n(t, n))
-            .collect();
-        types
-            .iter()
-            .map(|rho| self.ctx.heterogeneous_payoff_with(self.f, rho, &opponents, &self.cache))
-            .collect()
-    }
 }
 
 /// Result of a multi-type invasion experiment.
@@ -548,13 +151,13 @@ impl Merge for TypePayoffs {
     }
 }
 
-/// The multi-type generalization of `InvasionMc`: each of the `k` slots
+/// One sampled match as an engine [`Experiment`]: each of the `k` slots
 /// draws its type from the mixture weights, then a site from that type's
-/// sampler. The type draw scans the weights from the **last** type down
-/// so the two-type case compares `u < ε` against the mutant exactly like
-/// the legacy resident + mutant trial — one `f64` draw and one sampler
-/// draw per slot, in the same order.
-struct MixtureInvasionMc<'a> {
+/// sampler, and every player is paid from the precomputed site-major
+/// reward matrix `rewards[x·k + ℓ − 1] = f(x)·C(ℓ)`. The type draw scans
+/// the weights from the **last** type down, so in the two-type case one
+/// `f64` draw `u < ε` picks the mutant.
+struct Tournament<'a> {
     f: &'a ValueProfile,
     samplers: Vec<StrategySampler>,
     weights: &'a [f64],
@@ -562,24 +165,25 @@ struct MixtureInvasionMc<'a> {
     k: usize,
 }
 
-/// Reusable per-shard scratch for [`MixtureInvasionMc`].
-struct MixtureScratch {
+/// Reusable per-shard scratch for [`Tournament`]: site occupancy and the
+/// `(site, type)` choice of every slot.
+struct TournamentScratch {
     occupancy: Vec<usize>,
     choices: Vec<(usize, usize)>,
 }
 
-impl Experiment for MixtureInvasionMc<'_> {
-    type State = MixtureScratch;
+impl Experiment for Tournament<'_> {
+    type State = TournamentScratch;
     type Output = TypePayoffs;
 
-    fn make_state(&self) -> Result<MixtureScratch> {
-        Ok(MixtureScratch {
+    fn make_state(&self) -> Result<TournamentScratch> {
+        Ok(TournamentScratch {
             occupancy: vec![0usize; self.f.len()],
             choices: vec![(0usize, 0usize); self.k],
         })
     }
 
-    fn trial(&self, scratch: &mut MixtureScratch, rng: &mut ChaCha8Rng, acc: &mut TypePayoffs) {
+    fn trial(&self, scratch: &mut TournamentScratch, rng: &mut ChaCha8Rng, acc: &mut TypePayoffs) {
         if acc.0.is_empty() {
             acc.0 = vec![Welford::default(); self.samplers.len()];
         }
@@ -609,9 +213,7 @@ impl Experiment for MixtureInvasionMc<'_> {
 /// Run the invasion experiment for an arbitrary multi-type mixture.
 ///
 /// `config.epsilon` is ignored — the population shares live in the
-/// mixture weights. For the degenerate [`Mixture::two`]`(σ, π, ε)` the
-/// per-type estimates are bit-identical to [`run_invasion`] at the same
-/// `(matches, seed, shards)`.
+/// mixture weights.
 pub fn run_invasion_mixture(
     c: &dyn Congestion,
     f: &ValueProfile,
@@ -624,7 +226,7 @@ pub fn run_invasion_mixture(
     }
     let ctx = PayoffContext::new(c, k)?;
     let analytic_payoffs = mixture_field_payoffs(&ctx, f, mixture)?;
-    let experiment = MixtureInvasionMc {
+    let experiment = Tournament {
         f,
         samplers: mixture.types().iter().map(StrategySampler::new).collect(),
         weights: mixture.weights(),
@@ -645,6 +247,8 @@ pub fn run_invasion_mixture(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dispersal_core::ess::MixtureEvaluator;
+    use dispersal_core::numerics::kahan_sum;
     use dispersal_core::policy::{Exclusive, Sharing};
     use dispersal_core::sigma_star::sigma_star;
 
@@ -763,15 +367,12 @@ mod tests {
         let mix = Mixture::new(vec![s2.clone(), s2.clone()], vec![0.25, 0.75]).unwrap();
         assert_eq!((mix.len(), mix.sites()), (2, 2));
         assert!(!mix.is_empty());
-        assert!(Mixture::invaded(&s2, &mix, 0.0).is_err());
-        assert!(Mixture::invaded(&s2, &mix, 1.0).is_ok());
         // Degenerate M = 1 mixture is legal: a monomorphic population.
         let mono = Mixture::new(vec![s2.clone()], vec![1.0]).unwrap();
         assert_eq!(mono.mean_strategy().unwrap().probs(), s2.probs());
     }
 
-    /// Tentpole anchor 1: the degenerate two-type mean field is
-    /// bit-identical to `Strategy::mix`.
+    /// The two-type mean field is bit-identical to `Strategy::mix`.
     #[test]
     fn degenerate_mixture_mean_is_bit_identical_to_strategy_mix() {
         let f = ValueProfile::new(vec![1.0, 0.6, 0.2]).unwrap();
@@ -785,100 +386,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "mean field diverged at eps={eps}");
             }
         }
-    }
-
-    /// Tentpole anchor 2: the degenerate pairwise advantage is
-    /// bit-identical to `PayoffContext::mixture_advantage`.
-    #[test]
-    fn degenerate_mixture_advantage_is_bit_identical_to_payoff_context() {
-        let f = ValueProfile::new(vec![1.0, 0.6, 0.2]).unwrap();
-        let k = 4;
-        let ctx = PayoffContext::new(&Sharing, k).unwrap();
-        let sigma = sigma_star(&f, k).unwrap().strategy;
-        let pi = Strategy::uniform(3).unwrap();
-        for eps in [0.05, 0.25, 0.6] {
-            let mix = Mixture::two(&sigma, &pi, eps).unwrap();
-            let general = mixture_type_advantage(&ctx, &f, &mix, 0, 1).unwrap();
-            let legacy = ctx.mixture_advantage(&f, &sigma, &pi, eps).unwrap();
-            assert_eq!(general.to_bits(), legacy.to_bits(), "advantage diverged at eps={eps}");
-        }
-        assert!(mixture_type_advantage(&ctx, &f, &Mixture::two(&sigma, &pi, 0.1).unwrap(), 0, 2)
-            .is_err());
-    }
-
-    /// Tentpole anchor 3: the degenerate invasion barrier is bit-identical
-    /// to `ess::invasion_barrier`.
-    #[test]
-    fn degenerate_mixture_barrier_is_bit_identical_to_ess_path() {
-        use dispersal_core::ess::invasion_barrier;
-        for (f, k, grid) in [
-            (ValueProfile::new(vec![1.0, 0.4]).unwrap(), 2usize, 40usize),
-            (ValueProfile::new(vec![1.0, 0.6, 0.2]).unwrap(), 3, 25),
-        ] {
-            let ctx = PayoffContext::new(&Exclusive, k).unwrap();
-            let sigma = sigma_star(&f, k).unwrap().strategy;
-            for pi in [Strategy::uniform(f.len()).unwrap(), Strategy::delta(f.len(), 0).unwrap()] {
-                let invaders = Mixture::new(vec![pi.clone()], vec![1.0]).unwrap();
-                let general = mixture_invasion_barrier(&ctx, &f, &sigma, &invaders, grid).unwrap();
-                let legacy = invasion_barrier(&ctx, &f, &sigma, &pi, grid).unwrap();
-                assert_eq!(general.to_bits(), legacy.to_bits());
-            }
-        }
-        let f = ValueProfile::new(vec![1.0, 0.4]).unwrap();
-        let ctx = PayoffContext::new(&Exclusive, 2).unwrap();
-        let s = Strategy::uniform(2).unwrap();
-        let inv = Mixture::new(vec![s.clone()], vec![1.0]).unwrap();
-        assert!(mixture_invasion_barrier(&ctx, &f, &s, &inv, 1).is_err());
-    }
-
-    /// Tentpole anchor 4: the exact PbTable transfer ledger reproduces
-    /// `LedgerEvaluator::ledger` bit for bit in the two-type case.
-    #[test]
-    fn degenerate_transfer_ledger_is_bit_identical_to_ledger_evaluator() {
-        use dispersal_core::ess::LedgerEvaluator;
-        for (f, k) in [
-            (ValueProfile::new(vec![1.0, 0.5]).unwrap(), 2usize),
-            (ValueProfile::zipf(6, 1.0, 1.0).unwrap(), 5),
-            (ValueProfile::geometric(8, 1.0, 0.6).unwrap(), 9),
-        ] {
-            let ctx = PayoffContext::new(&Sharing, k).unwrap();
-            let sigma = sigma_star(&f, k).unwrap().strategy;
-            let pi = Strategy::proportional(f.values()).unwrap();
-            let mix = Mixture::two(&sigma, &pi, 0.5).unwrap();
-            let evaluator = MixtureEvaluator::new(&ctx, &f, &mix).unwrap();
-            let general = evaluator.transfer_ledger(1).unwrap();
-            let legacy = LedgerEvaluator::new(&ctx, &f, &sigma).unwrap().ledger(&pi).unwrap();
-            assert_eq!(general.payoffs.len(), 2);
-            for (a, b) in general.payoffs[0].iter().zip(legacy.resident.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "resident ledger diverged (k={k})");
-            }
-            for (a, b) in general.payoffs[1].iter().zip(legacy.mutant.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "mutant ledger diverged (k={k})");
-            }
-            assert!(evaluator.transfer_ledger(0).is_err());
-            assert!(evaluator.transfer_ledger(2).is_err());
-        }
-    }
-
-    /// Tentpole anchor 5: the Monte-Carlo mixture path at M = 2 replays
-    /// the legacy resident + mutant trial stream bit for bit.
-    #[test]
-    fn degenerate_mixture_mc_is_bit_identical_to_run_invasion() {
-        let f = ValueProfile::new(vec![1.0, 0.6, 0.2]).unwrap();
-        let k = 3;
-        let sigma = sigma_star(&f, k).unwrap().strategy;
-        let pi = Strategy::uniform(3).unwrap();
-        let config = InvasionConfig { epsilon: 0.2, matches: 40_000, seed: 77, shards: 16 };
-        let legacy = run_invasion(&Exclusive, &f, &sigma, &pi, k, config).unwrap();
-        let mix = Mixture::two(&sigma, &pi, config.epsilon).unwrap();
-        let general = run_invasion_mixture(&Exclusive, &f, &mix, k, config).unwrap();
-        assert_eq!(general.type_payoffs.len(), 2);
-        assert_eq!(general.type_payoffs[0].mean.to_bits(), legacy.resident_payoff.mean.to_bits());
-        assert_eq!(general.type_payoffs[0].ci95.to_bits(), legacy.resident_payoff.ci95.to_bits());
-        assert_eq!(general.type_payoffs[1].mean.to_bits(), legacy.mutant_payoff.mean.to_bits());
-        assert_eq!(general.type_payoffs[1].ci95.to_bits(), legacy.mutant_payoff.ci95.to_bits());
-        assert_eq!(general.advantage(0, 1).to_bits(), legacy.advantage.to_bits());
-        assert_eq!(general.analytic_advantage(0, 1).to_bits(), legacy.analytic_advantage.to_bits());
     }
 
     /// A genuinely asymmetric three-type population: the exact evaluator,

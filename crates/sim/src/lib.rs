@@ -43,9 +43,8 @@ pub mod prelude {
     pub use crate::dynamics::{run_fictitious_play, run_logit, DynamicsConfig, DynamicsRun};
     pub use crate::engine::{self, Count, Experiment, Merge, ShardPlan, Sum};
     pub use crate::invasion::{
-        invasion_sweep, mixture_field_payoffs, mixture_invasion_barrier, mixture_type_advantage,
-        run_invasion, run_invasion_mixture, InvasionConfig, InvasionReport, Mixture,
-        MixtureEvaluator, MixtureInvasionReport, MixtureLedger,
+        invasion_sweep, run_invasion, run_invasion_mixture, InvasionConfig, InvasionReport,
+        MixtureInvasionReport,
     };
     pub use crate::montecarlo::{
         estimate_profile_coverage, estimate_symmetric, McConfig, McReport,

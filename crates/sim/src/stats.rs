@@ -1,6 +1,7 @@
 //! Streaming statistics: Welford accumulation, confidence intervals, and
 //! bootstrap resampling for simulation outputs.
 
+use dispersal_core::{Error, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -106,15 +107,21 @@ impl Estimate {
 /// Percentile-bootstrap confidence interval for the mean of `data`.
 ///
 /// Returns `(lo, hi)` at the given confidence `level ∈ (0, 1)` using
-/// `resamples` bootstrap replicates.
+/// `resamples ≥ 1` bootstrap replicates; empty data or an out-of-range
+/// argument is an [`Error::InvalidArgument`].
 pub fn bootstrap_mean_ci<R: Rng + ?Sized>(
     data: &[f64],
     resamples: usize,
     level: f64,
     rng: &mut R,
-) -> (f64, f64) {
-    assert!(!data.is_empty(), "bootstrap on empty data");
-    assert!((0.0..1.0).contains(&level) && level > 0.0);
+) -> Result<(f64, f64)> {
+    if data.is_empty() || resamples == 0 || !(level > 0.0 && level < 1.0) {
+        return Err(Error::InvalidArgument(format!(
+            "bootstrap needs data, resamples and a level in (0, 1), got {} points, \
+             {resamples} resamples, level {level}",
+            data.len()
+        )));
+    }
     let n = data.len();
     let mut means = Vec::with_capacity(resamples);
     for _ in 0..resamples {
@@ -130,7 +137,7 @@ pub fn bootstrap_mean_ci<R: Rng + ?Sized>(
     let alpha = (1.0 - level) / 2.0;
     let lo_idx = ((resamples as f64) * alpha).floor() as usize;
     let hi_idx = (((resamples as f64) * (1.0 - alpha)).ceil() as usize).min(resamples - 1);
-    (means[lo_idx], means[hi_idx])
+    Ok((means[lo_idx], means[hi_idx]))
 }
 
 #[cfg(test)]
@@ -216,15 +223,17 @@ mod tests {
     fn bootstrap_ci_contains_true_mean() {
         let mut rng = Seed(11).rng();
         let data: Vec<f64> = (0..500).map(|_| rand::Rng::gen::<f64>(&mut rng) * 2.0).collect();
-        let (lo, hi) = bootstrap_mean_ci(&data, 500, 0.95, &mut rng);
+        let (lo, hi) = bootstrap_mean_ci(&data, 500, 0.95, &mut rng).unwrap();
         assert!(lo < 1.0 && 1.0 < hi, "CI ({lo}, {hi}) should contain 1.0");
         assert!(lo < hi);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "got 0 points")]
     fn bootstrap_rejects_empty() {
         let mut rng = Seed(0).rng();
-        bootstrap_mean_ci(&[], 10, 0.95, &mut rng);
+        assert!(bootstrap_mean_ci(&[1.0], 0, 0.95, &mut rng).is_err());
+        assert!(bootstrap_mean_ci(&[1.0], 10, 1.0, &mut rng).is_err());
+        bootstrap_mean_ci(&[], 10, 0.95, &mut rng).unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //! registry rayon pins its global pool at first use, so an in-process
 //! sweep like this one would silently test a single pool size there.
 
-use dispersal_core::ess::{invasion_barrier, probe_ess_k};
+use dispersal_core::ess::{invasion_barrier, probe_ess_k, Mixture};
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::{Exclusive, Sharing};
 use dispersal_core::sigma_star::sigma_star;
@@ -103,14 +103,14 @@ fn ess_checker_and_barrier_bit_identical_across_thread_counts() {
     let k = 4;
     let star = sigma_star(&f, k).unwrap().strategy;
     let ctx = PayoffContext::new(&Exclusive, k).unwrap();
-    let pi = Strategy::uniform(6).unwrap();
+    let invaders = Mixture::new(vec![Strategy::uniform(6).unwrap()], vec![1.0]).unwrap();
     let mut probes = Vec::new();
     let mut barriers = Vec::new();
     for threads in [1usize, 8] {
         rayon::set_num_threads(threads);
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         probes.push(probe_ess_k(&Exclusive, &f, &star, 30, &mut rng, k).unwrap());
-        barriers.push(invasion_barrier(&ctx, &f, &star, &pi, 200).unwrap());
+        barriers.push(invasion_barrier(&ctx, &f, &star, &invaders, 200).unwrap());
     }
     rayon::set_num_threads(0);
     let (a, b) = (&probes[0], &probes[1]);
@@ -122,6 +122,50 @@ fn ess_checker_and_barrier_bit_identical_across_thread_counts() {
     assert_eq!(barriers[0].to_bits(), barriers[1].to_bits());
     assert!(a.passed(), "sigma* must pass its own probe: {:?}", a.invasions);
     assert!(barriers[0] > 0.0);
+}
+
+#[test]
+fn invasion_tournament_and_mixed_barrier_bit_identical_across_thread_counts() {
+    // `run_invasion` runs on the multi-type tournament, so that one
+    // sharded path carries every invasion estimate: a three-type
+    // tournament and a two-invader barrier must give identical bits at
+    // RAYON_NUM_THREADS ∈ {1, 8}.
+    use dispersal_sim::invasion::{run_invasion_mixture, InvasionConfig, MixtureInvasionReport};
+    let _guard = THREAD_SWEEP_LOCK.lock().unwrap();
+    let f = ValueProfile::new(vec![1.0, 0.7, 0.35, 0.1]).unwrap();
+    let k = 4;
+    let star = sigma_star(&f, k).unwrap().strategy;
+    let uniform = Strategy::uniform(4).unwrap();
+    let proportional = Strategy::proportional(f.values()).unwrap();
+    let population = Mixture::new(
+        vec![star.clone(), uniform.clone(), proportional.clone()],
+        vec![0.6, 0.25, 0.15],
+    )
+    .unwrap();
+    let invaders = Mixture::new(vec![uniform, proportional], vec![0.7, 0.3]).unwrap();
+    let ctx = PayoffContext::new(&Exclusive, k).unwrap();
+    let config = InvasionConfig { matches: 60_000, seed: 31, shards: 16, epsilon: 0.5 };
+    let mut reports: Vec<MixtureInvasionReport> = Vec::new();
+    let mut barriers = Vec::new();
+    for threads in [1usize, 8] {
+        rayon::set_num_threads(threads);
+        reports.push(run_invasion_mixture(&Exclusive, &f, &population, k, config).unwrap());
+        barriers.push(invasion_barrier(&ctx, &f, &star, &invaders, 200).unwrap());
+    }
+    rayon::set_num_threads(0);
+    let (a, b) = (&reports[0], &reports[1]);
+    assert_eq!(a.type_payoffs.len(), 3);
+    for (x, y) in a.type_payoffs.iter().zip(b.type_payoffs.iter()) {
+        assert_eq!(
+            (x.mean.to_bits(), x.ci95.to_bits(), x.n),
+            (y.mean.to_bits(), y.ci95.to_bits(), y.n)
+        );
+    }
+    for (x, y) in a.analytic_payoffs.iter().zip(b.analytic_payoffs.iter()) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+    assert_eq!(barriers[0].to_bits(), barriers[1].to_bits());
+    assert!(barriers[0] > 0.0, "sigma* must hold off a small mixed invasion");
 }
 
 #[test]

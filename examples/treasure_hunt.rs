@@ -37,7 +37,7 @@ fn main() -> Result<()> {
         "iterated sigma* (A* reconstruction)".into(),
         evaluate_plan(&mut iterated, &prior, drones, horizon)?.expected_rounds,
     ));
-    let mut uniform = UniformPlan::new(sectors);
+    let mut uniform = UniformPlan::new(sectors)?;
     results.push((
         "uniform dispatch".into(),
         evaluate_plan(&mut uniform, &prior, drones, horizon)?.expected_rounds,
@@ -47,7 +47,7 @@ fn main() -> Result<()> {
         "prior-matching dispatch".into(),
         evaluate_plan(&mut proportional, &prior, drones, horizon)?.expected_rounds,
     ));
-    let mut sweep = SweepPlan::new(sectors);
+    let mut sweep = SweepPlan::new(sectors)?;
     results.push((
         "single-file sweep (all drones together)".into(),
         evaluate_plan(&mut sweep, &prior, drones, horizon)?.expected_rounds,
