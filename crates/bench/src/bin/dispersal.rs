@@ -22,7 +22,7 @@
 use dispersal_bench::runner::parse_flags;
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::{parse_policy, parse_profile, standard_catalog};
-use dispersal_mech::evaluator::{catalog_response_matrix, evaluate_catalog};
+use dispersal_mech::evaluator::{catalog_response_matrix, evaluate_catalog, ResponseCache};
 use dispersal_serve::server::ServerConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -206,7 +206,7 @@ fn run() -> Result<()> {
                 }],
             };
             let resolution = 256;
-            let response = catalog_response_matrix(&catalog, k, resolution)?;
+            let response = catalog_response_matrix(&catalog, k, resolution, &ResponseCache::new())?;
             println!(
                 "{:<20} {:>10} {:>10} {:>10} {:>11}",
                 "policy", "g(0.25)", "g(0.5)", "g(0.75)", "tolerance"

@@ -16,6 +16,7 @@
 //! `results/large_k_grid.csv`.
 
 use dispersal_bench::runner::{experiment_main, RunContext};
+use dispersal_core::kernel::unit_grid;
 use dispersal_core::prelude::*;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -46,7 +47,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     // --- Part 2: near-exclusive g-curves converge to the exclusive one
     // as the power-law exponent grows, at k = 10^3 and 10^4. ---
     println!("LK: near-exclusive g-curve deviation from (1-q)^(k-1)");
-    let grid: Vec<f64> = (0..=2048).map(|i| i as f64 / 2048.0).collect();
+    let grid = unit_grid(2048)?;
     let mut csv = String::from("k,beta,tol,deviation,grid_cells\n");
     for (k, tol, final_bound) in [(1_000usize, 1e-6, 0.04), (10_000, 1e-3, 0.04)] {
         let n = (k - 1) as i32;

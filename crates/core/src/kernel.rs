@@ -50,8 +50,10 @@
 //! once per point, and finishes every policy with a blocked matrix–vector
 //! product — a GEMM, the exact shape a wgpu/CUDA backend consumes. Mixed
 //! player counts split into one `GBatch` per `k` (*k-tiles*). Like
-//! `GTable` it has a bit-identical reference mode ([`GBatch::eval_with`])
-//! and a fused throughput mode ([`GBatch::eval_fused_into`]).
+//! `GTable` it has a bit-identical reference mode
+//! ([`GBatch::eval_many_with`]) and a fused throughput mode
+//! ([`GBatch::eval_fused_many_into`]); both evaluate a whole q-grid,
+//! usually the uniform [`unit_grid`].
 //!
 //! ## The heterogeneous sibling: [`PbTable`]
 //!
@@ -83,6 +85,17 @@ use crate::numerics::{convolve_bernoulli, kahan_sum};
 use crate::policy::Congestion;
 use cache::{CacheStats, SharedCache};
 use std::sync::Arc;
+
+/// The uniform q-grid over `[0, 1]`: the `resolution + 1` points
+/// `i / resolution` for `i = 0..=resolution`, the grid every response
+/// curve, catalog scan and daemon tile is evaluated on. A zero
+/// resolution is [`Error::InvalidArgument`].
+pub fn unit_grid(resolution: usize) -> Result<Vec<f64>> {
+    if resolution == 0 {
+        return Err(Error::InvalidArgument("grid resolution must be >= 1".into()));
+    }
+    Ok((0..=resolution).map(|i| i as f64 / resolution as f64).collect())
+}
 
 /// Caller-owned scratch buffer for allocation-free kernel evaluation.
 ///
@@ -716,13 +729,13 @@ const GEMM_BLOCK: usize = crate::simd::GEMV_BLOCK;
 ///
 /// Two modes, mirroring [`GTable`]'s contract:
 ///
-/// * [`GBatch::eval_with`] / [`GBatch::eval_many_with`] — reference mode:
+/// * [`GBatch::eval_many_with`] — reference mode:
 ///   the shared column is the exact binomial PMF of [`GTable::eval_with`]
 ///   and each row is finished with the same Kahan dot, so every output is
 ///   **bit-identical** to the corresponding per-policy
 ///   [`GTable::eval_with`] (and therefore to the scalar
 ///   [`crate::payoff::PayoffContext::g`]).
-/// * [`GBatch::eval_fused_into`] / [`GBatch::eval_fused_many_into`] — the
+/// * [`GBatch::eval_fused_many_into`] / [`GBatch::eval_grid`] — the
 ///   GEMM fast path: the column is built with [`GTable::eval_fused`]'s
 ///   pre-divided factors and rows are finished with plain blocked dots.
 ///   Agrees with per-policy `eval_fused` to `O(k·ε)` (CI enforces
@@ -848,34 +861,6 @@ impl GBatch {
             crate::simd::fused_fill(basis, &self.up, &self.down, mode, b_mode, ratio, inv_ratio);
         }
         crate::simd::gemv_block4(&self.coeffs, self.k, self.rows, basis, out);
-    }
-
-    /// Reference mode at one point: `out[r] = g_{C_r}(q)` for every row,
-    /// each **bit-identical** to the per-policy [`GTable::eval_with`].
-    /// The shared binomial PMF is built once into `scratch`; each row is
-    /// finished with the reference Kahan dot. `out.len()` must equal
-    /// [`Self::rows`] ([`Error::LengthMismatch`] otherwise).
-    pub fn eval_with(&self, scratch: &mut GScratch, q: f64, out: &mut [f64]) -> Result<()> {
-        check_len("GBatch::eval_with", self.rows, out.len())?;
-        debug_assert!((-1e-12..=1.0 + 1e-12).contains(&q), "q out of range: {q}");
-        let q = q.clamp(0.0, 1.0);
-        let pmf = &mut scratch.pmf[..self.k];
-        fill_pmf(&self.ln_binom, q, pmf);
-        for (r, slot) in out.iter_mut().enumerate() {
-            let row = &self.coeffs[r * self.k..(r + 1) * self.k];
-            *slot = kahan_sum(pmf.iter().zip(row.iter()).map(|(p, c)| p * c));
-        }
-        Ok(())
-    }
-
-    /// Fused GEMM mode at one point: shared pre-divided basis column plus
-    /// a blocked matrix–vector product. Agrees with per-policy
-    /// [`GTable::eval_fused`] to `O(k·ε)` (≤ 1e-13 × [`Self::scale`],
-    /// proptested). `out.len()` must equal [`Self::rows`].
-    pub fn eval_fused_into(&self, scratch: &mut GScratch, q: f64, out: &mut [f64]) -> Result<()> {
-        check_len("GBatch::eval_fused_into", self.rows, out.len())?;
-        self.fused_point(scratch, q, out);
-        Ok(())
     }
 
     /// Reference-mode grid evaluation, **policy-major** output:
@@ -1197,10 +1182,6 @@ mod tests {
     use crate::policy::{Exclusive, PowerLaw, Sharing, TableCongestion, TwoLevel};
     use crate::value::ValueProfile;
 
-    fn grid_points(count: usize) -> Vec<f64> {
-        (0..=count).map(|i| i as f64 / count as f64).collect()
-    }
-
     #[test]
     fn eval_is_bit_identical_to_scalar_g() {
         for c in [
@@ -1213,7 +1194,7 @@ mod tests {
                 let ctx = PayoffContext::new(c, k).unwrap();
                 let table = GTable::new(c, k).unwrap();
                 let mut scratch = table.scratch();
-                for &q in grid_points(257).iter() {
+                for &q in unit_grid(257).unwrap().iter() {
                     let scalar = ctx.g(q).unwrap();
                     let fast = table.eval_with(&mut scratch, q);
                     assert_eq!(
@@ -1234,7 +1215,7 @@ mod tests {
                 let ctx = PayoffContext::new(c, k).unwrap();
                 let table = GTable::new(c, k).unwrap();
                 let mut scratch = table.scratch();
-                for &q in grid_points(101).iter() {
+                for &q in unit_grid(101).unwrap().iter() {
                     let a = ctx.g_prime(q);
                     let b = table.eval_prime_with(&mut scratch, q);
                     assert_eq!(a.to_bits(), b.to_bits(), "{} k={k} q={q}", c.name());
@@ -1255,7 +1236,7 @@ mod tests {
                 let table = GTable::new(c, k).unwrap();
                 let mut scratch = table.scratch();
                 let tol = 1e-13 * table.scale();
-                for &q in grid_points(257).iter() {
+                for &q in unit_grid(257).unwrap().iter() {
                     let reference = table.eval_with(&mut scratch, q);
                     let fused = table.eval_fused(q);
                     assert!(
@@ -1271,7 +1252,7 @@ mod tests {
     #[test]
     fn fused_many_matches_pointwise_and_checks_len() {
         let table = GTable::new(&Sharing, 24).unwrap();
-        let qs = grid_points(63);
+        let qs = unit_grid(63).unwrap();
         let mut out = vec![0.0; qs.len()];
         table.eval_fused_many_into(&qs, &mut out).unwrap();
         for (&q, &v) in qs.iter().zip(out.iter()) {
@@ -1283,7 +1264,7 @@ mod tests {
     fn many_entry_points_report_length_mismatch_as_typed_error() {
         let table = GTable::new(&Sharing, 8).unwrap();
         let mut scratch = table.scratch();
-        let qs = grid_points(10);
+        let qs = unit_grid(10).unwrap();
         let mut short = vec![0.0; qs.len() - 1];
         let expect_mismatch = |r: Result<()>| match r {
             Err(Error::LengthMismatch { expected, got, .. }) => {
@@ -1312,7 +1293,7 @@ mod tests {
     #[test]
     fn eval_many_matches_pointwise() {
         let table = GTable::new(&Sharing, 12).unwrap();
-        let qs = grid_points(99);
+        let qs = unit_grid(99).unwrap();
         let mut batch = vec![0.0; qs.len()];
         table.eval_many_with(&mut table.scratch(), &qs, &mut batch).unwrap();
         for (&q, &v) in qs.iter().zip(batch.iter()) {
@@ -1517,7 +1498,7 @@ mod tests {
         let policy = TableCongestion::new(vec![1.0, 0.5, 0.2, 0.2], "custom").unwrap();
         let ctx = PayoffContext::new(&policy, 4).unwrap();
         let table = GTable::new(&policy, 4).unwrap();
-        for &q in grid_points(50).iter() {
+        for &q in unit_grid(50).unwrap().iter() {
             assert_eq!(ctx.g(q).unwrap().to_bits(), table.eval(q).to_bits());
         }
     }
@@ -1536,21 +1517,20 @@ mod tests {
 
     #[test]
     fn gbatch_reference_mode_is_bit_identical_to_per_policy_tables() {
+        let qs = unit_grid(101).unwrap();
         for k in [1usize, 2, 5, 17, 64] {
             let policies = batch_policies();
             let batch = GBatch::new(&policies, k).unwrap();
             assert_eq!(batch.rows(), policies.len());
             assert_eq!(batch.k(), k);
-            let tables: Vec<GTable> =
-                policies.iter().map(|c| GTable::new(*c, k).unwrap()).collect();
-            let mut scratch = batch.scratch();
-            let mut out = vec![0.0; policies.len()];
-            for &q in grid_points(101).iter() {
-                batch.eval_with(&mut scratch, q, &mut out).unwrap();
-                for (r, table) in tables.iter().enumerate() {
-                    let mut ts = table.scratch();
+            let mut out = vec![0.0; policies.len() * qs.len()];
+            batch.eval_many_with(&mut batch.scratch(), &qs, &mut out).unwrap();
+            for (r, c) in policies.iter().enumerate() {
+                let table = GTable::new(*c, k).unwrap();
+                let mut ts = table.scratch();
+                for (i, &q) in qs.iter().enumerate() {
                     assert_eq!(
-                        out[r].to_bits(),
+                        out[r * qs.len() + i].to_bits(),
                         table.eval_with(&mut ts, q).to_bits(),
                         "row {r} k={k} q={q}"
                     );
@@ -1561,22 +1541,19 @@ mod tests {
 
     #[test]
     fn gbatch_fused_matches_per_policy_eval_fused_to_contract() {
+        let qs = unit_grid(257).unwrap();
         for k in [1usize, 2, 17, 64, 256] {
             let policies = batch_policies();
             let batch = GBatch::new(&policies, k).unwrap();
-            let tables: Vec<GTable> =
-                policies.iter().map(|c| GTable::new(*c, k).unwrap()).collect();
-            let mut scratch = batch.scratch();
-            let mut out = vec![0.0; policies.len()];
+            let out = batch.eval_grid(&qs);
             let tol = 1e-13 * batch.scale();
-            for &q in grid_points(257).iter() {
-                batch.eval_fused_into(&mut scratch, q, &mut out).unwrap();
-                for (r, table) in tables.iter().enumerate() {
-                    let reference = table.eval_fused(q);
+            for (r, c) in policies.iter().enumerate() {
+                let table = GTable::new(*c, k).unwrap();
+                for (i, &q) in qs.iter().enumerate() {
+                    let (fused, reference) = (out[r * qs.len() + i], table.eval_fused(q));
                     assert!(
-                        (out[r] - reference).abs() <= tol,
-                        "row {r} k={k} q={q}: {} vs {reference}",
-                        out[r]
+                        (fused - reference).abs() <= tol,
+                        "row {r} k={k} q={q}: {fused} vs {reference}"
                     );
                 }
             }
@@ -1587,25 +1564,22 @@ mod tests {
     fn gbatch_grid_is_policy_major_and_matches_pointwise() {
         let policies = batch_policies();
         let batch = GBatch::new(&policies, 24).unwrap();
-        let qs = grid_points(63);
+        let qs = unit_grid(63).unwrap();
         let mut scratch = batch.scratch();
-        // Reference grid: every cell bit-identical to the single-point call.
+        // Each mode's grid is bit-identical, cell by cell, to the same mode
+        // run on a one-point grid.
         let mut ref_grid = vec![0.0; batch.rows() * qs.len()];
         batch.eval_many_with(&mut scratch, &qs, &mut ref_grid).unwrap();
-        let mut point = vec![0.0; batch.rows()];
-        for (i, &q) in qs.iter().enumerate() {
-            batch.eval_with(&mut scratch, q, &mut point).unwrap();
-            for r in 0..batch.rows() {
-                assert_eq!(ref_grid[r * qs.len() + i].to_bits(), point[r].to_bits());
-            }
-        }
-        // Fused grid (and the allocating convenience) match the fused point
-        // path bitwise.
         let mut fused_grid = vec![0.0; batch.rows() * qs.len()];
         batch.eval_fused_many_into(&mut scratch, &qs, &mut fused_grid).unwrap();
         assert_eq!(batch.eval_grid(&qs), fused_grid);
+        let mut point = vec![0.0; batch.rows()];
         for (i, &q) in qs.iter().enumerate() {
-            batch.eval_fused_into(&mut scratch, q, &mut point).unwrap();
+            batch.eval_many_with(&mut scratch, &[q], &mut point).unwrap();
+            for r in 0..batch.rows() {
+                assert_eq!(ref_grid[r * qs.len() + i].to_bits(), point[r].to_bits());
+            }
+            batch.eval_fused_many_into(&mut scratch, &[q], &mut point).unwrap();
             for r in 0..batch.rows() {
                 assert_eq!(fused_grid[r * qs.len() + i].to_bits(), point[r].to_bits());
             }
@@ -1615,12 +1589,11 @@ mod tests {
     #[test]
     fn gbatch_single_player_is_constant() {
         let batch = GBatch::new(&batch_policies(), 1).unwrap();
-        let mut scratch = batch.scratch();
-        let mut out = vec![0.0; batch.rows()];
-        for &q in &[0.0, 0.4, 1.0] {
-            batch.eval_fused_into(&mut scratch, q, &mut out).unwrap();
-            for (r, &v) in out.iter().enumerate() {
-                assert_eq!(v, batch.row_coefficients(r).unwrap()[0], "row {r}");
+        let qs = [0.0, 0.4, 1.0];
+        let out = batch.eval_grid(&qs);
+        for r in 0..batch.rows() {
+            for i in 0..qs.len() {
+                assert_eq!(out[r * qs.len() + i], batch.row_coefficients(r).unwrap()[0], "row {r}");
             }
         }
     }
@@ -1644,14 +1617,6 @@ mod tests {
         // Output-length mismatches are typed errors on every entry point.
         let mut scratch = batch.scratch();
         let mut short = vec![0.0; 1];
-        assert!(matches!(
-            batch.eval_with(&mut scratch, 0.5, &mut short),
-            Err(Error::LengthMismatch { expected: 2, got: 1, .. })
-        ));
-        assert!(matches!(
-            batch.eval_fused_into(&mut scratch, 0.5, &mut short),
-            Err(Error::LengthMismatch { .. })
-        ));
         let qs = [0.25, 0.75];
         assert!(matches!(
             batch.eval_many_with(&mut scratch, &qs, &mut short),
@@ -1661,6 +1626,13 @@ mod tests {
             batch.eval_fused_many_into(&mut scratch, &qs, &mut short),
             Err(Error::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn unit_grid_is_uniform_and_rejects_zero_resolution() {
+        assert_eq!(unit_grid(1).unwrap(), vec![0.0, 1.0]);
+        assert_eq!(unit_grid(4).unwrap(), vec![0.0, 0.25, 0.5, 0.75, 1.0]);
+        assert!(matches!(unit_grid(0), Err(Error::InvalidArgument(_))));
     }
 
     #[test]

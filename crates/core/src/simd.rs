@@ -12,13 +12,11 @@
 //!
 //! [`active_lane`] decides once per process, in order:
 //!
-//! 1. the `force-scalar` cargo feature, if compiled in, pins
-//!    [`Lane::Scalar`];
-//! 2. the `DISPERSAL_FORCE_SCALAR=1` environment variable (read once)
+//! 1. the `DISPERSAL_FORCE_SCALAR=1` environment variable (read once)
 //!    pins [`Lane::Scalar`] — the debugging/CI switch;
-//! 3. `is_x86_feature_detected!("avx2") && ("fma")` picks
+//! 2. `is_x86_feature_detected!("avx2") && ("fma")` picks
 //!    [`Lane::Avx2`];
-//! 4. anything else (non-x86-64 targets, Miri, older CPUs) runs
+//! 3. anything else (non-x86-64 targets, Miri, older CPUs) runs
 //!    [`Lane::Scalar`].
 //!
 //! ## Numerical contracts
@@ -67,12 +65,9 @@ impl Lane {
     }
 }
 
-/// Whether the `DISPERSAL_FORCE_SCALAR` environment variable (or the
-/// `force-scalar` cargo feature) pins the scalar lane. Read once.
+/// Whether the `DISPERSAL_FORCE_SCALAR` environment variable pins the
+/// scalar lane. Read once.
 pub fn force_scalar() -> bool {
-    if cfg!(feature = "force-scalar") {
-        return true;
-    }
     static FORCE: OnceLock<bool> = OnceLock::new();
     *FORCE.get_or_init(|| {
         std::env::var("DISPERSAL_FORCE_SCALAR")

@@ -82,29 +82,23 @@ fn gbatch_reference_is_bit_identical_and_gemm_within_contract_at_k256() {
     // the per-policy kernel: reference mode bitwise against GTable's exact
     // path, fused GEMM within 1e-13 of per-policy eval_fused.
     let batch = GBatch::new(&policies(), K).unwrap();
-    let tables: Vec<GTable> = policies().iter().map(|c| GTable::new(*c, K).unwrap()).collect();
-    let mut scratch = batch.scratch();
-    let mut reference = vec![0.0; batch.rows()];
-    let mut gemm = vec![0.0; batch.rows()];
+    let qs = dense_grid();
+    let mut reference = vec![0.0; batch.rows() * qs.len()];
+    batch.eval_many_with(&mut batch.scratch(), &qs, &mut reference).unwrap();
+    let gemm = batch.eval_grid(&qs);
     let tol = 1e-13 * batch.scale();
-    for &q in dense_grid().iter() {
-        batch.eval_with(&mut scratch, q, &mut reference).unwrap();
-        batch.eval_fused_into(&mut scratch, q, &mut gemm).unwrap();
-        for (r, table) in tables.iter().enumerate() {
-            let mut ts = table.scratch();
-            let exact = table.eval_with(&mut ts, q);
+    for (r, c) in policies().iter().enumerate() {
+        let table = GTable::new(*c, K).unwrap();
+        let mut ts = table.scratch();
+        for (i, &q) in qs.iter().enumerate() {
+            let (got, exact) = (reference[r * qs.len() + i], table.eval_with(&mut ts, q));
             assert_eq!(
-                reference[r].to_bits(),
+                got.to_bits(),
                 exact.to_bits(),
-                "row {r} q={q}: batch {} vs exact {exact}",
-                reference[r]
+                "row {r} q={q}: batch {got} vs exact {exact}"
             );
-            let fused = table.eval_fused(q);
-            assert!(
-                (gemm[r] - fused).abs() <= tol,
-                "row {r} q={q}: gemm {} vs fused {fused}",
-                gemm[r]
-            );
+            let (got, fused) = (gemm[r * qs.len() + i], table.eval_fused(q));
+            assert!((got - fused).abs() <= tol, "row {r} q={q}: gemm {got} vs fused {fused}");
         }
     }
 }

@@ -218,26 +218,25 @@ proptest! {
         let tables: Vec<GTable> =
             rows.iter().map(|r| GTable::from_coefficients(r.clone()).unwrap()).collect();
         let batch = GBatch::from_rows(rows).unwrap();
-        let mut scratch = batch.scratch();
-        let mut ref_out = vec![0.0; batch.rows()];
-        let mut fused_out = vec![0.0; batch.rows()];
+        let mut ref_out = vec![0.0; batch.rows() * qs.len()];
+        batch.eval_many_with(&mut batch.scratch(), &qs, &mut ref_out).unwrap();
+        let fused_out = batch.eval_grid(&qs);
         let tol = 1e-13 * batch.scale();
-        for &q in &qs {
-            batch.eval_with(&mut scratch, q, &mut ref_out).unwrap();
-            batch.eval_fused_into(&mut scratch, q, &mut fused_out).unwrap();
-            for (r, table) in tables.iter().enumerate() {
-                let mut ts = table.scratch();
+        for (r, table) in tables.iter().enumerate() {
+            let mut ts = table.scratch();
+            for (i, &q) in qs.iter().enumerate() {
+                let cell = r * qs.len() + i;
                 // Reference mode is bit-identical to the per-policy path.
                 let exact = table.eval_with(&mut ts, q);
                 prop_assert_eq!(
-                    ref_out[r].to_bits(), exact.to_bits(),
-                    "row {} q = {}: batch {} vs table {}", r, q, ref_out[r], exact
+                    ref_out[cell].to_bits(), exact.to_bits(),
+                    "row {} q = {}: batch {} vs table {}", r, q, ref_out[cell], exact
                 );
                 // The GEMM path honors the per-policy fused contract.
                 let fused = table.eval_fused(q);
                 prop_assert!(
-                    (fused_out[r] - fused).abs() <= tol,
-                    "row {} q = {}: gemm {} vs fused {}", r, q, fused_out[r], fused
+                    (fused_out[cell] - fused).abs() <= tol,
+                    "row {} q = {}: gemm {} vs fused {}", r, q, fused_out[cell], fused
                 );
             }
         }

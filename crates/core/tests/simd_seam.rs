@@ -8,7 +8,7 @@
 //!   references.
 //! * **Bitwise paths** (`convolve_step`, and every *reference*
 //!   evaluator): bit-for-bit equality. The reference paths
-//!   (`GTable::eval_with`, `GBatch::eval_with`, `PbTable`) never
+//!   (`GTable::eval_with`, `GBatch::eval_many_with`, `PbTable`) never
 //!   dispatch through SIMD, so their bits must be unchanged no matter
 //!   which lane the process picked.
 //!
@@ -143,10 +143,10 @@ proptest! {
     }
 
     /// Reference (non-fused) evaluators are untouched by the SIMD
-    /// rewrite: `GBatch::eval_with` stays bit-identical to the
+    /// rewrite: `GBatch::eval_many_with` stays bit-identical to the
     /// per-policy `GTable::eval_with` under whichever lane this process
     /// dispatched (CI runs this test on both lanes via the
-    /// force-scalar leg).
+    /// `DISPERSAL_FORCE_SCALAR=1` leg).
     #[test]
     fn reference_paths_are_bitwise_unchanged(
         q in 0.0f64..=1.0,
@@ -158,9 +158,8 @@ proptest! {
         }
         let batch = GBatch::from_rows(vec![row.clone()]).expect("batch");
         let table = GTable::from_coefficients(row).expect("table");
-        let mut scratch = batch.scratch();
         let mut out = vec![0.0f64; 1];
-        batch.eval_with(&mut scratch, q, &mut out).expect("eval");
+        batch.eval_many_with(&mut batch.scratch(), &[q], &mut out).expect("eval");
         let reference = table.eval_with(&mut table.scratch(), q);
         prop_assert_eq!(out[0].to_bits(), reference.to_bits());
     }

@@ -126,9 +126,14 @@ mod tests {
     }
 }
 
+/// Largest integer a profile spec may carry: the site count `M` (and
+/// `slow-decay`'s `k`). A spec string cannot request a larger profile.
+pub const MAX_PROFILE_SITES: usize = 1_000_000;
+
 /// Parse a value-profile spec string:
 /// `zipf:<M>:<s> | geometric:<M>:<rho> | linear:<M>:<hi>:<lo> |
 /// uniform:<M>:<v> | slow-decay:<M>:<k> | values:<v1>,<v2>,…`.
+/// Integers above [`MAX_PROFILE_SITES`] are refused.
 pub fn parse_profile(spec: &str) -> Result<dispersal_core::value::ValueProfile> {
     use dispersal_core::value::ValueProfile;
     let mut parts = spec.split(':');
@@ -144,8 +149,15 @@ pub fn parse_profile(spec: &str) -> Result<dispersal_core::value::ValueProfile> 
         Ok(value)
     };
     let int = |s: &str| -> Result<usize> {
-        s.parse::<usize>()
-            .map_err(|e| Error::InvalidArgument(format!("bad integer '{s}' in profile spec: {e}")))
+        let value = s.parse::<usize>().map_err(|e| {
+            Error::InvalidArgument(format!("bad integer '{s}' in profile spec: {e}"))
+        })?;
+        if value > MAX_PROFILE_SITES {
+            return Err(Error::InvalidArgument(format!(
+                "integer {value} in profile spec exceeds the limit {MAX_PROFILE_SITES}"
+            )));
+        }
+        Ok(value)
     };
     let need = |n: usize| -> Result<()> {
         if rest.len() != n {
@@ -208,6 +220,9 @@ mod profile_spec_tests {
         assert!(parse_profile("martian:3:1").is_err());
         assert!(parse_profile("values:1.0,-2.0").is_err());
         assert!(parse_profile("linear:3:0.2:0.9").is_err());
+        let err = parse_profile("zipf:18446744073709551615:1.0").unwrap_err().to_string();
+        assert!(err.contains("1000000"), "site limit not named: {err}");
+        assert!(parse_profile("uniform:1000001:1.0").is_err());
     }
 
     #[test]

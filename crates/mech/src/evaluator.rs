@@ -8,14 +8,13 @@ use dispersal_core::coverage::coverage;
 use dispersal_core::ess::probe_ess_k;
 use dispersal_core::ifd::solve_ifd_allow_degenerate;
 use dispersal_core::kernel::cache::{CacheStats, SharedCache};
-use dispersal_core::kernel::GBatch;
+use dispersal_core::kernel::{unit_grid, GBatch};
 use dispersal_core::optimal::optimal_coverage;
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::{validate_congestion, Congestion};
 use dispersal_core::value::ValueProfile;
 use dispersal_core::welfare::welfare_optimum;
 use dispersal_core::{Error, Result};
-use dispersal_sim::sweep::ResponseRequest;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -125,72 +124,25 @@ impl CatalogResponse {
     }
 }
 
-/// Evaluate every mechanism of `catalog` over one shared `q`-grid via the
-/// unified [`ResponseRequest`] API in forced fused mode — each catalog
-/// mechanism is one row of the policy-major coefficient matrix, the
-/// per-point Bernstein column is computed once for the whole catalog,
-/// and a blocked GEMM finishes all rows (fused path: ≤ 1e-13 × the
-/// coefficient scale from the per-policy exact tables). The summary
-/// [`CatalogResponse::tolerance_score`] ranks mechanisms by how
+/// Evaluate every mechanism of `catalog` over the shared uniform `q`-grid
+/// ([`unit_grid`]) as one fused-GEMM tile: each catalog mechanism is one
+/// row of the policy-major coefficient matrix, the per-point Bernstein
+/// column is computed once for the whole catalog, and a blocked GEMM
+/// finishes all rows ([`GBatch::eval_grid`]; ≤ 1e-13 × the coefficient
+/// scale from the per-policy exact tables). The tile is pulled from (or
+/// built into) `cache`, so repeated scans of one catalog at one `k` pay
+/// the tile construction once; the key is the full coefficient
+/// fingerprint, so a warm and a fresh cache give the same bits. The
+/// summary [`CatalogResponse::tolerance_score`] ranks mechanisms by how
 /// gracefully their reward degrades with congestion.
 pub fn catalog_response_matrix(
     catalog: &[NamedPolicy],
     k: usize,
     resolution: usize,
-) -> Result<CatalogResponse> {
-    check_catalog_request(catalog, resolution)?;
-    let refs: Vec<&dyn Congestion> = catalog.iter().map(|n| n.policy.as_ref()).collect();
-    let curves =
-        ResponseRequest::policies(&refs).ks(&[k]).resolution(resolution).fused().evaluate()?;
-    let qs: Vec<f64> = (0..=resolution).map(|i| i as f64 / resolution as f64).collect();
-    let mut g = Vec::with_capacity(catalog.len() * qs.len());
-    for curve in &curves {
-        g.extend_from_slice(&curve.g);
-    }
-    score_catalog_response(catalog, k, resolution, qs, g)
-}
-
-/// [`catalog_response_matrix`] through a warm [`ResponseCache`]: the
-/// policy-major coefficient tile is pulled from (or built into) `cache`,
-/// so repeated scans of the same catalog at the same `k` — resolution
-/// scans, repeated daemon requests, per-instance report loops — pay the
-/// per-row validation and tile construction once. Bit-identical to the
-/// uncached entry point: the cache key is the full coefficient
-/// fingerprint, and scoring runs the same fused grid path.
-pub fn catalog_response_matrix_cached(
-    catalog: &[NamedPolicy],
-    k: usize,
-    resolution: usize,
     cache: &ResponseCache,
 ) -> Result<CatalogResponse> {
-    check_catalog_request(catalog, resolution)?;
-    let batch = cache.batch(catalog, k)?;
-    let qs: Vec<f64> = (0..=resolution).map(|i| i as f64 / resolution as f64).collect();
-    let g = batch.eval_grid(&qs);
-    score_catalog_response(catalog, k, resolution, qs, g)
-}
-
-/// Shared argument validation for the catalog-response entry points.
-fn check_catalog_request(catalog: &[NamedPolicy], resolution: usize) -> Result<()> {
-    if catalog.is_empty() {
-        return Err(Error::InvalidArgument("catalog response needs at least one mechanism".into()));
-    }
-    if resolution == 0 {
-        return Err(Error::InvalidArgument("catalog response resolution must be >= 1".into()));
-    }
-    Ok(())
-}
-
-/// Trapezoid scoring over an already-evaluated policy-major matrix. Both
-/// entry points land here with the same fused-path bits, so cached and
-/// uncached scans stay bit-identical.
-fn score_catalog_response(
-    catalog: &[NamedPolicy],
-    k: usize,
-    resolution: usize,
-    qs: Vec<f64>,
-    g: Vec<f64>,
-) -> Result<CatalogResponse> {
+    let qs = unit_grid(resolution)?;
+    let g = cache.batch(catalog, k)?.eval_grid(&qs);
     let h = 1.0 / resolution as f64;
     let tolerance_score = (0..catalog.len())
         .map(|r| {
@@ -300,7 +252,7 @@ mod tests {
     fn catalog_response_matrix_matches_per_policy_scalar_path() {
         let catalog = crate::catalog::standard_catalog();
         let k = 8;
-        let response = catalog_response_matrix(&catalog, k, 128).unwrap();
+        let response = catalog_response_matrix(&catalog, k, 128, &ResponseCache::new()).unwrap();
         assert_eq!(response.names.len(), catalog.len());
         assert_eq!(response.qs.len(), 129);
         assert_eq!(response.g.len(), catalog.len() * 129);
@@ -321,7 +273,7 @@ mod tests {
     #[test]
     fn tolerance_score_ranks_constant_top_and_exclusive_bottom() {
         let catalog = crate::catalog::standard_catalog();
-        let response = catalog_response_matrix(&catalog, 6, 256).unwrap();
+        let response = catalog_response_matrix(&catalog, 6, 256, &ResponseCache::new()).unwrap();
         let score = |name: &str| {
             let r = response.names.iter().position(|n| n == name).unwrap();
             response.tolerance_score[r]
@@ -337,38 +289,45 @@ mod tests {
         assert!(score("exclusive") < score("sharing"));
         assert!(score("sharing") < score("constant"));
         // Degenerate inputs are typed errors.
-        assert!(catalog_response_matrix(&[], 6, 32).is_err());
-        assert!(catalog_response_matrix(&catalog, 6, 0).is_err());
-        assert!(catalog_response_matrix(&catalog, 0, 32).is_err());
+        let cache = ResponseCache::new();
+        assert!(catalog_response_matrix(&[], 6, 32, &cache).is_err());
+        assert!(catalog_response_matrix(&catalog, 6, 0, &cache).is_err());
+        assert!(catalog_response_matrix(&catalog, 0, 32, &cache).is_err());
     }
 
     #[test]
     fn cached_catalog_response_is_bit_identical_and_warm() {
         let catalog = crate::catalog::standard_catalog();
         let cache = ResponseCache::new();
-        let direct = catalog_response_matrix(&catalog, 8, 64).unwrap();
-        let cached = catalog_response_matrix_cached(&catalog, 8, 64, &cache).unwrap();
+        let cold = catalog_response_matrix(&catalog, 8, 64, &ResponseCache::new()).unwrap();
+        let first = catalog_response_matrix(&catalog, 8, 64, &cache).unwrap();
         assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
-        for (a, b) in direct.g.iter().zip(cached.g.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "cached tile changed response bits");
-        }
-        for (a, b) in direct.tolerance_score.iter().zip(cached.tolerance_score.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
         // Repeat scans — any resolution — reuse the warm tile; a new k
         // builds a second one.
-        let again = catalog_response_matrix_cached(&catalog, 8, 256, &cache).unwrap();
+        let warm = catalog_response_matrix(&catalog, 8, 64, &cache).unwrap();
         assert_eq!(cache.stats().misses, 1, "repeat scan must hit the warm tile");
         assert_eq!(cache.stats().hits, 1);
+        for scan in [&first, &warm] {
+            for (a, b) in cold.g.iter().zip(scan.g.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "cached tile changed response bits");
+            }
+            for (a, b) in cold.tolerance_score.iter().zip(scan.tolerance_score.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        let again = catalog_response_matrix(&catalog, 8, 256, &cache).unwrap();
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 2));
         assert_eq!(again.qs.len(), 257);
-        catalog_response_matrix_cached(&catalog, 12, 64, &cache).unwrap();
+        catalog_response_matrix(&catalog, 12, 64, &cache).unwrap();
         assert_eq!((cache.stats().misses, cache.stats().entries), (2, 2));
-        // Degenerate inputs stay typed errors through the cached path.
-        assert!(catalog_response_matrix_cached(&[], 8, 64, &cache).is_err());
-        assert!(catalog_response_matrix_cached(&catalog, 8, 0, &cache).is_err());
-        assert!(catalog_response_matrix_cached(&catalog, 0, 64, &cache).is_err());
+        // Degenerate inputs stay typed errors through a warm cache, and a
+        // bad resolution is refused before the cache is consulted.
+        assert!(catalog_response_matrix(&[], 8, 64, &cache).is_err());
+        assert!(catalog_response_matrix(&catalog, 8, 0, &cache).is_err());
+        assert!(catalog_response_matrix(&catalog, 0, 64, &cache).is_err());
+        assert_eq!((cache.stats().misses, cache.stats().hits), (2, 2));
         let line = format!("{}", cache.stats());
-        assert!(line.contains("hits 1"), "{line}");
+        assert!(line.contains("hits 2"), "{line}");
     }
 
     #[test]

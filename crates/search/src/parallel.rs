@@ -27,7 +27,7 @@
 //! `RAYON_NUM_THREADS`, including 1 and 8.
 
 use crate::mech_space::{root_boxes, MechPoint, ParamBox};
-use dispersal_core::kernel::GBatch;
+use dispersal_core::kernel::{unit_grid, GBatch};
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use dispersal_mech::scoring::{score_table, MechScore};
@@ -259,7 +259,7 @@ fn evaluate_boxes(
     let tables: Result<Vec<Vec<f64>>> = points.iter().map(|p| p.table(cfg.k)).collect();
     let batch = GBatch::from_rows(tables?)?;
     // The batched response tile: one fused pass over all children.
-    let qs: Vec<f64> = (0..=RESPONSE_GRID).map(|i| i as f64 / RESPONSE_GRID as f64).collect();
+    let qs = unit_grid(RESPONSE_GRID)?;
     let grid = batch.eval_grid(&qs);
     let parent_id = parent.unwrap_or(usize::MAX);
     let mut out = Vec::with_capacity(boxes.len());

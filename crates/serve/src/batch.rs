@@ -1,6 +1,5 @@
 //! Admission batching: coalesce concurrent response requests that share
-//! `(k, tol, resolution)` into one policy-major
-//! [`GBatch`](dispersal_core::kernel::GBatch) tile.
+//! `(k, tol, resolution)` into one kernel tile.
 //!
 //! This is the daemon's key scaling move (the worker/batch-capacity
 //! pattern of holmes' `ParallelMonteCarloSearchServer`): N requests that
@@ -10,21 +9,27 @@
 //! instead of once per request — and the results are demultiplexed back
 //! to their requesters row by row.
 //!
-//! Determinism: exact groups run
-//! [`GBatch::eval_many_with`](dispersal_core::kernel::GBatch::eval_many_with),
-//! whose output is **bit-identical per row** to the per-policy
-//! [`GTable`](dispersal_core::kernel::GTable) reference
-//! path *regardless of batch composition* — so whether a request was
-//! answered alone, grouped with 3 strangers, or grouped with 63, its
-//! curve bits are the same, and equal to a direct reference-mode
-//! `sweep::ResponseRequest` library call. Interpolated groups share warm
-//! [`SharedGridCache`] grids, which likewise changes only who builds a
-//! grid, never its values.
+//! The two tile functions are the daemon's whole response path. Each is
+//! a direct kernel call over the group's [`unit_grid`], with the tile
+//! build (a `GBatch`, or cache lookups) and the kernel evaluation next to
+//! each other in one function body:
+//!
+//! * [`eval_exact_tile`] — one policy-major [`GBatch`] in reference mode
+//!   ([`GBatch::eval_many_with`]). Every row is **bit-identical** to the
+//!   per-policy [`GTable`](dispersal_core::kernel::GTable) reference
+//!   path, and so to the scalar `PayoffContext::g`, *regardless of batch
+//!   composition*: a request answered alone, grouped with 3 strangers,
+//!   or grouped with 63 gets the same curve bits.
+//! * [`eval_interp_tile`] — each policy's `O(1)`-per-point grid from the
+//!   shared [`SharedGridCache`] ([`SharedGridCache::table`] +
+//!   `GTable::eval_fast_many_with`), fanned out on the pool. A warm
+//!   cache changes only who builds a grid, never its values.
 
-use dispersal_core::kernel::GridSpec;
-use dispersal_core::policy::Congestion;
-use dispersal_core::Result;
-use dispersal_sim::sweep::{ResponseRequest, SharedGridCache};
+use dispersal_core::kernel::{unit_grid, GBatch, GridSpec};
+use dispersal_core::policy::{validate_congestion, Congestion};
+use dispersal_core::{Error, Result};
+use dispersal_sim::engine;
+use dispersal_sim::sweep::SharedGridCache;
 use std::collections::BTreeMap;
 
 /// One response request, reduced to its batching-relevant shape.
@@ -67,15 +72,9 @@ pub fn plan_groups(jobs: &[ResponseJob]) -> Vec<Group> {
         .collect()
 }
 
-/// The shared uniform evaluation grid for a group.
-pub fn group_qs(resolution: usize) -> Vec<f64> {
-    (0..=resolution).map(|i| i as f64 / resolution as f64).collect()
-}
-
-/// Evaluate an **exact** group as one reference-mode tile through the
-/// unified [`ResponseRequest`] API (`.reference()` forces the per-row
-/// `GBatch::eval_many_with` path). Returns each policy's curve in input
-/// order; every curve is bit-identical to a stand-alone
+/// Evaluate an **exact** group as one reference-mode [`GBatch`] tile
+/// over the `resolution`-step [`unit_grid`]. Returns each policy's curve
+/// in input order; every curve is bit-identical to a stand-alone
 /// `GTable::eval_with` walk of the same points, whatever the group
 /// composition.
 pub fn eval_exact_tile(
@@ -83,18 +82,18 @@ pub fn eval_exact_tile(
     k: usize,
     resolution: usize,
 ) -> Result<Vec<Vec<f64>>> {
-    let curves = ResponseRequest::policies(policies)
-        .ks(&[k])
-        .resolution(resolution)
-        .reference()
-        .evaluate()?;
-    Ok(curves.into_iter().map(|curve| curve.g).collect())
+    let qs = unit_grid(resolution)?;
+    let batch = GBatch::new(policies, k)?;
+    let mut g = vec![0.0; batch.rows() * qs.len()];
+    batch.eval_many_with(&mut batch.scratch(), &qs, &mut g)?;
+    Ok(g.chunks(qs.len()).map(<[f64]>::to_vec).collect())
 }
 
-/// Evaluate an **interpolated** group through the unified
-/// [`ResponseRequest`] API against the shared grid cache: each policy's
-/// `O(1)`-per-point grid is pulled from (or built into) `cache`, so a
-/// warm daemon answers the whole group without a single refinement pass.
+/// Evaluate an **interpolated** group against the shared grid cache:
+/// each policy's `O(1)`-per-point grid is pulled from (or built into)
+/// `cache`, one pool task per policy, so a warm daemon answers the whole
+/// group without a single refinement pass. Every policy and the
+/// tolerance are validated before any task runs.
 pub fn eval_interp_tile(
     policies: &[&dyn Congestion],
     k: usize,
@@ -102,19 +101,27 @@ pub fn eval_interp_tile(
     tol: f64,
     cache: &SharedGridCache,
 ) -> Result<Vec<Vec<f64>>> {
-    let curves = ResponseRequest::policies(policies)
-        .ks(&[k])
-        .resolution(resolution)
-        .grid(GridSpec::Interpolated { tol })
-        .cache(cache)
-        .evaluate()?;
-    Ok(curves.into_iter().map(|curve| curve.g).collect())
+    if policies.is_empty() {
+        return Err(Error::InvalidArgument("response tile needs at least one policy".into()));
+    }
+    let qs = unit_grid(resolution)?;
+    for c in policies {
+        validate_congestion(*c, k)?;
+    }
+    GridSpec::Interpolated { tol }.validate()?;
+    engine::par_map(policies.to_vec(), |c| {
+        let table = cache.table(c, k, tol)?;
+        let mut g = vec![0.0; qs.len()];
+        table.eval_fast_many_with(&mut table.scratch(), &qs, &mut g)?;
+        Ok(g)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dispersal_core::policy::{PowerLaw, Sharing, TwoLevel};
+    use dispersal_core::payoff::PayoffContext;
+    use dispersal_core::policy::{Exclusive, PowerLaw, Sharing, TwoLevel};
 
     #[test]
     fn grouping_is_deterministic_and_shape_keyed() {
@@ -148,6 +155,59 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged under batching");
             }
         }
+    }
+
+    #[test]
+    fn exact_tile_matches_scalar_reference() {
+        let qs = unit_grid(64).unwrap();
+        for k in [2usize, 8, 33] {
+            let g = eval_exact_tile(&[&Sharing], k, 64).unwrap();
+            assert_eq!(g[0].len(), qs.len());
+            let ctx = PayoffContext::new(&Sharing, k).unwrap();
+            for (&q, &v) in qs.iter().zip(g[0].iter()) {
+                assert_eq!(v.to_bits(), ctx.g(q).unwrap().to_bits(), "k = {k} q = {q}");
+            }
+        }
+        // A zero player count, a zero resolution and an empty group are
+        // typed errors.
+        assert!(eval_exact_tile(&[&Sharing], 0, 10).is_err());
+        assert!(eval_exact_tile(&[&Sharing], 2, 0).is_err());
+        assert!(eval_exact_tile(&[], 2, 10).is_err());
+    }
+
+    #[test]
+    fn interpolated_tile_tracks_exact_tile() {
+        // Sharing on a small-k grid, and Exclusive at large k where the
+        // refined grid is strongly nonuniform.
+        let cases: [(&dyn Congestion, &[usize], usize); 2] =
+            [(&Sharing, &[2, 8, 33], 64), (&Exclusive, &[64, 512], 128)];
+        let tol = 1e-9;
+        for (c, ks, resolution) in cases {
+            let cache = SharedGridCache::new();
+            for &k in ks {
+                let interp = eval_interp_tile(&[c], k, resolution, tol, &cache).unwrap();
+                let exact = eval_exact_tile(&[c], k, resolution).unwrap();
+                let scale = cache.table(c, k, tol).unwrap().scale();
+                for (&gi, &ge) in interp[0].iter().zip(exact[0].iter()) {
+                    assert!(
+                        (gi - ge).abs() <= 4.0 * tol * scale,
+                        "{} k = {k}: interp {gi} vs exact {ge}",
+                        c.name()
+                    );
+                }
+            }
+            assert_eq!(cache.stats().misses, ks.len() as u64);
+        }
+        let cache = SharedGridCache::new();
+        assert!(eval_interp_tile(&[&Sharing], 2, 0, tol, &cache).is_err());
+        assert!(eval_interp_tile(&[], 2, 8, tol, &cache).is_err());
+        for bad in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                eval_interp_tile(&[&Sharing, &Exclusive], 4, 8, bad, &cache),
+                Err(Error::InvalidTolerance { .. })
+            ));
+        }
+        assert_eq!(cache.stats().misses, 0, "failed tiles must not build grids");
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //! Replies are `{"id":N,"ok":true,"result":{…}}` on success and
 //! `{"id":N,"ok":false,"error":"…"}` on failure (per request — a bad
 //! request never takes down a batch, a connection, or the daemon).
+//! Size fields are bounded — `k` by [`MAX_K`], `resolution` by
+//! [`MAX_RESOLUTION`], `epochs` by [`MAX_EPOCHS`], `mutants` by
+//! [`MAX_MUTANTS`] — and an over-limit field is refused at parse time
+//! with an error naming the limit.
 //! Policy and profile specs are the `dispersal` CLI spec strings
 //! (`dispersal_mech::catalog::parse_policy` / `parse_profile`).
 //!
@@ -46,14 +50,29 @@ pub const DEFAULT_MUTANTS: usize = 50;
 /// Default RNG seed for `"ess"` requests (matches the CLI).
 pub const DEFAULT_SEED: u64 = 42;
 
+/// Largest player count `"k"` a request may carry: the large-`k` frontier
+/// the kernels are tested to.
+pub const MAX_K: usize = 1_000_000;
+
+/// Largest `"resolution"` a request may carry (`2¹⁶` grid steps).
+pub const MAX_RESOLUTION: usize = 1 << 16;
+
+/// Largest `"epochs"` of a `"scenario"` request.
+pub const MAX_EPOCHS: u64 = 10_000;
+
+/// Largest `"mutants"` of an `"ess"` request.
+pub const MAX_MUTANTS: usize = 10_000;
+
 /// A parsed request body (everything except the echoed `id`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// One congestion-response curve. With `tol` the daemon serves it
-    /// from the shared interpolation-grid cache (`O(1)` per point,
+    /// One congestion-response curve over the uniform
+    /// `dispersal_core::kernel::unit_grid`. With `tol` the daemon serves
+    /// it from the shared interpolation-grid cache
+    /// ([`crate::batch::eval_interp_tile`]: `O(1)` per point,
     /// ≤ `tol × scale` from exact); without, the exact reference path
-    /// (reference-mode `sweep::ResponseRequest`, bit-identical to the
-    /// scalar `PayoffContext::g`).
+    /// ([`crate::batch::eval_exact_tile`], a reference-mode `GBatch` row
+    /// bit-identical to the scalar `PayoffContext::g`).
     Response {
         /// Policy spec string (e.g. `"sharing"`, `"two-level:-0.25"`).
         policy: String,
@@ -165,6 +184,28 @@ fn optional_usize(
     }
 }
 
+/// Refuse `value` above `limit`, naming the field and the limit, so an
+/// oversized field is answered in place instead of reaching an
+/// allocation or a loop sized by it.
+fn at_most<T: PartialOrd + std::fmt::Display>(name: &str, value: T, limit: T) -> Result<T, String> {
+    if value > limit {
+        return Err(format!("field \"{name}\" = {value} exceeds the limit {limit}"));
+    }
+    Ok(value)
+}
+
+fn require_k(entries: &[(String, Value)]) -> Result<usize, String> {
+    at_most("k", require_usize(entries, "k")?, MAX_K)
+}
+
+fn optional_resolution(entries: &[(String, Value)]) -> Result<usize, String> {
+    at_most(
+        "resolution",
+        optional_usize(entries, "resolution", DEFAULT_RESOLUTION)?,
+        MAX_RESOLUTION,
+    )
+}
+
 fn require_u64(entries: &[(String, Value)], name: &str) -> Result<u64, String> {
     field(entries, name)
         .and_then(as_u64)
@@ -225,8 +266,8 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
         "response" => (|| {
             Ok(Request::Response {
                 policy: require_str(entries, "policy")?,
-                k: require_usize(entries, "k")?,
-                resolution: optional_usize(entries, "resolution", DEFAULT_RESOLUTION)?,
+                k: require_k(entries)?,
+                resolution: optional_resolution(entries)?,
                 tol: match field(entries, "tol") {
                     None => None,
                     Some(v) => Some(as_f64(v).ok_or("non-number field \"tol\"".to_string())?),
@@ -237,14 +278,18 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
             Ok(Request::Equilibrium {
                 policy: require_str(entries, "policy")?,
                 profile: require_str(entries, "profile")?,
-                k: require_usize(entries, "k")?,
+                k: require_k(entries)?,
             })
         })(),
         "ess" => (|| {
             Ok(Request::Ess {
                 profile: require_str(entries, "profile")?,
-                k: require_usize(entries, "k")?,
-                mutants: optional_usize(entries, "mutants", DEFAULT_MUTANTS)?,
+                k: require_k(entries)?,
+                mutants: at_most(
+                    "mutants",
+                    optional_usize(entries, "mutants", DEFAULT_MUTANTS)?,
+                    MAX_MUTANTS,
+                )?,
                 seed: field(entries, "seed")
                     .map(|v| as_u64(v).ok_or("non-integer field \"seed\"".to_string()))
                     .transpose()?
@@ -253,8 +298,8 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
         })(),
         "catalog" => (|| {
             Ok(Request::Catalog {
-                k: require_usize(entries, "k")?,
-                resolution: optional_usize(entries, "resolution", DEFAULT_RESOLUTION)?,
+                k: require_k(entries)?,
+                resolution: optional_resolution(entries)?,
             })
         })(),
         "stats" => Ok(Request::Stats),
@@ -270,8 +315,8 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
             Ok(Request::Scenario {
                 policy: require_str(entries, "policy")?,
                 profile: require_str(entries, "profile")?,
-                k: require_usize(entries, "k")?,
-                epochs: require_u64(entries, "epochs")?,
+                k: require_k(entries)?,
+                epochs: at_most("epochs", require_u64(entries, "epochs")?, MAX_EPOCHS)?,
                 events,
                 explore: match field(entries, "explore") {
                     None => 0.0,
@@ -422,6 +467,24 @@ mod tests {
         assert!(req.is_err());
         let (_, req) = parse_line(r#"{"cmd":"response","policy":"sharing","k":-3}"#);
         assert!(req.unwrap_err().contains('k'));
+    }
+
+    #[test]
+    fn size_fields_are_bounded_at_their_limits() {
+        let cases = [
+            (r#""cmd":"response","policy":"s","k":N"#, MAX_K as u64),
+            (r#""cmd":"response","policy":"s","k":2,"resolution":N"#, MAX_RESOLUTION as u64),
+            (r#""cmd":"catalog","k":2,"resolution":N"#, MAX_RESOLUTION as u64),
+            (r#""cmd":"equilibrium","policy":"s","profile":"p","k":N"#, MAX_K as u64),
+            (r#""cmd":"ess","profile":"p","k":2,"mutants":N"#, MAX_MUTANTS as u64),
+            (r#""cmd":"scenario","policy":"s","profile":"p","k":2,"epochs":N"#, MAX_EPOCHS),
+        ];
+        for (fields, limit) in cases {
+            let line = |n: u64| format!("{{\"id\":1,{}}}", fields.replace('N', &n.to_string()));
+            assert!(parse_line(&line(limit)).1.is_ok(), "{} at its limit", line(limit));
+            let err = parse_line(&line(limit + 1)).1.unwrap_err();
+            assert!(err.contains(&format!("limit {limit}")), "{}: {err}", line(limit + 1));
+        }
     }
 
     #[test]

@@ -27,9 +27,10 @@
 use crate::batch::{self, ResponseJob};
 use crate::protocol::{self, Request};
 use dispersal_core::kernel::cache::CacheStats;
+use dispersal_core::kernel::unit_grid;
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::{parse_policy, parse_profile, standard_catalog};
-use dispersal_mech::evaluator::{catalog_response_matrix_cached, ResponseCache};
+use dispersal_mech::evaluator::{catalog_response_matrix, ResponseCache};
 use dispersal_sim::engine;
 use dispersal_sim::replicator::ReplicatorConfig;
 use dispersal_sim::scenario::{run_scenario_replicator, Scenario};
@@ -560,19 +561,21 @@ fn eval_group(
         return out;
     }
     let refs: Vec<&dyn Congestion> = policies.iter().map(|p| p.as_ref()).collect();
-    let qs = batch::group_qs(group.resolution);
-    let curves = match group.tol_bits {
-        None => batch::eval_exact_tile(&refs, group.k, group.resolution),
-        Some(bits) => batch::eval_interp_tile(
-            &refs,
-            group.k,
-            group.resolution,
-            f64::from_bits(bits),
-            &inner.caches.grids,
-        ),
-    };
-    match curves {
-        Ok(curves) => {
+    let tile = unit_grid(group.resolution).and_then(|qs| {
+        let curves = match group.tol_bits {
+            None => batch::eval_exact_tile(&refs, group.k, group.resolution),
+            Some(bits) => batch::eval_interp_tile(
+                &refs,
+                group.k,
+                group.resolution,
+                f64::from_bits(bits),
+                &inner.caches.grids,
+            ),
+        }?;
+        Ok((qs, curves))
+    });
+    match tile {
+        Ok((qs, curves)) => {
             for ((owner, policy), g) in owners.iter().zip(refs.iter()).zip(curves) {
                 out.push((
                     *owner,
@@ -633,7 +636,7 @@ fn eval_single(inner: &Arc<Inner>, request: &Request) -> std::result::Result<Val
         Request::Catalog { k, resolution } => {
             let catalog = standard_catalog();
             let response =
-                catalog_response_matrix_cached(&catalog, *k, *resolution, &inner.caches.catalog)
+                catalog_response_matrix(&catalog, *k, *resolution, &inner.caches.catalog)
                     .map_err(|e| e.to_string())?;
             Ok(protocol::object(vec![
                 (

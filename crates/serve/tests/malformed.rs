@@ -5,7 +5,7 @@
 
 use dispersal_serve::client::Client;
 use dispersal_serve::server::{Server, ServerConfig};
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -135,5 +135,60 @@ fn malformed_requests_answer_in_place_without_panicking() {
 
     let metrics = server.metrics();
     assert!(metrics.errors >= 5, "each refusal must be counted: {metrics:?}");
+    server.shutdown();
+}
+
+/// Send `line` on a fresh connection and read one reply line, failing
+/// (instead of hanging the suite) when no reply comes within 5 s.
+fn call_within_5s(addr: &str, line: &str) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .unwrap_or_else(|e| panic!("no reply within 5 s to {line}: {e}"));
+    reply
+}
+
+#[test]
+fn oversized_fields_are_refused_and_the_dispatcher_keeps_serving() {
+    // Regression: each line used to reach the evaluation code. The
+    // u64::MAX sizes panicked the dispatcher thread with a capacity
+    // overflow (sizing a grid, a coefficient table, a profile or an
+    // epoch schedule); the last two held it for seconds. Either way no
+    // other client got a reply afterwards. The parser now refuses each
+    // field with an error naming its limit.
+    let server = bounded_server(1 << 20);
+    let lines = [
+        (r#""cmd":"response","policy":"sharing","k":4,"resolution":MAX"#, "65536"),
+        (r#""cmd":"response","policy":"sharing","k":MAX"#, "1000000"),
+        (r#""cmd":"catalog","k":4,"resolution":MAX"#, "65536"),
+        (r#""cmd":"equilibrium","policy":"sharing","profile":"zipf:5:1.0","k":MAX"#, "1000000"),
+        (r#""cmd":"equilibrium","policy":"sharing","profile":"zipf:MAX:1.0","k":4"#, "1000000"),
+        (
+            r#""cmd":"scenario","policy":"sharing","profile":"zipf:5:1.0","k":3,"epochs":MAX"#,
+            "10000",
+        ),
+        (r#""cmd":"ess","profile":"zipf:5:1.0","k":3,"mutants":MAX"#, "10000"),
+        (r#""cmd":"response","policy":"sharing","k":4,"resolution":100000000"#, "65536"),
+    ];
+    for (id, (fields, limit)) in lines.iter().enumerate() {
+        let line = format!("{{\"id\":{id},{}}}", fields.replace("MAX", &u64::MAX.to_string()));
+        let reply = call_within_5s(server.addr(), &line);
+        assert!(reply.contains("\"ok\":false"), "{line} must be refused: {reply}");
+        assert!(
+            reply.contains("limit") && reply.contains(limit),
+            "{line}: limit not named: {reply}"
+        );
+        let stats = call_within_5s(server.addr(), r#"{"id":99,"cmd":"stats"}"#);
+        assert!(stats.contains("\"ok\":true"), "stats after {line}: {stats}");
+    }
+    let reply = call_within_5s(
+        server.addr(),
+        r#"{"id":10,"cmd":"response","policy":"sharing","k":4,"resolution":8}"#,
+    );
+    assert!(reply.contains("\"ok\":true"), "a valid response must still be served: {reply}");
     server.shutdown();
 }

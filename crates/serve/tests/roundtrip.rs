@@ -3,11 +3,11 @@
 //! bit-identical (`to_bits`) to the same computation done as a direct
 //! library call.
 
-use dispersal_core::kernel::GTable;
+use dispersal_core::kernel::{unit_grid, GTable};
 use dispersal_core::policy::validate_congestion;
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::{parse_policy, parse_profile, standard_catalog};
-use dispersal_mech::evaluator::catalog_response_matrix;
+use dispersal_mech::evaluator::{catalog_response_matrix, ResponseCache};
 use dispersal_serve::client::Client;
 use dispersal_serve::server::{Server, ServerConfig};
 use rand::SeedableRng;
@@ -62,7 +62,7 @@ fn direct_exact_curve(spec: &str, k: usize, resolution: usize) -> Vec<f64> {
     let coeffs = validate_congestion(policy.as_ref(), k).unwrap();
     let table = GTable::from_coefficients(coeffs).unwrap();
     let mut scratch = table.scratch();
-    let qs: Vec<f64> = (0..=resolution).map(|i| i as f64 / resolution as f64).collect();
+    let qs = unit_grid(resolution).unwrap();
     let mut g = vec![0.0; qs.len()];
     table.eval_many_with(&mut scratch, &qs, &mut g).unwrap();
     g
@@ -160,7 +160,7 @@ fn interpolated_responses_share_the_grid_cache_and_match_direct_grids() {
                 .with_spec(GridSpec::Interpolated { tol: TOL })
                 .unwrap();
             let mut scratch = table.scratch();
-            let qs: Vec<f64> = (0..=RESOLUTION).map(|i| i as f64 / RESOLUTION as f64).collect();
+            let qs = unit_grid(RESOLUTION).unwrap();
             let mut want = vec![0.0; qs.len()];
             table.eval_fast_many_with(&mut scratch, &qs, &mut want).unwrap();
             assert_bits_eq(&got, &want, &format!("interpolated response({spec})"));
@@ -210,7 +210,8 @@ fn equilibrium_ess_catalog_and_errors_round_trip() {
 
     // Catalog scan vs the direct matrix.
     let result = client.request(r#"{"id":3,"cmd":"catalog","k":6,"resolution":32}"#).unwrap();
-    let direct = catalog_response_matrix(&standard_catalog(), 6, 32).unwrap();
+    let direct =
+        catalog_response_matrix(&standard_catalog(), 6, 32, &ResponseCache::new()).unwrap();
     assert_bits_eq(&floats(&lookup(&result, "tolerance")), &direct.tolerance_score, "catalog");
     let names = lookup(&result, "names");
     assert_eq!(names.as_array().unwrap().len(), direct.names.len());
@@ -232,6 +233,47 @@ fn equilibrium_ess_catalog_and_errors_round_trip() {
     let metrics = server.join();
     assert!(metrics.replies >= 7);
     assert!(metrics.errors >= 2);
+}
+
+#[test]
+fn stats_reply_carries_the_counters_perfbench_reads() {
+    let server = Server::bind(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Two identical catalog scans, then two identical interpolated
+    // responses: one build and one warm hit in each cache.
+    for id in 1..=2 {
+        client.request(&format!(r#"{{"id":{id},"cmd":"catalog","k":6,"resolution":32}}"#)).unwrap();
+    }
+    for id in 3..=4 {
+        let line = format!(
+            r#"{{"id":{id},"cmd":"response","policy":"sharing","k":8,"resolution":16,"tol":1e-9}}"#
+        );
+        client.request(&line).unwrap();
+    }
+    let stats = client.request(r#"{"id":5,"cmd":"stats"}"#).unwrap();
+    let counter = |path: &[&str]| path.iter().fold(stats.clone(), |v, name| lookup(&v, name));
+    for path in [
+        &["requests"][..],
+        &["errors"],
+        &["admissions"],
+        &["response_requests"],
+        &["response_groups"],
+        &["caches", "grid", "hits"],
+        &["caches", "grid", "misses"],
+        &["caches", "grid", "evictions"],
+        &["caches", "catalog", "hits"],
+        &["caches", "catalog", "misses"],
+    ] {
+        uint(&counter(path));
+    }
+    assert_eq!(uint(&counter(&["requests"])), 5);
+    assert_eq!(uint(&counter(&["response_requests"])), 2);
+    let hits_misses = |cache: &str| {
+        (uint(&counter(&["caches", cache, "hits"])), uint(&counter(&["caches", cache, "misses"])))
+    };
+    assert_eq!(hits_misses("catalog"), (1, 1));
+    assert_eq!(hits_misses("grid"), (1, 1));
+    server.shutdown();
 }
 
 #[test]

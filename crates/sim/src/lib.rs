@@ -61,8 +61,5 @@ pub mod prelude {
         TrafficEvent,
     };
     pub use crate::stats::{bootstrap_mean_ci, Estimate, Welford};
-    pub use crate::sweep::{
-        sweep_grid, PolicyCurve, ResponseRequest, SharedGridCache, SweepCell,
-        DEFAULT_RESPONSE_RESOLUTION,
-    };
+    pub use crate::sweep::{sweep_grid, SharedGridCache, SweepCell};
 }

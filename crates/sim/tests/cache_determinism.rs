@@ -4,37 +4,32 @@
 //! `SharedGridCache` memoizes interpolation grids behind sharded locks,
 //! which is fine *only* because every access is a keyed lookup — nothing
 //! ever iterates a map into an output. These tests pin the observable
-//! consequence: sweep results are bit-identical regardless of the order
-//! grids were warmed into the cache, whether entries arrived via the
-//! single-policy or the batched path, whether the cache was warmed by one
-//! thread or hammered by many concurrent clients, and at every
-//! worker-thread count.
+//! consequence: curves read through the cache are bit-identical
+//! regardless of the order grids were warmed into it, and whether it was
+//! warmed by one thread or hammered by many concurrent clients. (The
+//! daemon's tiles fan these reads out on the pool; their thread-count
+//! invariance is pinned in `dispersal-serve`'s determinism tests.)
 
-use dispersal_core::kernel::GridSpec;
+use dispersal_core::kernel::unit_grid;
 use dispersal_core::policy::{Congestion, Sharing, TwoLevel};
-use dispersal_sim::sweep::{ResponseRequest, SharedGridCache};
-use std::sync::{Arc, Barrier, Mutex};
+use dispersal_sim::sweep::SharedGridCache;
+use std::sync::{Arc, Barrier};
 use std::thread;
-
-/// Serializes the tests that reconfigure the global pool width, mirroring
-/// determinism.rs's `THREAD_SWEEP_LOCK` (the pool override is process
-/// global; concurrent test threads must not interleave reconfigurations).
-static THREAD_SWEEP_LOCK: Mutex<()> = Mutex::new(());
 
 const KS: [usize; 3] = [5, 17, 64];
 const RESOLUTION: usize = 96;
 const TOL: f64 = 1e-9;
 
+/// `c`'s interpolated curve at every `k` of [`KS`], read through `cache`.
 fn curve_bits(c: &dyn Congestion, cache: &SharedGridCache) -> Vec<Vec<u64>> {
-    ResponseRequest::new(c)
-        .ks(&KS)
-        .resolution(RESOLUTION)
-        .grid(GridSpec::Interpolated { tol: TOL })
-        .cache(cache)
-        .evaluate()
-        .expect("interpolated sweep")
-        .into_iter()
-        .map(|curve| curve.g.iter().map(|v| v.to_bits()).collect())
+    let qs = unit_grid(RESOLUTION).expect("grid");
+    KS.iter()
+        .map(|&k| {
+            let table = cache.table(c, k, TOL).expect("grid build");
+            let mut g = vec![0.0; qs.len()];
+            table.eval_fast_many_with(&mut table.scratch(), &qs, &mut g).expect("eval");
+            g.iter().map(|v| v.to_bits()).collect()
+        })
         .collect()
 }
 
@@ -62,58 +57,6 @@ fn grid_cache_results_independent_of_warm_order() {
         let b = curve_bits(c, &reverse);
         assert_eq!(a, b, "warm order changed sweep bits for {}", c.name());
     }
-}
-
-#[test]
-fn grid_cache_shared_across_single_and_batched_paths() {
-    // A cache warmed by the single-policy path must serve the batched
-    // path from the same grids (no rebuilds) with identical bits, and
-    // vice versa against a cold cache.
-    let policies: [&dyn Congestion; 2] = [&Sharing, &TwoLevel { c: -0.3 }];
-    let warmed = SharedGridCache::new();
-    for c in policies {
-        curve_bits(c, &warmed);
-    }
-    let builds_after_warm = warmed.stats().misses;
-    let cold = SharedGridCache::new();
-    let batched = |cache: &SharedGridCache| {
-        ResponseRequest::policies(&policies)
-            .ks(&KS)
-            .resolution(RESOLUTION)
-            .grid(GridSpec::Interpolated { tol: TOL })
-            .cache(cache)
-            .evaluate()
-            .expect("batched sweep")
-    };
-    let via_warm = batched(&warmed);
-    let via_cold = batched(&cold);
-    assert_eq!(warmed.stats().misses, builds_after_warm, "batched path rebuilt a warmed grid");
-    for (a, b) in via_warm.iter().zip(via_cold.iter()) {
-        assert_eq!(a.policy, b.policy);
-        assert_eq!(a.k, b.k);
-        let bits_a: Vec<u64> = a.g.iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u64> = b.g.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits_a, bits_b, "cache temperature changed bits for ({}, {})", a.policy, a.k);
-    }
-}
-
-#[test]
-fn grid_cache_sweeps_bit_identical_across_thread_counts() {
-    let _guard = THREAD_SWEEP_LOCK.lock().unwrap();
-    let policy = TwoLevel { c: -0.3 };
-    let mut reference: Option<Vec<Vec<u64>>> = None;
-    for threads in [1usize, 2, 8] {
-        rayon::set_num_threads(threads);
-        let cache = SharedGridCache::new();
-        let bits = curve_bits(&policy, &cache);
-        match &reference {
-            None => reference = Some(bits),
-            Some(expected) => {
-                assert_eq!(&bits, expected, "sweep bits changed at {threads} threads");
-            }
-        }
-    }
-    rayon::set_num_threads(0);
 }
 
 #[test]

@@ -169,56 +169,6 @@ fn invasion_tournament_and_mixed_barrier_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn batched_response_grids_bit_identical_across_thread_counts() {
-    // The GBatch-backed sweep paths must be thread-count-invariant: the
-    // exact batch path, the fused multi-policy GEMM path, and the
-    // SharedGridCache-interpolated path (workers concurrently sharing one Arc'd
-    // grid per (policy, k) cell) all produce identical bits at
-    // RAYON_NUM_THREADS ∈ {1, 8}.
-    use dispersal_core::kernel::GridSpec;
-    use dispersal_core::policy::{Congestion, PowerLaw, TwoLevel};
-    use dispersal_sim::sweep::{ResponseRequest, SharedGridCache};
-    let _guard = THREAD_SWEEP_LOCK.lock().unwrap();
-    let policies: Vec<&dyn Congestion> =
-        vec![&Exclusive, &Sharing, &TwoLevel { c: -0.4 }, &PowerLaw { beta: 2.0 }];
-    let ks = [2usize, 8, 33];
-    let mut exact = Vec::new();
-    let mut batch = Vec::new();
-    let mut interp = Vec::new();
-    for threads in [1usize, 8] {
-        rayon::set_num_threads(threads);
-        let cache = SharedGridCache::new();
-        exact.push(ResponseRequest::new(&Sharing).ks(&ks).resolution(96).evaluate().unwrap());
-        batch.push(ResponseRequest::policies(&policies).ks(&ks).resolution(96).evaluate().unwrap());
-        interp.push(
-            ResponseRequest::policies(&policies)
-                .ks(&ks)
-                .resolution(96)
-                .grid(GridSpec::Interpolated { tol: 1e-9 })
-                .cache(&cache)
-                .evaluate()
-                .unwrap(),
-        );
-    }
-    rayon::set_num_threads(0);
-    for (a, b) in exact[0].iter().zip(exact[1].iter()) {
-        assert_eq!(a.k, b.k);
-        for (x, y) in a.g.iter().zip(b.g.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "exact sweep k={}", a.k);
-        }
-    }
-    for (run_a, run_b) in [(&batch[0], &batch[1]), (&interp[0], &interp[1])] {
-        assert_eq!(run_a.len(), run_b.len());
-        for (a, b) in run_a.iter().zip(run_b.iter()) {
-            assert_eq!((a.policy.as_str(), a.k), (b.policy.as_str(), b.k));
-            for (x, y) in a.g.iter().zip(b.g.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{} k={}", a.policy, a.k);
-            }
-        }
-    }
-}
-
-#[test]
 fn engine_replicator_ensemble_matches_itself() {
     // No env mutation here: determinism across *repeated* runs at
     // whatever thread count the harness is using.
