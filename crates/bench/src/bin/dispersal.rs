@@ -275,19 +275,19 @@ fn run() -> Result<()> {
             // a persistent pool, and cross-request admission batching.
             // Runs until a client sends {"cmd":"shutdown"}.
             let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4891".to_string());
-            let window_ms = flags
+            let defaults = ServerConfig::default();
+            let batch_window = flags
                 .get("batch-window")
                 .map(|s| s.parse::<u64>())
                 .transpose()
                 .map_err(|e| Error::InvalidArgument(format!("bad --batch-window: {e}")))?
-                .unwrap_or(2);
+                .map_or(defaults.batch_window, std::time::Duration::from_millis);
             let max_batch = flags
                 .get("max-batch")
                 .map(|s| s.parse::<usize>())
                 .transpose()
                 .map_err(|e| Error::InvalidArgument(format!("bad --max-batch: {e}")))?
-                .unwrap_or(256);
-            let defaults = ServerConfig::default();
+                .unwrap_or(defaults.max_batch);
             let max_line_bytes = flags
                 .get("max-line-bytes")
                 .map(|s| s.parse::<usize>())
@@ -305,7 +305,7 @@ fn run() -> Result<()> {
                 });
             let server = dispersal_serve::server::Server::bind(ServerConfig {
                 addr,
-                batch_window: std::time::Duration::from_millis(window_ms),
+                batch_window,
                 max_batch,
                 max_line_bytes,
                 read_timeout,

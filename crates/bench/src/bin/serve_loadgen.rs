@@ -166,9 +166,10 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     let specs = burst_specs(burst);
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        // A barrier-released burst lands within a millisecond or two;
-        // 3 ms still coalesces it into a handful of wide tiles without
-        // the window itself dominating the measured latency.
+        // The admission window closes once a burst stops growing for a
+        // quiet gap (a twentieth of this cap, 150 µs); the 3 ms cap
+        // bounds the wait for a round's stragglers, so it cannot
+        // dominate the measured latency.
         batch_window: Duration::from_millis(3),
         max_batch: 4096,
         ..ServerConfig::default()

@@ -8,9 +8,10 @@
 //! cache, and a shared catalog-tile cache for its whole lifetime, and
 //! speaks a line-JSON protocol ([`protocol`]) over TCP or Unix sockets.
 //!
-//! Its distinguishing move is **admission batching** ([`batch`]):
-//! requests are held for a short window (~2 ms) so a concurrent burst
-//! coalesces; response requests that share `(k, resolution, tol)` are
+//! Its distinguishing move is **admission batching** ([`batch`]): a
+//! concurrent burst is held in the admission queue while it keeps
+//! growing, so it coalesces (a lone request dispatches at once);
+//! response requests that share `(k, resolution, tol)` are
 //! evaluated as *one* policy-major `GBatch` kernel tile and the rows are
 //! demultiplexed back to their requesters. Batching changes only who
 //! computes what — every reply is bit-identical to the same request

@@ -9,13 +9,13 @@ use dispersal_core::prelude::*;
 use dispersal_mech::catalog::{parse_policy, parse_profile, standard_catalog};
 use dispersal_mech::evaluator::{catalog_response_matrix, ResponseCache};
 use dispersal_serve::client::Client;
-use dispersal_serve::server::{Server, ServerConfig};
+use dispersal_serve::server::{Metrics, Server, ServerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn lookup(value: &Value, name: &str) -> Value {
     let entries = value.as_object().unwrap_or_else(|| panic!("not an object: {value:?}"));
@@ -68,28 +68,16 @@ fn direct_exact_curve(spec: &str, k: usize, resolution: usize) -> Vec<f64> {
     g
 }
 
-#[test]
-fn concurrent_response_burst_is_bit_identical_and_coalesced() {
-    const CLIENTS: usize = 8;
-    const K: usize = 16;
-    const RESOLUTION: usize = 64;
+/// Release `clients` connections at once through a barrier, each sending
+/// one exact `response` request (cycling through four policies that share
+/// `(k, resolution)`), and check every reply bit for bit against the
+/// direct library call.
+fn barrier_burst(addr: &str, clients: usize, k: usize, resolution: usize) {
     let specs = ["sharing", "two-level:-0.3", "power:2.0", "exclusive"];
-
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        // Generous window so a barrier-released burst reliably lands in
-        // one admission batch even on a loaded CI box.
-        batch_window: Duration::from_millis(50),
-        max_batch: 256,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = server.addr().to_string();
-
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let handles: Vec<_> = (0..CLIENTS)
+    let barrier = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
         .map(|i| {
-            let addr = addr.clone();
+            let addr = addr.to_string();
             let barrier = Arc::clone(&barrier);
             thread::spawn(move || {
                 let spec = specs[i % specs.len()];
@@ -99,8 +87,8 @@ fn concurrent_response_burst_is_bit_identical_and_coalesced() {
                     "{{\"id\":{},\"cmd\":\"response\",\"policy\":\"{}\",\"k\":{},\"resolution\":{}}}",
                     i + 1,
                     spec,
-                    K,
-                    RESOLUTION
+                    k,
+                    resolution
                 );
                 let result = client.request(&line).unwrap();
                 (spec, result)
@@ -111,16 +99,16 @@ fn concurrent_response_burst_is_bit_identical_and_coalesced() {
     for handle in handles {
         let (spec, result) = handle.join().unwrap();
         let got = floats(&lookup(&result, "g"));
-        let want = direct_exact_curve(spec, K, RESOLUTION);
+        let want = direct_exact_curve(spec, k, resolution);
         assert_bits_eq(&got, &want, &format!("response({spec}) over the daemon"));
-        assert_eq!(uint(&lookup(&result, "k")) as usize, K);
-        assert_eq!(floats(&lookup(&result, "qs")).len(), RESOLUTION + 1);
+        assert_eq!(uint(&lookup(&result, "k")) as usize, k);
+        assert_eq!(floats(&lookup(&result, "qs")).len(), resolution + 1);
     }
+}
 
-    // The barrier-released burst must actually have been coalesced into
-    // shared kernel tiles, not answered one-by-one.
-    let metrics = server.metrics();
-    assert_eq!(metrics.response_requests, CLIENTS as u64);
+/// The burst must actually have been coalesced into shared kernel tiles,
+/// not answered one-by-one.
+fn assert_coalesced(metrics: Metrics) {
     assert!(
         metrics.avg_occupancy() >= 2.0,
         "expected cross-request batching, got occupancy {:.2} ({} requests / {} tiles)",
@@ -128,6 +116,68 @@ fn concurrent_response_burst_is_bit_identical_and_coalesced() {
         metrics.response_requests,
         metrics.response_groups
     );
+}
+
+#[test]
+fn concurrent_response_burst_is_bit_identical_and_coalesced() {
+    const CLIENTS: usize = 8;
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        // The window closes once the burst stops growing for a quiet gap,
+        // a twentieth of this cap: 2.5 ms leaves room for a loaded CI
+        // box's straggling arrivals.
+        batch_window: Duration::from_millis(50),
+        max_batch: 256,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    barrier_burst(server.addr(), CLIENTS, 16, 64);
+    let metrics = server.metrics();
+    assert_eq!(metrics.response_requests, CLIENTS as u64);
+    assert_coalesced(metrics);
+    server.shutdown();
+}
+
+#[test]
+fn lone_request_is_not_held_for_the_window_and_a_burst_closes_when_it_stops_growing() {
+    const CLIENTS: usize = 8;
+    const K: usize = 16;
+    const RESOLUTION: usize = 64;
+    // A cap far above any reply time: a dispatcher that held every batch
+    // for the full window would take at least 2 s on each part below.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        batch_window: Duration::from_secs(2),
+        max_batch: 256,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let started = Instant::now();
+    let result = client
+        .request(&format!(
+            r#"{{"id":1,"cmd":"response","policy":"power:2.0","k":{K},"resolution":{RESOLUTION}}}"#
+        ))
+        .unwrap();
+    let lone = started.elapsed();
+    let got = floats(&lookup(&result, "g"));
+    assert_bits_eq(&got, &direct_exact_curve("power:2.0", K, RESOLUTION), "lone response");
+    assert!(lone < Duration::from_millis(500), "a lone request waited {lone:?}");
+
+    let before = server.metrics();
+    let started = Instant::now();
+    barrier_burst(server.addr(), CLIENTS, K, RESOLUTION);
+    let burst = started.elapsed();
+    let after = server.metrics();
+    assert!(burst < Duration::from_secs(1), "an 8-request burst took {burst:?}");
+    let burst_metrics = Metrics {
+        response_requests: after.response_requests - before.response_requests,
+        response_groups: after.response_groups - before.response_groups,
+        ..Metrics::default()
+    };
+    assert_eq!(burst_metrics.response_requests, CLIENTS as u64);
+    assert_coalesced(burst_metrics);
     server.shutdown();
 }
 
