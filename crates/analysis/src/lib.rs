@@ -41,7 +41,8 @@
 //!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse floor, the
 //!   batch AVX2-vs-scalar floor, the serve admission-batching floor, the
 //!   search batched-expansion floor, the kernel fused-path and
-//!   interp-vs-fused floors)
+//!   interp-vs-fused floors, the IFD water-filling-vs-nested-bisection
+//!   floor)
 //!   must keep those labels in their guard — deleting a floor is a lint
 //!   failure, not a silent coverage loss.
 //!
@@ -665,12 +666,13 @@ pub struct BenchGuardInput {
 /// gemm-vs-loop floor keeps the guard "present"); pinning the guard
 /// labels here makes that a lint failure. Labels are the exact strings
 /// passed to `guard::check_speedup` / `guard::check_overhead`.
-pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 5] = [
+pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 6] = [
     ("batch", &["batch gemm_speedup", "batch gbatch_gemm avx2-vs-scalar"]),
     ("engine", &["engine pool_overhead", "engine pool_reuse dispatch-vs-respawn"]),
     ("serve", &["serve admission-batch-vs-sequential"]),
     ("search", &["search batched-vs-sequential-expansion"]),
     ("kernel", &["kernel fused_speedup k=64", "kernel interp-vs-fused k=256"]),
+    ("ifd", &["ifd water-filling-vs-nested-bisection"]),
 ];
 
 /// Check that every recorded bench trajectory has a quick guard wired

@@ -10,6 +10,9 @@
 //!   `description` strings and a non-empty `history` array;
 //! * every history entry carries a `date` (ISO `YYYY-MM-DD`), a `pr`
 //!   number ≥ 1, and a non-empty `results` array;
+//! * every entry whose `pr` is at least [`HOST_FIELDS_FROM_PR`] also
+//!   names the host it was measured on: `host_cores` and `threads`
+//!   (integers ≥ 1) and `lane` (the SIMD lane, a non-empty string);
 //! * entry dates are monotone non-decreasing (history is appended, never
 //!   rewritten or reordered);
 //! * every value inside a result row is a finite number, a string, or a
@@ -44,6 +47,11 @@ fn parse_date(s: &str) -> Option<(u32, u32, u32)> {
     Some((year, month, day))
 }
 
+/// The first `pr` value whose entries all carried `host_cores`, `lane`
+/// and `threads`; entries from it on must. Older entries predate the
+/// fields and stay valid.
+const HOST_FIELDS_FROM_PR: u64 = 12;
+
 fn field<'v>(entries: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
     entries.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
@@ -67,6 +75,27 @@ fn check_result_value(key: &str, v: &Value, entry: usize, errors: &mut Vec<Strin
         other => errors.push(format!(
             "history[{entry}]: result field `{key}` must be a scalar, got {other:?}"
         )),
+    }
+}
+
+/// An integer ≥ 1, however the codec typed it.
+fn positive_int(v: &Value) -> Option<u64> {
+    match v {
+        Value::UInt(n) if *n >= 1 => Some(*n),
+        Value::Int(n) if *n >= 1 => u64::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// The host fields every entry with `pr` ≥ [`HOST_FIELDS_FROM_PR`] carries.
+fn check_host_fields(obj: &[(String, Value)], entry: usize, errors: &mut Vec<String>) {
+    for name in ["host_cores", "threads"] {
+        if field(obj, name).and_then(positive_int).is_none() {
+            errors.push(format!("history[{entry}]: `{name}` must be an integer >= 1"));
+        }
+    }
+    if !matches!(field(obj, "lane"), Some(Value::Str(s)) if !s.is_empty()) {
+        errors.push(format!("history[{entry}]: `lane` must be a non-empty string"));
     }
 }
 
@@ -119,10 +148,10 @@ fn validate(text: &str) -> Vec<String> {
             },
             None => errors.push(format!("history[{i}]: missing string `date`")),
         }
-        match field(obj, "pr") {
-            Some(Value::UInt(n)) if *n >= 1 => {}
-            Some(Value::Int(n)) if *n >= 1 => {}
-            Some(_) => errors.push(format!("history[{i}]: `pr` must be an integer >= 1")),
+        match field(obj, "pr").map(positive_int) {
+            Some(Some(pr)) if pr >= HOST_FIELDS_FROM_PR => check_host_fields(obj, i, &mut errors),
+            Some(Some(_)) => {}
+            Some(None) => errors.push(format!("history[{i}]: `pr` must be an integer >= 1")),
             None => errors.push(format!("history[{i}]: missing `pr` number")),
         }
         match field(obj, "results") {
@@ -247,6 +276,30 @@ mod tests {
         assert!(errors.iter().any(|e| e.contains("pr")));
         assert!(errors.iter().any(|e| e.contains("results")));
         assert!(errors.iter().any(|e| e.contains("YYYY-MM-DD")));
+    }
+
+    #[test]
+    fn recent_entries_must_name_their_host() {
+        let entry = |pr: u32, host: &str| {
+            format!(
+                r#"{{"bench": "x", "description": "d", "history": [
+                  {{"date": "2026-10-17", "pr": {pr}, {host} "results": [{{"a": 1}}]}}
+                ]}}"#
+            )
+        };
+        let full = r#""host_cores": 2, "lane": "avx2", "threads": 2,"#;
+        assert!(validate(&entry(12, full)).is_empty(), "{:?}", validate(&entry(12, full)));
+        // Older entries predate the fields.
+        assert!(validate(&entry(11, "")).is_empty());
+        let no_lane = r#""host_cores": 2, "threads": 2,"#;
+        let errors = validate(&entry(17, no_lane));
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("`lane`"), "{errors:?}");
+        let bad = r#""host_cores": 0, "lane": "", "threads": "two","#;
+        let errors = validate(&entry(12, bad));
+        for name in ["host_cores", "lane", "threads"] {
+            assert!(errors.iter().any(|e| e.contains(name)), "{name}: {errors:?}");
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! * **Visit costs** — a fixed cost `t(x)` for traveling to site `x`
 //!   (energy, time). Payoffs become `I(x, ℓ) − t(x)`; the IFD machinery
 //!   carries over because the site value `ν_p(x) = f(x)·g_C(p(x)) − t(x)`
-//!   is still strictly decreasing in `p(x)`.
+//!   is still strictly decreasing in `p(x)`. The solver runs the same
+//!   water-filling core as [`crate::ifd`], with its own per-site rule:
+//!   the inversion target `(ν + t(x))/f(x)` is still non-decreasing in
+//!   `ν`, which is all the core's lazy decisions and anchors need.
 //! * **Capacity-limited coverage** — a single player can consume at most
 //!   `cap` units, so a site with `ℓ` visitors yields `min(ℓ·cap, f(x))` to
 //!   the group. The paper's coverage is the `cap → ∞` limit.
 
 use crate::error::{Error, Result};
+use crate::ifd::{water_fill, Occupancy};
 use crate::numerics::binomial_pmf_vector;
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
@@ -71,51 +75,25 @@ pub fn solve_ifd_with_costs(
     }
     // Water-filling on the common net value nu: occupancy q_x solves
     // f(x)·g(q) − t(x) = nu, used only when the solo net value exceeds nu.
-    // All g evaluations run through the batched kernel with one reused
-    // scratch (the inner bisection is 64 evaluations per site per step).
     let kernel = ctx.kernel();
-    let mut scratch = kernel.scratch();
-    let mut occupancy = |nu: f64| -> Vec<f64> {
-        let scratch = &mut scratch;
-        (0..f.len())
-            .map(|x| {
-                let solo = f.value(x) * kernel.at_zero() - costs[x];
-                if solo <= nu {
-                    0.0
-                } else {
-                    let target = (nu + costs[x]) / f.value(x);
-                    if target <= kernel.at_one() {
-                        1.0
-                    } else {
-                        crate::numerics::bisect_decreasing(
-                            |q| kernel.eval_with(scratch, q),
-                            0.0,
-                            1.0,
-                            target,
-                            64,
-                        )
-                    }
-                }
-            })
-            .collect()
-    };
     let g1 = kernel.at_one();
     let mut hi = (0..f.len()).map(|x| f.value(x) - costs[x]).fold(f64::NEG_INFINITY, f64::max);
     let mut lo = (0..f.len()).map(|x| f.value(x) * g1 - costs[x]).fold(f64::INFINITY, f64::min);
     let pad = 1e-12 * (1.0 + hi.abs() + lo.abs());
     hi += pad;
     lo -= pad;
-    for _ in 0..90 {
-        let mid = 0.5 * (lo + hi);
-        let s: f64 = occupancy(mid).iter().sum();
-        if s >= 1.0 {
-            lo = mid;
-        } else {
-            hi = mid;
+    let (nu, mut probs) = water_fill(kernel, f.len(), lo, hi, |x, nu| {
+        let solo = f.value(x) * kernel.at_zero() - costs[x];
+        if solo <= nu {
+            return Occupancy::Fixed(0.0);
         }
-    }
-    let nu = 0.5 * (lo + hi);
-    let mut probs = occupancy(nu);
+        let target = (nu + costs[x]) / f.value(x);
+        if target <= g1 {
+            Occupancy::Fixed(1.0)
+        } else {
+            Occupancy::Target(target)
+        }
+    });
     let sum: f64 = probs.iter().sum();
     if sum <= 0.0 {
         return Err(Error::NoConvergence { what: "cost-ifd water-filling", residual: 1.0 });

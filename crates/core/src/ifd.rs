@@ -7,26 +7,48 @@
 //! unsupported sites have value below `ν`. We find it by *water-filling*:
 //!
 //! 1. For a candidate common value `ν`, each site's occupancy is
-//!    `q_x(ν) = clamp(g_C⁻¹(ν / f(x)), 0, 1)` — zero when `f(x) ≤ ν`
-//!    (inner bisection inverts `g_C`).
+//!    `q_x(ν) = clamp(g_C⁻¹(ν / f(x)), 0, 1)` — zero when `f(x) ≤ ν`. An
+//!    inner bisection over `q ∈ [0, 1]` inverts `g_C`.
 //! 2. `S(ν) = Σ_x q_x(ν)` is continuous and non-increasing in `ν`; an outer
 //!    bisection finds the `ν` with `S(ν) = 1`.
+//!
+//! Run naively, that is an `O(k)` evaluation of `g_C` per site, inner
+//! step and outer step. The core both this solver and
+//! [`crate::extensions::solve_ifd_with_costs`] call returns the same bits
+//! as the naive nested loop while skipping most of those evaluations:
+//!
+//! * **Lazy outer decisions.** An outer step only needs to know whether
+//!   `S(ν) ≥ 1`. Every site's inner bisection advances one level at a
+//!   time, in lockstep. Each walk's final output lies inside every bracket
+//!   the walk passes through, and floating-point addition is monotone, so
+//!   with all sums taken in site order, `Σ lo ≤ S(ν) ≤ Σ hi` over the
+//!   current brackets. The step is decided as soon as `Σ lo ≥ 1` or
+//!   `Σ hi < 1`; only a step that stays undecided walks to full depth and
+//!   takes `S(ν)` itself.
+//! * **Per-site anchors.** Every later candidate `ν` lies inside the
+//!   current outer bracket `[ν_lo, ν_hi]`, and a site's inversion target
+//!   `t(ν)` is non-decreasing in `ν`. An inner level whose comparison
+//!   `g(q) ≥ t` gives the same answer at `t(ν_lo)` and `t(ν_hi)` gives it
+//!   for every later step, so each site keeps the deepest bracket reached
+//!   that way and resumes its walk there instead of at `[0, 1]`.
 //!
 //! This handles negative congestion values (aggression): `ν` itself may be
 //! negative when players are forced to crowd (`M` small, `k` large).
 
 use crate::error::{Error, Result};
-use crate::kernel::GScratch;
+use crate::kernel::{GScratch, GTable};
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::strategy::Strategy;
 use crate::value::ValueProfile;
 use serde::{Deserialize, Serialize};
 
-/// Iteration counts for the nested bisections. 90 outer × 64 inner keeps
-/// the residual near machine precision while staying fast.
+/// Outer bisection steps on the common value `ν`, and inner bisection
+/// steps inverting `g_C` at each site. 90 × 64 keeps the residual near
+/// machine precision; the core evaluates `g_C` about a tenth as often as
+/// that product suggests without changing a bit of the result.
 const OUTER_ITERS: usize = 90;
-const INNER_ITERS: usize = 64;
+const INNER_ITERS: u32 = 64;
 
 /// An IFD solution: the equilibrium strategy plus diagnostics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,44 +63,185 @@ pub struct Ifd {
     pub residual: f64,
 }
 
-/// Invert `g` at `target` over `q ∈ [0, 1]` for a strictly decreasing `g`.
-///
-/// Runs through the batched kernel with a caller-owned scratch: the inner
-/// bisection evaluates `g` 64 times per site per outer step, so the
-/// allocation-free `O(k)` path matters here. Contexts carrying an
-/// interpolation grid ([`PayoffContext::with_spec`]) drop that to `O(1)`
-/// per evaluation — the large-`k` regime path; without a grid
-/// `eval_fast_with` falls back to the exact kernel bit-identically.
-fn invert_g(ctx: &PayoffContext, scratch: &mut GScratch, target: f64) -> f64 {
-    let kernel = ctx.kernel();
-    if target >= kernel.at_zero() {
-        return 0.0;
-    }
-    if target <= kernel.at_one() {
-        return 1.0;
-    }
-    crate::numerics::bisect_decreasing(
-        |q| kernel.eval_fast_with(scratch, q),
-        0.0,
-        1.0,
-        target,
-        INNER_ITERS,
-    )
+/// A site's occupancy at one candidate common value `ν`, as a solver's
+/// per-site rule decides it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Occupancy {
+    /// Decided without inverting `g`: 0 or 1.
+    Fixed(f64),
+    /// The `q ∈ [0, 1]` with `g(q) = target`, found by inner bisection.
+    Target(f64),
 }
 
-/// Occupancies `q_x(ν)` for a candidate common value.
-fn occupancies(ctx: &PayoffContext, scratch: &mut GScratch, f: &ValueProfile, nu: f64) -> Vec<f64> {
-    f.values()
-        .iter()
-        .map(|&fx| {
-            // Site is used only when its solo value strictly exceeds nu.
-            if fx <= nu {
-                0.0
-            } else {
-                invert_g(ctx, scratch, nu / fx)
+/// One site's inner bisection in the current outer step, plus its anchor:
+/// the deepest bracket the walk reaches for every `ν` left in the outer
+/// bracket. 48 bytes, so a 10⁶-site profile holds 48 MB of walks.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    anchor: [f64; 2],
+    anchor_depth: u32,
+    bracket: [f64; 2],
+    depth: u32,
+    target: f64,
+}
+
+impl Walk {
+    const ROOT: Walk =
+        Walk { anchor: [0.0, 1.0], anchor_depth: 0, bracket: [0.0, 1.0], depth: 0, target: 0.0 };
+
+    /// Start this step's walk toward `target` from the anchor.
+    fn restart(&mut self, target: f64) {
+        self.bracket = self.anchor;
+        self.depth = self.anchor_depth;
+        self.target = target;
+    }
+
+    /// A fixed occupancy: a finished walk whose bracket is the point `q`.
+    fn fix(&mut self, q: f64) {
+        self.bracket = [q, q];
+        self.depth = INNER_ITERS;
+    }
+
+    fn live(&self) -> bool {
+        self.depth < INNER_ITERS
+    }
+
+    fn mid(&self) -> f64 {
+        0.5 * (self.bracket[0] + self.bracket[1])
+    }
+
+    /// One bisection level at `q = self.mid()`, where `g(q) = gq`.
+    fn step(&mut self, q: f64, gq: f64) {
+        if gq >= self.target {
+            self.bracket[0] = q;
+        } else {
+            self.bracket[1] = q;
+        }
+        self.depth += 1;
+    }
+
+    /// Finish the walk (every level below the current depth) and return
+    /// its output: the midpoint of the full-depth bracket.
+    fn finish(&mut self, kernel: &GTable, scratch: &mut GScratch) -> f64 {
+        while self.live() {
+            let q = self.mid();
+            self.step(q, kernel.eval_fast_with(scratch, q));
+        }
+        self.mid()
+    }
+}
+
+/// The water-filling core: bisect `ν` over `[lo, hi]` for `S(ν) = 1`
+/// ([`OUTER_ITERS`] steps) and return `ν` with the occupancies there.
+///
+/// `rule(x, ν)` is site `x`'s occupancy rule. Where it returns a target,
+/// the target must be non-decreasing in `ν`, and the values of `ν` where
+/// it returns one must form an interval; both solvers' rules divide by a
+/// positive site value, which gives both. `g` is evaluated through
+/// [`GTable::eval_fast_with`]: `O(1)` per evaluation on a context with an
+/// interpolation grid ([`PayoffContext::with_spec`], the large-`k` path),
+/// and bit-identical to the exact `eval_with` without one.
+pub(crate) fn water_fill<R>(
+    kernel: &GTable,
+    sites: usize,
+    lo: f64,
+    hi: f64,
+    rule: R,
+) -> (f64, Vec<f64>)
+where
+    R: Fn(usize, f64) -> Occupancy,
+{
+    let mut scratch = kernel.scratch();
+    let mut walks = vec![Walk::ROOT; sites];
+    let (mut lo_nu, mut hi_nu) = (lo, hi);
+    for _ in 0..OUTER_ITERS {
+        let mid = 0.5 * (lo_nu + hi_nu);
+        if reaches_one(kernel, &mut scratch, &mut walks, &rule, [lo_nu, hi_nu], mid) {
+            lo_nu = mid;
+        } else {
+            hi_nu = mid;
+        }
+    }
+    let nu = 0.5 * (lo_nu + hi_nu);
+    let occupancies = walks
+        .iter_mut()
+        .enumerate()
+        .map(|(x, walk)| match rule(x, nu) {
+            Occupancy::Fixed(q) => q,
+            Occupancy::Target(t) => {
+                walk.restart(t);
+                walk.finish(kernel, &mut scratch)
             }
         })
-        .collect()
+        .collect();
+    (nu, occupancies)
+}
+
+/// One outer step: whether `S(mid) ≥ 1`, for `mid` inside the outer
+/// bracket `nu`. Advances the walks only as deep as the decision needs,
+/// and the anchors along the way.
+fn reaches_one<R>(
+    kernel: &GTable,
+    scratch: &mut GScratch,
+    walks: &mut [Walk],
+    rule: &R,
+    nu: [f64; 2],
+    mid: f64,
+) -> bool
+where
+    R: Fn(usize, f64) -> Occupancy,
+{
+    // Sites past `end` are fixed at 0: they cannot change a sum's
+    // comparison with 1, so nothing below touches their walks. Found from
+    // the back, a long tail of empty sites costs one rule call each.
+    let end = (0..walks.len())
+        .rev()
+        .find(|&x| !matches!(rule(x, mid), Occupancy::Fixed(q) if q == 0.0))
+        .map_or(0, |x| x + 1);
+    let walks = &mut walks[..end];
+    let mut live = 0usize;
+    for (x, walk) in walks.iter_mut().enumerate() {
+        match rule(x, mid) {
+            Occupancy::Fixed(q) => walk.fix(q),
+            Occupancy::Target(t) => walk.restart(t),
+        }
+        if walk.live() {
+            live += 1;
+        }
+    }
+    loop {
+        if live == 0 {
+            return walks.iter().map(Walk::mid).sum::<f64>() >= 1.0;
+        }
+        if walks.iter().map(|w| w.bracket[0]).sum::<f64>() >= 1.0 {
+            return true;
+        }
+        if walks.iter().map(|w| w.bracket[1]).sum::<f64>() < 1.0 {
+            return false;
+        }
+        for (x, walk) in walks.iter_mut().enumerate() {
+            if !walk.live() {
+                continue;
+            }
+            let q = walk.mid();
+            let gq = kernel.eval_fast_with(scratch, q);
+            // Still on the anchor, and the level goes the same way for
+            // every target the outer bracket allows: the anchor follows.
+            let anchored = walk.depth == walk.anchor_depth
+                && match (rule(x, nu[0]), rule(x, nu[1])) {
+                    (Occupancy::Target(t_lo), Occupancy::Target(t_hi)) => gq >= t_hi || gq < t_lo,
+                    _ => false,
+                };
+            walk.step(q, gq);
+            if anchored {
+                walk.anchor = walk.bracket;
+                walk.anchor_depth = walk.depth;
+            }
+            if !walk.live() {
+                live -= 1;
+            }
+        }
+    }
 }
 
 /// Solve the IFD for `(f, C, k)`.
@@ -122,30 +285,33 @@ pub fn solve_ifd_with_context(ctx: &PayoffContext, f: &ValueProfile) -> Result<I
         let strategy = Strategy::delta(f.len(), 0)?;
         return Ok(Ifd { strategy, value: f.value(0), support: 1, residual: 0.0 });
     }
-    let mut scratch = ctx.kernel().scratch();
+    let kernel = ctx.kernel();
     // g(1) = C(k), possibly negative.
-    let g1 = ctx.kernel().at_one();
+    let g1 = kernel.at_one();
     // nu_hi: at nu = f(1)·g(0) = f(1), every occupancy is 0, S = 0 <= 1.
-    let mut hi = f.value(0) * ctx.kernel().at_zero();
+    let mut hi = f.value(0) * kernel.at_zero();
     // nu_lo: a value at which every site is fully occupied, S = M >= 1.
     let mut lo = if g1 >= 0.0 { f.value(f.len() - 1) * g1 } else { f.value(0) * g1 };
     // Guard the bracket against round-off at the endpoints.
     let pad = 1e-12 * (1.0 + hi.abs() + lo.abs());
     hi += pad;
     lo -= pad;
-    let mut lo_nu = lo;
-    let mut hi_nu = hi;
-    for _ in 0..OUTER_ITERS {
-        let mid = 0.5 * (lo_nu + hi_nu);
-        let sum_at_mid: f64 = occupancies(ctx, &mut scratch, f, mid).iter().sum();
-        if sum_at_mid >= 1.0 {
-            lo_nu = mid;
-        } else {
-            hi_nu = mid;
+    let values = f.values();
+    let (nu, mut probs) = water_fill(kernel, values.len(), lo, hi, |x, nu| {
+        let fx = values[x];
+        // Site is used only when its solo value strictly exceeds nu.
+        if fx <= nu {
+            return Occupancy::Fixed(0.0);
         }
-    }
-    let nu = 0.5 * (lo_nu + hi_nu);
-    let mut probs = occupancies(ctx, &mut scratch, f, nu);
+        let target = nu / fx;
+        if target >= kernel.at_zero() {
+            Occupancy::Fixed(0.0)
+        } else if target <= g1 {
+            Occupancy::Fixed(1.0)
+        } else {
+            Occupancy::Target(target)
+        }
+    });
     // Exact renormalization of residual bisection slack.
     let sum: f64 = crate::numerics::kahan_sum(probs.iter().copied());
     if sum <= 0.0 {
@@ -340,6 +506,13 @@ mod tests {
         let b = solve_ifd(&Sharing, &f_scaled, 3).unwrap();
         let d = a.strategy.linf_distance(&b.strategy).unwrap();
         assert!(d < 1e-9, "scale sensitivity {d}");
+    }
+
+    #[test]
+    fn walk_state_stays_48_bytes_per_site() {
+        // Two brackets, two depths and a target: 48 MB at the 10⁶-site
+        // profile cap.
+        assert_eq!(std::mem::size_of::<Walk>(), 48);
     }
 
     #[test]
