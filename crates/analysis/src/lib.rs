@@ -38,13 +38,13 @@
 //!   the repo root must have a bench target with a `--quick` guard mode
 //!   (`guard::quick_mode`) and a CI invocation of it, so no recorded
 //!   trajectory can regress unguarded. Trajectories with named per-lane
-//!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse floor, the
-//!   batch AVX2-vs-scalar floor, the serve admission-batching floor, the
-//!   search batched-expansion floor, the kernel fused-path and
-//!   interp-vs-fused floors, the IFD water-filling-vs-nested-bisection
-//!   floor)
-//!   must keep those labels in their guard — deleting a floor is a lint
-//!   failure, not a silent coverage loss.
+//!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse and
+//!   two-thread floors, the batch AVX2-vs-scalar floor, the serve
+//!   admission-batching floor, the search batched-expansion floor, the
+//!   kernel fused-path and interp-vs-fused floors, the IFD
+//!   water-filling-vs-nested-bisection floor) must keep those labels in
+//!   their guard — deleting a floor is a lint failure, not a silent
+//!   coverage loss.
 //!
 //! The scanner strips comments, strings, and character literals first
 //! (so doc-prose `panic!` or a `"HashMap"` string literal never fire) and
@@ -664,11 +664,19 @@ pub struct BenchGuardInput {
 /// guards. A guard that merely *exists* can still silently lose a floor
 /// (e.g. the AVX2 lane check deleted during a refactor while the
 /// gemm-vs-loop floor keeps the guard "present"); pinning the guard
-/// labels here makes that a lint failure. Labels are the exact strings
-/// passed to `guard::check_speedup` / `guard::check_overhead`.
+/// labels here makes that a lint failure. Labels are the exact strings a
+/// guard reports its verdict under: passed to `guard::check_speedup` /
+/// `guard::check_overhead`, or printed by the bench itself.
 pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 6] = [
     ("batch", &["batch gemm_speedup", "batch gbatch_gemm avx2-vs-scalar"]),
-    ("engine", &["engine pool_overhead", "engine pool_reuse dispatch-vs-respawn"]),
+    (
+        "engine",
+        &[
+            "engine pool_overhead",
+            "engine pool_reuse dispatch-vs-respawn",
+            "engine two-thread speedup",
+        ],
+    ),
     ("serve", &["serve admission-batch-vs-sequential"]),
     ("search", &["search batched-vs-sequential-expansion"]),
     ("kernel", &["kernel fused_speedup k=64", "kernel interp-vs-fused k=256"]),
@@ -1186,7 +1194,8 @@ let lt: &'static str = unrelated;"##;
     fn required_guard_labels_present_is_clean() {
         let engine_src = "if guard::quick_mode() { \
             check_overhead(\"engine pool_overhead 4-thread\", s, p, 4.0); \
-            check_speedup(\"engine pool_reuse dispatch-vs-respawn\", r, d); }";
+            check_speedup(\"engine pool_reuse dispatch-vs-respawn\", r, d); \
+            let label = \"engine two-thread speedup\"; }";
         let v = lint_bench_guards(&[guard_input(
             "engine",
             Some(engine_src),

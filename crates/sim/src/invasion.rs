@@ -165,8 +165,8 @@ struct Tournament<'a> {
     k: usize,
 }
 
-/// Reusable per-shard scratch for [`Tournament`]: site occupancy and the
-/// `(site, type)` choice of every slot.
+/// Reusable per-shard scratch for [`Tournament`]: site occupancy (all
+/// zero between matches) and the `(site, type)` choice of every slot.
 struct TournamentScratch {
     occupancy: Vec<usize>,
     choices: Vec<(usize, usize)>,
@@ -187,7 +187,6 @@ impl Experiment for Tournament<'_> {
         if acc.0.is_empty() {
             acc.0 = vec![Welford::default(); self.samplers.len()];
         }
-        scratch.occupancy.iter_mut().for_each(|o| *o = 0);
         for slot in scratch.choices.iter_mut() {
             let u = rng.gen::<f64>();
             let mut ty = 0usize;
@@ -206,6 +205,9 @@ impl Experiment for Tournament<'_> {
         for &(site, ty) in &scratch.choices {
             let payoff = self.rewards[site * self.k + scratch.occupancy[site] - 1];
             acc.0[ty].push(payoff);
+        }
+        for &(site, _) in &scratch.choices {
+            scratch.occupancy[site] = 0;
         }
     }
 }

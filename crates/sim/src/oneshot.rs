@@ -22,7 +22,8 @@ pub struct Outcome {
     pub occupancy: Vec<usize>,
     /// Payoff received by each player under the policy.
     pub payoffs: Vec<f64>,
-    /// Realized coverage: sum of values over visited sites.
+    /// Realized coverage: sum of values over visited sites, added in
+    /// ascending site order.
     pub coverage: f64,
     /// Number of sites with at least two players (collision sites).
     pub collision_sites: usize,
@@ -36,12 +37,21 @@ pub struct Outcome {
 /// lookups — no multiplies against the congestion table, no virtual
 /// dispatch. Built once per engine shard (see `crate::engine::Experiment`)
 /// and reused across every trial of that shard.
+///
+/// A play touches only the sites its `k` players drew: each draw bumps the
+/// site's occupancy and sets its bit in a visited-site bitset (one `u64`
+/// per 64 sites), and the coverage sum walks the set bits in ascending
+/// order, zeroing occupancy and bitset as it goes. A trial therefore costs
+/// O(k + M/64) rather than O(M), and both scratch vectors are all zero
+/// between plays.
 pub struct OneShotGame<'a> {
     f: &'a ValueProfile,
     /// Site-major reward matrix: `rewards[x * k + (ℓ − 1)] = f(x)·C(ℓ)`.
     rewards: Vec<f64>,
     samplers: Vec<StrategySampler>,
     occupancy: Vec<usize>,
+    /// Site `x` is bit `x % 64` of `visited[x / 64]`.
+    visited: Vec<u64>,
 }
 
 /// Flatten `f(x)·C(ℓ)` into the site-major lookup used by the per-trial
@@ -73,6 +83,7 @@ impl<'a> OneShotGame<'a> {
             rewards: reward_matrix(f, ctx.c_table()),
             samplers: vec![sampler; k],
             occupancy: vec![0; f.len()],
+            visited: vec![0; f.len().div_ceil(64)],
         })
     }
 
@@ -97,6 +108,7 @@ impl<'a> OneShotGame<'a> {
             rewards: reward_matrix(f, ctx.c_table()),
             samplers,
             occupancy: vec![0; f.len()],
+            visited: vec![0; f.len().div_ceil(64)],
         })
     }
 
@@ -111,57 +123,62 @@ impl<'a> OneShotGame<'a> {
     pub fn play<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Outcome {
         let k = self.samplers.len();
         let mut choices = Vec::with_capacity(k);
-        self.occupancy.iter_mut().for_each(|o| *o = 0);
         for sampler in &self.samplers {
             let site = sampler.sample(rng);
             self.occupancy[site] += 1;
+            self.visited[site / 64] |= 1 << (site % 64);
             choices.push(site);
         }
         let payoffs: Vec<f64> =
             choices.iter().map(|&site| self.rewards[site * k + self.occupancy[site] - 1]).collect();
-        let mut coverage = 0.0;
+        let occupancy = self.occupancy.clone();
         let mut collision_sites = 0;
         let mut colliding_players = 0;
-        for (site, &occ) in self.occupancy.iter().enumerate() {
-            if occ > 0 {
-                coverage += self.f.value(site);
-            }
+        let coverage = self.clear_visited(|occ| {
             if occ > 1 {
                 collision_sites += 1;
                 colliding_players += occ;
             }
-        }
-        Outcome {
-            choices,
-            occupancy: self.occupancy.clone(),
-            payoffs,
-            coverage,
-            collision_sites,
-            colliding_players,
-        }
+        });
+        Outcome { choices, occupancy, payoffs, coverage, collision_sites, colliding_players }
     }
 
     /// Play one round returning only `(coverage, payoff of player 0)` —
     /// the allocation-free fast path for Monte-Carlo estimation.
     pub fn play_coverage<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (f64, f64) {
-        self.occupancy.iter_mut().for_each(|o| *o = 0);
+        let k = self.samplers.len();
         let mut first_site = 0usize;
         for (i, sampler) in self.samplers.iter().enumerate() {
             let site = sampler.sample(rng);
             self.occupancy[site] += 1;
+            self.visited[site / 64] |= 1 << (site % 64);
             if i == 0 {
                 first_site = site;
             }
         }
+        let payoff0 = self.rewards[first_site * k + self.occupancy[first_site] - 1];
+        (self.clear_visited(|_| {}), payoff0)
+    }
+
+    /// Walk the visited sites in ascending order, passing each one's
+    /// occupancy to `visit`, and zero occupancy and bitset behind the walk.
+    /// Returns the coverage: `f(x)` summed from `0.0` over the visited
+    /// sites in ascending order — the same terms in the same order as a
+    /// scan over all `M` sites that skips the empty ones.
+    fn clear_visited(&mut self, mut visit: impl FnMut(usize)) -> f64 {
+        let values = self.f.values();
         let mut coverage = 0.0;
-        for (site, &occ) in self.occupancy.iter().enumerate() {
-            if occ > 0 {
-                coverage += self.f.value(site);
+        for (w, word) in self.visited.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let site = w * 64 + bits.trailing_zeros() as usize;
+                coverage += values[site];
+                visit(self.occupancy[site]);
+                self.occupancy[site] = 0;
+                bits &= bits - 1;
             }
         }
-        let payoff0 =
-            self.rewards[first_site * self.samplers.len() + self.occupancy[first_site] - 1];
-        (coverage, payoff0)
+        coverage
     }
 }
 
@@ -230,31 +247,39 @@ mod tests {
         assert!((o.coverage - 1.0).abs() < 1e-15);
     }
 
+    /// On one stream, `play_coverage` returns exactly `play`'s coverage and
+    /// player-0 payoff, and both equal the all-sites scan from `0.0`. The
+    /// calls alternate on one game, so counts either path left behind would
+    /// corrupt the other's next play; M = 130 spreads the visited bitset
+    /// over three words.
     #[test]
-    fn fast_path_matches_full_path_statistics() {
-        let f = ValueProfile::new(vec![1.0, 0.4]).unwrap();
-        let s = Strategy::new(vec![0.7, 0.3]).unwrap();
-        let mut game = OneShotGame::symmetric(&f, &Exclusive, &s, 2).unwrap();
-        let n = 60_000;
+    fn fast_path_matches_full_path_bit_for_bit() {
+        let f = ValueProfile::zipf(130, 1.0, 1.0).unwrap();
+        let s = Strategy::uniform(130).unwrap();
+        let mut game = OneShotGame::symmetric(&f, &Sharing, &s, 9).unwrap();
         let mut rng = Seed(5).rng();
-        let mut cov_fast = 0.0;
-        let mut pay_fast = 0.0;
-        for _ in 0..n {
-            let (c, p) = game.play_coverage(&mut rng);
-            cov_fast += c;
-            pay_fast += p;
+        let mut last_word_plays = 0;
+        for trial in 0..3_000 {
+            let mut full_rng = rng.clone();
+            let (fast, o) = if trial % 2 == 0 {
+                (game.play_coverage(&mut rng), game.play(&mut full_rng))
+            } else {
+                let o = game.play(&mut full_rng);
+                (game.play_coverage(&mut rng), o)
+            };
+            assert_eq!(rng, full_rng, "the two paths drew different words");
+            let scan = o
+                .occupancy
+                .iter()
+                .enumerate()
+                .filter(|(_, &n)| n > 0)
+                .fold(0.0, |acc, (x, _)| acc + f.value(x));
+            assert_eq!(fast.0.to_bits(), o.coverage.to_bits(), "coverage, trial {trial}");
+            assert_eq!(o.coverage.to_bits(), scan.to_bits(), "scan order, trial {trial}");
+            assert_eq!(fast.1.to_bits(), o.payoffs[0].to_bits(), "payoff0, trial {trial}");
+            last_word_plays += usize::from(o.choices.iter().any(|&x| x >= 128));
         }
-        let mut rng = Seed(6).rng();
-        let mut cov_full = 0.0;
-        let mut pay_full = 0.0;
-        for _ in 0..n {
-            let o = game.play(&mut rng);
-            cov_full += o.coverage;
-            pay_full += o.payoffs[0];
-        }
-        let nf = n as f64;
-        assert!((cov_fast / nf - cov_full / nf).abs() < 0.01);
-        assert!((pay_fast / nf - pay_full / nf).abs() < 0.01);
+        assert!(last_word_plays > 100, "only {last_word_plays} plays reached sites 128-129");
     }
 
     #[test]
