@@ -42,7 +42,8 @@
 //!   two-thread floors, the batch AVX2-vs-scalar floor, the serve
 //!   admission-batching floor, the search batched-expansion floor, the
 //!   kernel fused-path and interp-vs-fused floors, the IFD
-//!   water-filling-vs-nested-bisection floor) must keep those labels in
+//!   water-filling-vs-nested-bisection floor, the ESS kernel-ledger and
+//!   lazy-check-vs-full-ledger floors) must keep those labels in
 //!   their guard — deleting a floor is a lint failure, not a silent
 //!   coverage loss.
 //!
@@ -667,7 +668,7 @@ pub struct BenchGuardInput {
 /// labels here makes that a lint failure. Labels are the exact strings a
 /// guard reports its verdict under: passed to `guard::check_speedup` /
 /// `guard::check_overhead`, or printed by the bench itself.
-pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 6] = [
+pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 7] = [
     ("batch", &["batch gemm_speedup", "batch gbatch_gemm avx2-vs-scalar"]),
     (
         "engine",
@@ -681,6 +682,7 @@ pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 6] = [
     ("search", &["search batched-vs-sequential-expansion"]),
     ("kernel", &["kernel fused_speedup k=64", "kernel interp-vs-fused k=256"]),
     ("ifd", &["ifd water-filling-vs-nested-bisection"]),
+    ("ess", &["ess ledger_kernel_speedup k=32", "ess lazy-check-vs-full-ledger"]),
 ];
 
 /// Check that every recorded bench trajectory has a quick guard wired
@@ -1202,6 +1204,19 @@ let lt: &'static str = unrelated;"##;
             "run: cargo bench -p dispersal-bench --bench engine -- --quick",
         )]);
         assert!(v.is_empty(), "{v:?}");
+        let ess_src = "if guard::quick_mode() { \
+            check_speedup(\"ess ledger_kernel_speedup k=32\", s, k); \
+            check_overhead(\"ess lazy-check-vs-full-ledger\", f, l, 0.5); }";
+        let ci = "run: cargo bench -p dispersal-bench --bench ess -- --quick";
+        assert!(lint_bench_guards(&[guard_input("ess", Some(ess_src), ci)]).is_empty());
+        // Dropping the lazy-verdict floor is caught.
+        let v = lint_bench_guards(&[guard_input(
+            "ess",
+            Some("if guard::quick_mode() { check_speedup(\"ess ledger_kernel_speedup k=32\", s, k); }"),
+            ci,
+        )]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].excerpt.contains("ess lazy-check-vs-full-ledger"), "{v:?}");
     }
 
     // ---- allowlist ----------------------------------------------------

@@ -26,14 +26,35 @@
 //! [`crate::kernel::PbCache`], and across *every mutant probed*), and
 //! each ledger level is one `O(k)` [`crate::kernel::PbTable::replace`]
 //! per site instead of a fresh `O(k²)` DP — an `O(k)` total speedup that
-//! is what makes the tier-2 large-`k` theorem tests affordable. Level 0
-//! remains bit-identical to the pre-kernel per-site DP path; rank-updated
-//! levels agree to `O(k·ε)` (≈ 1e-13 at `k = 256`, checked in CI). The
-//! same level walk serves the two-column [`EssLedger`] and the
-//! one-row-per-type [`MixtureLedger`].
+//! is what makes the tier-2 large-`k` theorem tests affordable. The same
+//! level walk serves the two-column [`EssLedger`] and the one-row-per-type
+//! [`MixtureLedger`].
+//!
+//! Level 0 remains bit-identical to the pre-kernel per-site DP path.
+//! Rank-updated levels agree with a fresh DP while each site's
+//! replacements stay interior, but a long walk toward a point mass (a
+//! point-mass or top-`j` mutant moving factors to 0 or 1) diverges: at
+//! `k = 64` a full ledger can leave the physical bound `Σ_x f(x)·max|C|`
+//! within a few dozen levels (measured in [`crate::kernel::PbTable`]'s
+//! docs).
+//!
+//! ## Lazy verdicts
+//!
+//! A verdict needs the ledger only up to its first strict level, and on
+//! the mechanism search's candidates (the root forest and its first 48
+//! breadth-first expansions) every verdict is settled at level 0 or 1.
+//! [`LedgerEvaluator::check`] therefore computes levels only until its
+//! verdict is settled: level 0 from stored per-site expectations, later
+//! levels by the same walk. It returns the full-ledger verdict — variant,
+//! level and margin bits — whenever the full ledger stays physically
+//! possible, and falls back to the full ledger where only its scale can
+//! decide; the method docs give the argument. Where the full ledger leaves
+//! the bound, its verdict is judged on wrong levels; the lazy one decides
+//! on the levels up to its first strict one, and matched the fresh DP on
+//! every such ledger of the oracle test's sweep.
 
 use crate::error::{Error, Result};
-use crate::kernel::{PbCache, PbTable};
+use crate::kernel::{normalize_prob, PbCache, PbTable};
 use crate::numerics::kahan_sum;
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
@@ -90,7 +111,8 @@ pub struct EssLedger {
 /// [`PbCache`]); [`Self::ledger`] then costs `O(M·k²)` total for a full
 /// `k`-level ledger — the pre-kernel path paid `O(M·k³)`. Build one
 /// evaluator per resident and reuse it across every mutant probed
-/// ([`probe_ess_k`] does exactly this).
+/// ([`probe_ess_k`] does exactly this). [`Self::check`] walks only the
+/// levels its verdict needs: `O(M)` when level 0 settles it.
 #[derive(Debug, Clone)]
 pub struct LedgerEvaluator<'a> {
     ctx: &'a PayoffContext,
@@ -98,6 +120,23 @@ pub struct LedgerEvaluator<'a> {
     sigma: &'a Strategy,
     /// Per-site baseline tables for the profile `{σ(x)}^{k−1}`.
     base: Vec<PbTable>,
+    /// `base[x].expectation(C)`: each site's level-0 `E[C(1 + N_x)]`.
+    base_expectation: Vec<f64>,
+    /// The level-0 resident payoff, summed as the walk sums it.
+    base_resident: f64,
+    /// `max(1, 2·Σ_x f(x)·max_j |C_j|)`: twice the largest magnitude any
+    /// physically possible ledger value can have.
+    scale_bound: f64,
+}
+
+/// What one level of [`LedgerEvaluator::check`] decides.
+enum LevelCall {
+    /// The level ties under every scale the full ledger could have.
+    Tie,
+    /// The level is strict under every scale the full ledger could have.
+    Settled(MutantVerdict),
+    /// Only the full ledger's scale can decide.
+    Fallback,
 }
 
 impl<'a> LedgerEvaluator<'a> {
@@ -127,7 +166,18 @@ impl<'a> LedgerEvaluator<'a> {
             profile.fill(sigma.prob(x));
             base.push(cache.table(&profile)?.as_ref().clone());
         }
-        Ok(Self { ctx, f, sigma, base })
+        let c_table = ctx.c_table();
+        let base_expectation: Vec<f64> = base.iter().map(|t| t.expectation(c_table)).collect();
+        let mut base_resident = 0.0;
+        for (x, &expected_c) in base_expectation.iter().enumerate() {
+            let px = sigma.prob(x);
+            if px != 0.0 {
+                base_resident += px * f.value(x) * expected_c;
+            }
+        }
+        let max_c = c_table.iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
+        let scale_bound = (2.0 * f.values().iter().sum::<f64>() * max_c).max(1.0);
+        Ok(Self { ctx, f, sigma, base, base_expectation, base_resident, scale_bound })
     }
 
     /// The resident this evaluator is anchored on.
@@ -182,9 +232,103 @@ impl<'a> LedgerEvaluator<'a> {
         Ok(())
     }
 
-    /// Apply the ESS characterization to one mutant (ledger + verdict).
+    /// Apply the ESS characterization to one mutant, computing ledger
+    /// levels only until the verdict is settled.
+    ///
+    /// Level 0 comes from the stored baseline expectations, with no table
+    /// clone. Only when it ties are the baseline tables cloned and levels
+    /// `1, 2, …` advanced, by the same loop as [`Self::ledger`]: the same
+    /// terms in the same order, so every level computed carries the full
+    /// ledger's bits. At level `ℓ`, with `S_ℓ = max(1, |res_j|, |mu_j|,
+    /// j ≤ ℓ)` and `S_B` the stored scale bound, the difference `d =
+    /// res_ℓ − mu_ℓ`:
+    ///
+    /// * `d > ESS_TOL·S_B` repels and `d < −ESS_TOL·S_B` invades, at `ℓ`;
+    /// * `|d| ≤ ESS_TOL·S_ℓ` ties, and the walk goes on;
+    /// * anything else (including NaN) falls back to the full ledger.
+    ///
+    /// Every level tying is [`MutantVerdict::Indistinguishable`].
+    ///
+    /// **Why this is exact.** The full-ledger verdict uses the scale `S` of
+    /// all `k` levels, and `S_ℓ ≤ S`: a tie under `S_ℓ` is a tie under `S`,
+    /// so the full verdict also passes every level the lazy one passed.
+    /// Every physically possible ledger value satisfies `|v| ≤ Σ_x ρ(x)·
+    /// f(x)·max|C| ≤ Σ_x f(x)·max|C| = S_B/2`; while the full ledger stays
+    /// within `S_B`, `S ≤ S_B`, so a difference beyond `ESS_TOL·S_B` is
+    /// strict under `S` too. The verdict — variant, level and margin bits —
+    /// is then the full ledger's. Where the rank-updated walk leaves the
+    /// physical bound (see [`PbTable`] on long walks toward 0 or 1), the
+    /// full verdict's scale is inflated by levels that are wrong, and the
+    /// lazy verdict can differ from it: it decides on the levels up to the
+    /// first strict one, which stay accurate longer.
     pub fn check(&self, pi: &Strategy) -> Result<MutantVerdict> {
-        Ok(verdict_from_ledger(&self.ledger(pi)?))
+        if pi.len() != self.f.len() {
+            return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
+        }
+        // Every level of the walk replaces the same normalized pair
+        // (σ(x), π(x)), and σ(x) stays in each table until level k − 1, so
+        // no error can first appear at a level this walk skips, except a
+        // π(x) that does not normalize, which the walk rejects at level 1.
+        // Reject it here, so a verdict settled at level 0 fails alike.
+        for &p in pi.probs() {
+            normalize_prob(p)?;
+        }
+        let mut scale = 1.0f64;
+        let mut mu = 0.0;
+        for (x, &expected_c) in self.base_expectation.iter().enumerate() {
+            let px = pi.prob(x);
+            if px != 0.0 {
+                mu += px * self.f.value(x) * expected_c;
+            }
+        }
+        match self.call_level(0, self.base_resident, mu, &mut scale) {
+            LevelCall::Tie => {}
+            LevelCall::Settled(verdict) => return Ok(verdict),
+            LevelCall::Fallback => return Ok(verdict_from_ledger(&self.ledger(pi)?)),
+        }
+        let c_table = self.ctx.c_table();
+        let mut tables = self.base.clone();
+        for ell in 1..self.ctx.k() {
+            for (x, table) in tables.iter_mut().enumerate() {
+                table.replace(self.sigma.prob(x), pi.prob(x))?;
+            }
+            let (mut res, mut mu) = (0.0, 0.0);
+            for (x, table) in tables.iter().enumerate() {
+                let (sx, px) = (self.sigma.prob(x), pi.prob(x));
+                if sx == 0.0 && px == 0.0 {
+                    continue;
+                }
+                let expected_c = table.expectation(c_table);
+                if sx != 0.0 {
+                    res += sx * self.f.value(x) * expected_c;
+                }
+                if px != 0.0 {
+                    mu += px * self.f.value(x) * expected_c;
+                }
+            }
+            match self.call_level(ell, res, mu, &mut scale) {
+                LevelCall::Tie => {}
+                LevelCall::Settled(verdict) => return Ok(verdict),
+                LevelCall::Fallback => return Ok(verdict_from_ledger(&self.ledger(pi)?)),
+            }
+        }
+        Ok(MutantVerdict::Indistinguishable)
+    }
+
+    /// Decide level `ell` of [`Self::check`] from its two payoffs, folding
+    /// them into the running scale `S_ℓ` first.
+    fn call_level(&self, ell: usize, res: f64, mu: f64, scale: &mut f64) -> LevelCall {
+        *scale = scale.max(res.abs()).max(mu.abs());
+        let diff = res - mu;
+        if diff > ESS_TOL * self.scale_bound {
+            LevelCall::Settled(MutantVerdict::Repelled { m: ell, margin: diff })
+        } else if diff < -ESS_TOL * self.scale_bound {
+            LevelCall::Settled(MutantVerdict::Invades { level: ell, deficit: -diff })
+        } else if diff.abs() <= ESS_TOL * *scale {
+            LevelCall::Tie
+        } else {
+            LevelCall::Fallback
+        }
     }
 }
 
@@ -267,14 +411,15 @@ fn verdict_from_ledger(ledger: &EssLedger) -> MutantVerdict {
     MutantVerdict::Indistinguishable
 }
 
-/// Apply the ESS characterization to one mutant.
+/// Apply the ESS characterization to one mutant: [`LedgerEvaluator::check`]
+/// on a one-shot evaluator.
 pub fn check_mutant(
     ctx: &PayoffContext,
     f: &ValueProfile,
     sigma: &Strategy,
     pi: &Strategy,
 ) -> Result<MutantVerdict> {
-    Ok(verdict_from_ledger(&ess_ledger(ctx, f, sigma, pi)?))
+    LedgerEvaluator::new(ctx, f, sigma)?.check(pi)
 }
 
 /// Report from probing a candidate ESS with many mutants.

@@ -926,7 +926,7 @@ impl GBatch {
 /// Normalize a visit probability for table membership: reject non-finite
 /// or genuinely out-of-range values, clamp round-off into `[0, 1]`, and
 /// canonicalize `-0.0` to `0.0` so bit-keyed lookups are stable.
-fn normalize_prob(p: f64) -> Result<f64> {
+pub(crate) fn normalize_prob(p: f64) -> Result<f64> {
     if !p.is_finite() || !(-1e-12..=1.0 + 1e-12).contains(&p) {
         return Err(Error::ProbabilityOutOfRange { q: p });
     }
@@ -947,11 +947,23 @@ fn normalize_prob(p: f64) -> Result<f64> {
 /// probability for another. Queries ([`Self::expectation`]) are
 /// allocation-free `O(n)` Kahan dots against a caller-supplied value table.
 ///
-/// The deconvolution picks the numerically contractive recurrence
-/// direction (forward for `p ≤ ½`, backward for `p > ½`, exact
-/// shift/truncate for `p ∈ {0, 1}`), so long add/remove walks — e.g. an
-/// ESS ledger stepping `k` levels — accumulate only `O(n·ε)` error
-/// (≈ 1e-13 at `n = 256`) instead of amplifying.
+/// The deconvolution picks the recurrence direction that is contractive
+/// for one removal (forward for `p ≤ ½`, backward for `p > ½`, exact
+/// shift/truncate for `p ∈ {0, 1}`). One removal from a fresh table is
+/// accurate (1.4e-17 from a fresh DP at `n = 255`, `p ∈ {1/6, 0.35}`), and
+/// so are walks whose replacements stay interior (`0.25 → 0.5`, all 255
+/// steps: 7.6e-17). Long walks that replace factors by 0 or 1 — an ESS
+/// ledger stepping a point-mass or top-`j` mutant through `k` levels — are
+/// **not** accurate: each removal's round-off is amplified by the next.
+/// Measured against a fresh DP after every step:
+///
+/// * `n = 63`, `0.51 → 1`: off by more than 1e-9 from step 9, with PMF
+///   mass reaching 2.3e9;
+/// * `n = 255`: `1/6 → 0` off by 7.3e9, `0.35 → 0` by 2.5e39;
+/// * removals alone (`n = 255`, `p = 1/6`) off by 3.4e6.
+///
+/// [`crate::ess::LedgerEvaluator::check`] walks only the levels its verdict
+/// needs, which in practice stay in the accurate regime.
 #[derive(Debug, Clone, Default)]
 pub struct PbTable {
     /// PMF of the current multiset: `pmf[j] = P[Σᵢ Xᵢ = j]`,

@@ -9,13 +9,16 @@
 //! and an ESS feasibility margin — so searched mechanisms and hand-written
 //! catalog entries are compared by *identical* code paths. ESS margins run
 //! through [`dispersal_core::ess::probe_ess_k`], whose ledger evaluator
-//! routes every mutant payoff through the shared `PbCache` binomial-table
-//! cache.
+//! builds the resident's binomial tables once and walks each mutant's
+//! ledger only as far as its verdict needs. The welfare optimum is the
+//! same for every mechanism on `(profile, k)`, so [`score_table`] takes its
+//! coverage from the caller, which computes it once per catalog or search.
 //!
-//! Determinism contract: for a fixed `(table, profile, k, ess_mutants,
-//! ess_seed)` the returned score is bit-identical regardless of thread
-//! count — nothing here reads ambient state, and the ESS probe draws its
-//! mutants from a `ChaCha8Rng` seeded with `ess_seed` alone.
+//! Determinism contract: for a fixed `(table, profile, k, optimal
+//! coverage, ess_mutants, ess_seed)` the returned score is bit-identical
+//! regardless of thread count — nothing here reads ambient state, and the
+//! ESS probe draws its mutants from a `ChaCha8Rng` seeded with `ess_seed`
+//! alone.
 
 use dispersal_core::coverage::coverage;
 use dispersal_core::ess::probe_ess_k;
@@ -61,7 +64,10 @@ pub struct MechScore {
 
 /// Score the mechanism given by `table = [C(1), …, C(k)]` on `f`.
 ///
-/// `ess_mutants` random mutant strategies (drawn from a `ChaCha8Rng`
+/// `optimal_coverage` is `optimal_coverage(f, k)?.coverage`, the SPoA
+/// numerator every mechanism on `(f, k)` shares: callers scoring many
+/// tables compute it once ([`score_catalog`] and the mechanism search
+/// do). `ess_mutants` random mutant strategies (drawn from a `ChaCha8Rng`
 /// seeded with `ess_seed`) probe the equilibrium for invasions; pass `0`
 /// to skip the probe (then `ess_passed` is `false` — an unprobed
 /// mechanism is not certified).
@@ -70,13 +76,13 @@ pub fn score_table(
     table: &[f64],
     f: &ValueProfile,
     k: usize,
+    optimal_coverage: f64,
     ess_mutants: usize,
     ess_seed: u64,
 ) -> Result<MechScore> {
     let policy = TableCongestion::new(table.to_vec(), name)?;
     let ifd = solve_ifd_allow_degenerate(&policy, f, k)?;
     let welfare = coverage(f, &ifd.strategy, k)?;
-    let opt = optimal_coverage(f, k)?;
     let ctx = PayoffContext::new(&policy, k)?;
     let equilibrium_payoff = ctx.symmetric_payoff(f, &ifd.strategy)?;
     let degenerate = ctx.is_degenerate();
@@ -91,8 +97,8 @@ pub fn score_table(
         name: name.to_string(),
         k,
         welfare,
-        optimal_coverage: opt.coverage,
-        spoa: if welfare > 0.0 { opt.coverage / welfare } else { f64::INFINITY },
+        optimal_coverage,
+        spoa: if welfare > 0.0 { optimal_coverage / welfare } else { f64::INFINITY },
         equilibrium_payoff,
         support: ifd.support,
         ess_margin,
@@ -104,17 +110,19 @@ pub fn score_table(
 /// [`score_table`] (via `validate_congestion`-expanded tables), so the
 /// search's certificate and the catalog baseline are numerically
 /// commensurable — identical mechanisms produce bit-identical welfare.
+/// The optimum is computed once for the whole catalog.
 pub fn score_catalog(
     f: &ValueProfile,
     k: usize,
     ess_mutants: usize,
     ess_seed: u64,
 ) -> Result<Vec<MechScore>> {
+    let optimal = optimal_coverage(f, k)?.coverage;
     crate::catalog::standard_catalog()
         .iter()
         .map(|named| {
             let table = dispersal_core::policy::validate_congestion(named.policy.as_ref(), k)?;
-            score_table(&named.name, &table, f, k, ess_mutants, ess_seed)
+            score_table(&named.name, &table, f, k, optimal, ess_mutants, ess_seed)
         })
         .collect()
 }
@@ -167,7 +175,8 @@ mod tests {
         let f = profile();
         let k = 4;
         let table = policy_table(&Exclusive, k).unwrap();
-        let score = score_table("exclusive", &table, &f, k, 0, 0).unwrap();
+        let opt = optimal_coverage(&f, k).unwrap().coverage;
+        let score = score_table("exclusive", &table, &f, k, opt, 0, 0).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let eval = evaluate_policy("exclusive", &Exclusive, &f, k, 0, &mut rng).unwrap();
         assert_eq!(score.welfare.to_bits(), eval.equilibrium_coverage.to_bits());
@@ -179,8 +188,9 @@ mod tests {
     #[test]
     fn exclusive_passes_ess_probe_with_positive_margin_pipeline() {
         let f = profile();
-        let score =
-            score_table("exclusive", &policy_table(&Exclusive, 4).unwrap(), &f, 4, 16, 7).unwrap();
+        let opt = optimal_coverage(&f, 4).unwrap().coverage;
+        let table = policy_table(&Exclusive, 4).unwrap();
+        let score = score_table("exclusive", &table, &f, 4, opt, 16, 7).unwrap();
         assert!(score.ess_passed, "exclusive is the paper's ESS: {score:?}");
         assert!(score.spoa < 1.0 + 1e-6, "exclusive has unit SPoA: {}", score.spoa);
     }
@@ -189,7 +199,8 @@ mod tests {
     fn degenerate_constant_table_is_never_certified() {
         let f = profile();
         let table = vec![1.0; 4];
-        let score = score_table("constant", &table, &f, 4, 16, 7).unwrap();
+        let opt = optimal_coverage(&f, 4).unwrap().coverage;
+        let score = score_table("constant", &table, &f, 4, opt, 16, 7).unwrap();
         assert!(!score.ess_passed);
         assert_eq!(score.ess_margin, 0.0);
     }

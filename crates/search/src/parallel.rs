@@ -2,14 +2,17 @@
 //!
 //! The searcher grows one shared tree of [`ParamBox`] nodes. Each
 //! iteration selects a **wave** of up to `wave` frontier nodes by
-//! best-first priority, expands the whole wave concurrently on the
-//! persistent work-stealing pool (`dispersal_sim::engine::par_map`), and
-//! merges the children back in wave order. One expansion = one
-//! policy-major `GBatch` tile: the children of a node are evaluated as a
-//! single batched response matrix (one shared Bernstein basis column for
-//! the whole sibling set), then scored exactly by
-//! [`dispersal_mech::scoring::score_table`] — whose ESS probe routes every
-//! mutant payoff through the shared `PbCache` ledger.
+//! best-first priority, expands it, and merges the children back in wave
+//! order. One expansion = one policy-major `GBatch` tile: the children of
+//! a node are evaluated as a single batched response matrix (one shared
+//! Bernstein basis column for the whole sibling set). The tiles are built
+//! in wave order on the calling thread; then **one** fan-out on the
+//! persistent work-stealing pool (`dispersal_sim::engine::par_map`) scores
+//! every child of the wave as its own item, exactly, with
+//! [`dispersal_mech::scoring::score_table`] — whose ESS probe walks each
+//! mutant's `PbTable` ledger only as far as its verdict needs. The root
+//! boxes are tiled and fanned out the same way. The welfare optimum, the
+//! SPoA numerator every candidate shares, is computed once per search.
 //!
 //! **Virtual loss** (the holmes `ParallelMonteCarloSearchServer` trick,
 //! adapted to waves): when a node is claimed for the current wave, its
@@ -20,14 +23,15 @@
 //!
 //! **Determinism contract** (pinned by `determinism_mech_search` tests):
 //! selection is a sequential scan with total tie-breaks (objective score,
-//! then batched response mass, then lowest node id), expansion results
-//! come back in submission order (`par_map` is order-preserving), and
-//! per-node ESS seeds derive only from `(seed, parent id, child index)` —
-//! so the certificate is bit-identical for a fixed seed at any
-//! `RAYON_NUM_THREADS`, including 1 and 8.
+//! then batched response mass, then lowest node id), scored children come
+//! back in submission order (`par_map` is order-preserving) and regroup by
+//! parent, and per-node ESS seeds derive only from `(seed, parent id,
+//! child index)` — so the certificate is bit-identical for a fixed seed at
+//! any `RAYON_NUM_THREADS`, including 1, 2 and 8.
 
 use crate::mech_space::{root_boxes, MechPoint, ParamBox};
 use dispersal_core::kernel::{unit_grid, GBatch};
+use dispersal_core::optimal::optimal_coverage;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use dispersal_mech::scoring::{score_table, MechScore};
@@ -222,13 +226,19 @@ impl SharedTree {
     }
 }
 
-/// One evaluated child, produced inside a pool worker.
+/// One child of a sibling tile. The serial tile pass fills in everything
+/// but `score`; the pool then scores each child as its own item.
 struct ChildEval {
     bx: ParamBox,
     point: MechPoint,
-    score: Option<MechScore>,
+    /// The child's row of the sibling tile, `[C(1), …, C(k)]`.
+    table: Vec<f64>,
+    ess_seed: u64,
     response_mass: f64,
     diameter: f64,
+    /// The scorecard; `None` before scoring and for children whose
+    /// equilibrium fails to solve (infeasible, still counted).
+    score: Option<MechScore>,
 }
 
 /// Derive the per-candidate ESS seed from the tree coordinates alone
@@ -242,12 +252,12 @@ fn child_seed(seed: u64, parent: usize, child: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Evaluate a sibling set of boxes as **one** policy-major `GBatch`
-/// tile: every child is a row, the response matrix shares one Bernstein
-/// basis column per grid point, and each row's coefficients then feed
-/// the exact scorer. Children whose equilibrium fails to solve are
-/// reported with `score: None` (infeasible, still counted).
-fn evaluate_boxes(
+/// Build a sibling set of boxes as **one** policy-major `GBatch` tile:
+/// every child is a row, and the response matrix shares one Bernstein
+/// basis column per grid point. Each child keeps its row's coefficients
+/// for the exact scorer, its mean response, its diameter and the ESS seed
+/// of its tree coordinates.
+fn tile_boxes(
     cfg: &SearchConfig,
     parent: Option<usize>,
     boxes: Vec<ParamBox>,
@@ -266,20 +276,40 @@ fn evaluate_boxes(
     for (r, (bx, point)) in boxes.into_iter().zip(points).enumerate() {
         let row = &grid[r * qs.len()..(r + 1) * qs.len()];
         let response_mass = row.iter().sum::<f64>() / qs.len() as f64;
-        let spec = point.spec();
-        let score = score_table(
-            &spec,
-            batch.row_coefficients(r)?,
-            &cfg.profile,
-            cfg.k,
-            cfg.ess_mutants,
-            child_seed(cfg.seed, parent_id, r),
-        )
-        .ok();
+        let table = batch.row_coefficients(r)?.to_vec();
         let diameter = bx.diameter(cfg.k)?;
-        out.push(ChildEval { bx, point, score, response_mass, diameter });
+        let ess_seed = child_seed(cfg.seed, parent_id, r);
+        out.push(ChildEval { bx, point, table, ess_seed, response_mass, diameter, score: None });
     }
     Ok(out)
+}
+
+/// Score every child of a wave's sibling sets (or of the roots) with
+/// [`score_table`], each child its own pool item, and regroup the results
+/// by set in order. `par_map` preserves submission order, so merges and
+/// node ids do not depend on the schedule.
+fn score_sets(
+    cfg: &SearchConfig,
+    optimal_coverage: f64,
+    sets: Vec<Vec<ChildEval>>,
+) -> Result<Vec<Vec<ChildEval>>> {
+    let sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
+    let children: Vec<ChildEval> = sets.into_iter().flatten().collect();
+    let scored = engine::par_map(children, |mut child| {
+        child.score = score_table(
+            &child.point.spec(),
+            &child.table,
+            &cfg.profile,
+            cfg.k,
+            optimal_coverage,
+            cfg.ess_mutants,
+            child.ess_seed,
+        )
+        .ok();
+        Ok(child)
+    })?;
+    let mut scored = scored.into_iter();
+    Ok(sizes.into_iter().map(|n| scored.by_ref().take(n).collect()).collect())
 }
 
 const RESPONSE_GRID: usize = 32;
@@ -299,19 +329,24 @@ fn validate(cfg: &SearchConfig) -> Result<()> {
 /// Run the parallel best-first search and return the best certificate.
 ///
 /// Bootstraps the tree with [`root_boxes`] (full family ranges plus
-/// exact catalog anchors, all scored as one batched tile), then expands
-/// waves until the budget is spent or the frontier drains.
+/// exact catalog anchors, one batched tile whose rows are scored on the
+/// pool), then expands waves until the budget is spent or the frontier
+/// drains.
 pub fn search_mechanisms(cfg: &SearchConfig) -> Result<SearchOutcome> {
     validate(cfg)?;
     let scale: f64 = cfg.profile.values().iter().sum();
+    // Every candidate's SPoA numerator: one optimum per search.
+    let optimal = optimal_coverage(&cfg.profile, cfg.k)?.coverage;
     let mut tree = SharedTree::default();
     let mut best: Option<(f64, Certificate)> = None;
     let mut evaluations = 0usize;
 
-    // Wave 0: score every root box center in one batched tile.
-    let roots = root_boxes(cfg.k)?;
-    let rooted = evaluate_boxes(cfg, None, roots)?;
-    merge_children(cfg, &mut tree, &mut best, &mut evaluations, None, rooted);
+    // Wave 0: every root box center in one batched tile, each scored as
+    // its own pool item.
+    let roots = tile_boxes(cfg, None, root_boxes(cfg.k)?)?;
+    for rooted in score_sets(cfg, optimal, vec![roots])? {
+        merge_children(cfg, &mut tree, &mut best, &mut evaluations, None, rooted);
+    }
 
     let mut expansions = 0usize;
     while expansions < cfg.budget && !tree.frontier.is_empty() {
@@ -321,14 +356,16 @@ pub fn search_mechanisms(cfg: &SearchConfig) -> Result<SearchOutcome> {
             break;
         }
         expansions += wave.len();
-        // The whole wave fans out on the persistent work-stealing pool;
-        // par_map preserves submission order, keeping merges (and node
-        // ids) schedule-independent.
-        let expanded: Vec<(usize, Vec<ChildEval>)> = engine::par_map(wave, |(id, bx)| {
-            let children = evaluate_boxes(cfg, Some(id), bx.split(cfg.children, cfg.k)?)?;
-            Ok((id, children))
-        })?;
-        for (parent, children) in expanded {
+        // Each expansion's sibling tile is built in wave order; then all of
+        // the wave's children fan out together on the persistent
+        // work-stealing pool.
+        let mut parents = Vec::with_capacity(wave.len());
+        let mut sets = Vec::with_capacity(wave.len());
+        for (id, bx) in wave {
+            sets.push(tile_boxes(cfg, Some(id), bx.split(cfg.children, cfg.k)?)?);
+            parents.push(id);
+        }
+        for (parent, children) in parents.into_iter().zip(score_sets(cfg, optimal, sets)?) {
             merge_children(cfg, &mut tree, &mut best, &mut evaluations, Some(parent), children);
         }
     }
@@ -447,12 +484,15 @@ mod tests {
         let cfg = tiny_config();
         rayon::set_num_threads(1);
         let single = search_mechanisms(&cfg).unwrap();
-        rayon::set_num_threads(8);
-        let eight = search_mechanisms(&cfg).unwrap();
-        assert_eq!(single.best.spec, eight.best.spec);
-        assert_eq!(certificate_bits(&single), certificate_bits(&eight));
-        assert_eq!(single.expansions, eight.expansions);
-        assert_eq!(single.evaluations, eight.evaluations);
+        // 2 is the benchmark host's pool width; 8 oversubscribes it.
+        for threads in [2, 8] {
+            rayon::set_num_threads(threads);
+            let many = search_mechanisms(&cfg).unwrap();
+            assert_eq!(single.best.spec, many.best.spec, "{threads} threads");
+            assert_eq!(certificate_bits(&single), certificate_bits(&many), "{threads} threads");
+            assert_eq!(single.expansions, many.expansions, "{threads} threads");
+            assert_eq!(single.evaluations, many.evaluations, "{threads} threads");
+        }
     }
 
     #[test]
@@ -461,6 +501,35 @@ mod tests {
         let outcome = search_mechanisms(&cfg).unwrap();
         // The exclusive anchor has SPoA ≈ 1, the best possible.
         assert!(outcome.best.spoa < 1.0 + 1e-6, "spoa {}", outcome.best.spoa);
+    }
+
+    #[test]
+    fn score_sets_regroups_every_set_in_order() {
+        // Sibling sets of different sizes, an empty one among them (a
+        // zero-volume anchor does not split), fanned out together.
+        let cfg = tiny_config();
+        let optimal = optimal_coverage(&cfg.profile, cfg.k).unwrap().coverage;
+        let roots = root_boxes(cfg.k).unwrap();
+        let anchor = roots.iter().position(|bx| bx.split(cfg.children, cfg.k).unwrap().is_empty());
+        let picks = [0, anchor.expect("the root forest has anchors"), 1];
+        let sets: Vec<Vec<ChildEval>> = picks
+            .iter()
+            .map(|&id| {
+                let children = roots[id].split(cfg.children, cfg.k).unwrap();
+                tile_boxes(&cfg, Some(id), children).unwrap()
+            })
+            .collect();
+        let seeds = |sets: &[Vec<ChildEval>]| -> Vec<Vec<u64>> {
+            sets.iter().map(|set| set.iter().map(|c| c.ess_seed).collect()).collect()
+        };
+        let before = seeds(&sets);
+        assert!(before[1].is_empty() && !before[0].is_empty() && !before[2].is_empty());
+        let scored = score_sets(&cfg, optimal, sets).unwrap();
+        assert_eq!(seeds(&scored), before);
+        for child in scored.iter().flatten() {
+            let ms = child.score.as_ref().expect("search-family tables solve");
+            assert_eq!(ms.name, child.point.spec(), "a child must carry its own scorecard");
+        }
     }
 
     #[test]

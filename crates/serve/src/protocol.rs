@@ -29,7 +29,9 @@
 //! Size fields are bounded — `k` by [`MAX_K`], `resolution` by
 //! [`MAX_RESOLUTION`], `epochs` by [`MAX_EPOCHS`], `mutants` by
 //! [`MAX_MUTANTS`] — and an over-limit field is refused at parse time
-//! with an error naming the limit.
+//! with an error naming the limit. An `"ess"` request is also bounded as a
+//! whole: its worst-case work ([`ess_work`]) must not exceed
+//! [`MAX_ESS_WORK`], checked once its profile is parsed.
 //! Policy and profile specs are the `dispersal` CLI spec strings
 //! (`dispersal_mech::catalog::parse_policy` / `parse_profile`).
 //!
@@ -62,6 +64,22 @@ pub const MAX_EPOCHS: u64 = 10_000;
 
 /// Largest `"mutants"` of an `"ess"` request.
 pub const MAX_MUTANTS: usize = 10_000;
+
+/// Largest worst-case work of an `"ess"` request, in ledger cells
+/// ([`ess_work`]). When every ledger level ties (σ⋆ under the exclusive
+/// policy at large `k`, where payoffs underflow to 0) a probe walks all of
+/// them at about 18 ns a cell, so the largest admissible request answers
+/// in about 0.75 s on a 2-vCPU x86-64 VM.
+pub const MAX_ESS_WORK: u64 = 40_000_000;
+
+/// Worst-case work of an `"ess"` probe on `sites` sites: its `6M + 6`
+/// structured mutants plus the random ones, each a full ledger of `M`
+/// sites × `k` levels × `k` table cells. Saturates instead of wrapping.
+pub fn ess_work(sites: usize, k: usize, mutants: usize) -> u64 {
+    let mutants_probed =
+        (sites as u64).saturating_mul(6).saturating_add(6).saturating_add(mutants as u64);
+    mutants_probed.saturating_mul(sites as u64).saturating_mul(k as u64).saturating_mul(k as u64)
+}
 
 /// A parsed request body (everything except the echoed `id`).
 #[derive(Debug, Clone, PartialEq)]
@@ -485,6 +503,19 @@ mod tests {
             let err = parse_line(&line(limit + 1)).1.unwrap_err();
             assert!(err.contains(&format!("limit {limit}")), "{}: {err}", line(limit + 1));
         }
+    }
+
+    #[test]
+    fn ess_work_admits_every_shipped_request_and_saturates() {
+        // The benchmark's burst mix, the roundtrip test and the malformed
+        // test's largest mutant count all stay admissible.
+        for (sites, k, mutants) in [(20, 8, 16), (10, 4, 20), (5, 3, MAX_MUTANTS)] {
+            let work = ess_work(sites, k, mutants);
+            assert!(work <= MAX_ESS_WORK, "zipf:{sites}, k = {k}, {mutants} mutants: {work}");
+        }
+        assert_eq!(ess_work(4, 1000, 0), 30 * 4 * 1000 * 1000);
+        assert!(ess_work(4, 1000, 0) > MAX_ESS_WORK);
+        assert_eq!(ess_work(MAX_K, MAX_K, MAX_MUTANTS), u64::MAX);
     }
 
     #[test]

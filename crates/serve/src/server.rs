@@ -657,6 +657,15 @@ fn eval_single(inner: &Arc<Inner>, request: &Request) -> std::result::Result<Val
         }
         Request::Ess { profile, k, mutants, seed } => {
             let f = parse_profile(profile).map_err(|e| e.to_string())?;
+            // The probe's cost is known once the profile's size is: refuse
+            // it before any work, as the parser refuses oversized fields.
+            let work = protocol::ess_work(f.len(), *k, *mutants);
+            if work > protocol::MAX_ESS_WORK {
+                return Err(format!(
+                    "ess work (6M + 6 + mutants)·M·k² = {work} exceeds the limit {}",
+                    protocol::MAX_ESS_WORK
+                ));
+            }
             let star = sigma_star(&f, *k).map_err(|e| e.to_string())?;
             let mut rng = ChaCha8Rng::seed_from_u64(*seed);
             let report = probe_ess_k(&Exclusive, &f, &star.strategy, *mutants, &mut rng, *k)

@@ -192,3 +192,33 @@ fn oversized_fields_are_refused_and_the_dispatcher_keeps_serving() {
     assert!(reply.contains("\"ok\":true"), "a valid response must still be served: {reply}");
     server.shutdown();
 }
+
+#[test]
+fn ess_requests_beyond_the_work_budget_are_refused_promptly() {
+    // Regression: every `ess` line with k ≤ 10⁶ used to reach the probe.
+    // σ⋆ under the exclusive policy ties at every ledger level at large k,
+    // so the probe walked all k levels for every mutant: zipf:4 at
+    // k = 2000 took about 9 s and k = 10⁶ would take weeks, and the
+    // dispatcher served no one else meanwhile. Both are now refused with
+    // an error naming the budget before any work.
+    let server = bounded_server(1 << 20);
+    for (id, k) in [(1, 2000), (2, 1_000_000)] {
+        let line =
+            format!(r#"{{"id":{id},"cmd":"ess","profile":"zipf:4:1.0","k":{k},"mutants":0}}"#);
+        let started = Instant::now();
+        let reply = call_within_5s(server.addr(), &line);
+        assert!(reply.contains("\"ok\":false"), "{line} must be refused: {reply}");
+        assert!(reply.contains("limit 40000000"), "{line}: budget not named: {reply}");
+        let stats = call_within_5s(server.addr(), r#"{"id":99,"cmd":"stats"}"#);
+        assert!(stats.contains("\"ok\":true"), "stats after {line}: {stats}");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "{line} and a stats took {took:?}");
+    }
+    // A request within the budget is still probed.
+    let reply = call_within_5s(
+        server.addr(),
+        r#"{"id":3,"cmd":"ess","profile":"zipf:4:1.0","k":64,"mutants":4}"#,
+    );
+    assert!(reply.contains("\"ok\":true"), "an admissible probe must be served: {reply}");
+    server.shutdown();
+}
