@@ -39,7 +39,8 @@
 //!   (`guard::quick_mode`) and a CI invocation of it, so no recorded
 //!   trajectory can regress unguarded. Trajectories with named per-lane
 //!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse and
-//!   two-thread floors, the batch AVX2-vs-scalar floor, the serve
+//!   two-thread floors, the batch GEMM and reference-tile AVX2-vs-scalar
+//!   floors, the serve
 //!   admission-batching floor, the search batched-expansion floor, the
 //!   kernel fused-path and interp-vs-fused floors, the IFD
 //!   water-filling-vs-nested-bisection floor, the ESS kernel-ledger and
@@ -669,7 +670,14 @@ pub struct BenchGuardInput {
 /// guard reports its verdict under: passed to `guard::check_speedup` /
 /// `guard::check_overhead`, or printed by the bench itself.
 pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 7] = [
-    ("batch", &["batch gemm_speedup", "batch gbatch_gemm avx2-vs-scalar"]),
+    (
+        "batch",
+        &[
+            "batch gemm_speedup",
+            "batch gbatch_gemm avx2-vs-scalar",
+            "batch gbatch_ref avx2-vs-scalar p=1 k=64",
+        ],
+    ),
     (
         "engine",
         &[
@@ -1178,18 +1186,31 @@ let lt: &'static str = unrelated;"##;
 
     #[test]
     fn missing_required_guard_label_is_caught() {
-        // The batch guard exists and runs in CI, but the AVX2-lane floor
-        // was deleted — exactly the silent coverage loss the label table
+        // The batch guard exists and runs in CI, but both AVX2-lane floors
+        // were deleted — exactly the silent coverage loss the label table
         // exists to catch.
+        let ci = "run: cargo bench -p dispersal-bench --bench batch -- --quick";
         let v = lint_bench_guards(&[guard_input(
             "batch",
             Some(
                 "if guard::quick_mode() { check_speedup(\"batch gemm_speedup p=16 k=64\", a, b); }",
             ),
-            "run: cargo bench -p dispersal-bench --bench batch -- --quick",
+            ci,
+        )]);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].excerpt.contains("batch gbatch_gemm avx2-vs-scalar"), "{v:?}");
+        assert!(v[1].excerpt.contains("batch gbatch_ref avx2-vs-scalar p=1 k=64"), "{v:?}");
+        // Dropping only the reference-tile floor is caught too.
+        let v = lint_bench_guards(&[guard_input(
+            "batch",
+            Some(
+                "if guard::quick_mode() { check_speedup(\"batch gemm_speedup p=16 k=64\", a, b); \
+                 check_speedup(\"batch gbatch_gemm avx2-vs-scalar p=16 k=256\", c, d); }",
+            ),
+            ci,
         )]);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].excerpt.contains("batch gbatch_gemm avx2-vs-scalar"), "{v:?}");
+        assert!(v[0].excerpt.contains("batch gbatch_ref avx2-vs-scalar p=1 k=64"), "{v:?}");
     }
 
     #[test]
@@ -1204,6 +1225,12 @@ let lt: &'static str = unrelated;"##;
             "run: cargo bench -p dispersal-bench --bench engine -- --quick",
         )]);
         assert!(v.is_empty(), "{v:?}");
+        let batch_src = "if guard::quick_mode() { \
+            check_speedup(\"batch gemm_speedup p=16 k=64\", a, b); \
+            check_speedup(\"batch gbatch_gemm avx2-vs-scalar p=16 k=256\", c, d); \
+            check_overhead(\"batch gbatch_ref avx2-vs-scalar p=1 k=64\", e, f, 0.5); }";
+        let ci = "run: cargo bench -p dispersal-bench --bench batch -- --quick";
+        assert!(lint_bench_guards(&[guard_input("batch", Some(batch_src), ci)]).is_empty());
         let ess_src = "if guard::quick_mode() { \
             check_speedup(\"ess ledger_kernel_speedup k=32\", s, k); \
             check_overhead(\"ess lazy-check-vs-full-ledger\", f, l, 0.5); }";

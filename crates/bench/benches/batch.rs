@@ -23,7 +23,7 @@
 //! JSON are against `gtable_loop`.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use dispersal_core::kernel::{GBatch, GTable};
+use dispersal_core::kernel::{unit_grid, GBatch, GTable};
 
 const GRID: usize = 1024;
 
@@ -110,6 +110,12 @@ fn bench_batch(c: &mut Criterion) {
 ///   intrinsics must beat the scalar unroll outright. Skipped (with a
 ///   note) on hosts without AVX2+FMA, where both entry points run the
 ///   identical scalar code.
+/// * **AVX2 reference lane** — the daemon's lone exact tile (one row,
+///   k = 64, the 257-point unit grid) through `GBatch::eval_many_with`
+///   against the same points through the per-point `GTable::eval_with`,
+///   which is the tile's whole scalar lane: the eight-point lane must
+///   take at most half the time. Skipped (with a note) unless the
+///   process dispatches to AVX2.
 fn quick_guard() -> ! {
     use dispersal_bench::guard;
     use dispersal_core::simd;
@@ -158,7 +164,36 @@ fn quick_guard() -> ! {
         println!("quick-guard batch: AVX2 lane floor skipped (host lacks avx2+fma)");
         true
     };
-    guard::finish(gemm_ok && lane_ok)
+    let ref_ok = if simd::active_lane() == simd::Lane::Avx2 {
+        let k = 64usize;
+        let grid = unit_grid(256).unwrap();
+        let row = policy_rows(1, k).remove(0);
+        let table = GTable::from_coefficients(row.clone()).unwrap();
+        let lone = GBatch::from_rows(vec![row]).unwrap();
+        let mut curve = vec![0.0f64; grid.len()];
+        let mut point_scratch = table.scratch();
+        let scalar_time = guard::time_per_call(200, || {
+            for (slot, &q) in curve.iter_mut().zip(black_box(&grid)) {
+                *slot = table.eval_with(&mut point_scratch, q);
+            }
+            black_box(curve[grid.len() / 2]);
+        });
+        let mut tile_scratch = lone.scratch();
+        let lane_time = guard::time_per_call(200, || {
+            lone.eval_many_with(&mut tile_scratch, black_box(&grid), &mut curve).unwrap();
+            black_box(curve[grid.len() / 2]);
+        });
+        guard::check_overhead(
+            "batch gbatch_ref avx2-vs-scalar p=1 k=64",
+            scalar_time,
+            lane_time,
+            0.5,
+        )
+    } else {
+        println!("quick-guard batch: AVX2 reference-lane floor skipped (scalar lane dispatched)");
+        true
+    };
+    guard::finish(gemm_ok && lane_ok && ref_ok)
 }
 
 criterion_group!(benches, bench_batch);

@@ -27,13 +27,22 @@
 //!   exact same two roundings per element. Every bitwise `PbTable`
 //!   contract therefore holds on either lane, and `simd_seam` tests
 //!   assert the lanes agree bit-for-bit.
+//! * The reference tile ([`ref_walk8_avx2`] + [`ref_dot8_avx2`]) is
+//!   **bit-identical** to the per-point reference code in the same way.
+//!   The exact `GTable`/`GBatch` tile dispatches its interior points
+//!   here eight at a time, one point per f64 slot of two 4-wide groups.
+//!   Each slot walks its binomial PMF in the scalar operation order
+//!   (`pmf·(n−j)/(j+1)·ratio` up, `pmf·(j+1)/(n−j)/ratio` down, plain
+//!   mul/div, no FMA) and finishes each coefficient row with its own
+//!   Kahan dot in index order. So the lane changes how many points run
+//!   at once, never a rounding; `simd_seam` compares it with the scalar
+//!   lane ([`ref_walk8_scalar`] + [`ref_dot8_scalar`]) and with the
+//!   per-point `GTable::eval_with` bit for bit.
 //! * [`gemv_block4`], [`fused_fill`], and [`fused_dot`] feed only the
 //!   *fused* evaluation paths, whose documented contract is agreement
 //!   with the scalar reference to ≤ 1e-13 × scale — FMA contraction and
 //!   blocked re-association stay far inside that bound (`O(k·ε)`), and
-//!   the seam tests enforce it directly. The bit-identical *reference*
-//!   paths (`fill_pmf`, the Kahan dots, the contractive `PbTable`
-//!   removes) never dispatch through this module at all.
+//!   the seam tests enforce it directly.
 //!
 //! Determinism caveat: lane choice is per-process state, like a build
 //! flag — a fused-path result archived on an AVX2 host differs from a
@@ -341,12 +350,106 @@ pub fn convolve_step_avx2(pmf: &mut [f64], count: usize, p: f64) {
 }
 
 // ---------------------------------------------------------------------------
+// Reference Bernstein tile (bit-identical lanes)
+// ---------------------------------------------------------------------------
+
+/// Points one pass of the reference tile evaluates: two interleaved
+/// 4-wide AVX2 groups, one point per f64 slot.
+pub const REF_LANES: usize = 8;
+
+/// Per-slot seeds of one reference pass over [`REF_LANES`] interior
+/// points `q ∈ (0, 1)`: the PMF's mode index and value at the mode (the
+/// scalar seed of `GTable::eval_with`, computed outside this module) and
+/// the walk ratio `q/(1 − q)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RefSeeds {
+    /// Mode index of each slot's PMF (at most the degree `n`).
+    pub modes: [usize; REF_LANES],
+    /// PMF value at each slot's mode.
+    pub b_modes: [f64; REF_LANES],
+    /// Each slot's ratio `q/(1 − q)`.
+    pub ratios: [f64; REF_LANES],
+}
+
+/// Scalar lane of the reference walk: fill `lanes[j·8 + l]`, `j = 0..=n`,
+/// with slot `l`'s degree-`n` binomial PMF, walking up and down from the
+/// seeded mode with exactly the per-point reference operations
+/// (`pmf·(n−j)/(j+1)·ratio` up, `pmf·(j+1)/(n−j)/ratio` down).
+/// `lanes` must hold at least `8·(n + 1)` values and every mode must be
+/// at most `n`.
+pub fn ref_walk8_scalar(lanes: &mut [f64], n: usize, seeds: &RefSeeds) {
+    for l in 0..REF_LANES {
+        let (mode, ratio) = (seeds.modes[l], seeds.ratios[l]);
+        let at = |j: usize| j * REF_LANES + l;
+        lanes[at(mode)] = seeds.b_modes[l];
+        for j in mode..n {
+            lanes[at(j + 1)] = lanes[at(j)] * ((n - j) as f64) / ((j + 1) as f64) * ratio;
+        }
+        for j in (0..mode).rev() {
+            lanes[at(j)] = lanes[at(j + 1)] * ((j + 1) as f64) / ((n - j) as f64) / ratio;
+        }
+    }
+}
+
+/// AVX2 lane of [`ref_walk8_scalar`], **bit-identical** to it: both
+/// groups step every slot at once, and a per-slot mask leaves a slot at
+/// its seed until the walk reaches its mode. Plain mul/div, no FMA.
+/// Falls back to the scalar lane off AVX2 hosts, and when `lanes` is
+/// too short or a mode exceeds `n`.
+pub fn ref_walk8_avx2(lanes: &mut [f64], n: usize, seeds: &RefSeeds) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if avx2_available()
+        && lanes.len() >= REF_LANES * (n + 1)
+        && seeds.modes.iter().all(|&mode| mode <= n)
+    {
+        // SAFETY: AVX2 runtime-checked; every access is to
+        // `lanes[0 .. 8·(n+1)]`, in bounds by the length and mode checks
+        // above. Every slot the walk reads was written earlier in this
+        // call, so no value survives from an earlier call: the upward
+        // pass carries each slot in registers and writes rows `lo ..= n`
+        // (`lo` the lowest mode), and the downward pass reads back (to
+        // keep a slot already at or past its mode) only rows `≥ lo`.
+        unsafe { avx2::ref_walk8(lanes, n, seeds) };
+        return;
+    }
+    ref_walk8_scalar(lanes, n, seeds);
+}
+
+/// Scalar lane of the reference dot: for each slot `l`, the Kahan sum
+/// over `j = 0..coeffs.len()` of `lanes[j·8 + l]·coeffs[j]`, in index
+/// order — the reference row dot of `GTable::eval_with`. `lanes` must
+/// hold at least `8·coeffs.len()` values.
+pub fn ref_dot8_scalar(lanes: &[f64], coeffs: &[f64]) -> [f64; REF_LANES] {
+    let mut acc = [crate::numerics::Kahan::new(); REF_LANES];
+    for (column, &c) in lanes.chunks_exact(REF_LANES).zip(coeffs) {
+        for (slot, &b) in acc.iter_mut().zip(column) {
+            slot.push(b * c);
+        }
+    }
+    acc.map(|slot| slot.value())
+}
+
+/// AVX2 lane of [`ref_dot8_scalar`], **bit-identical** to it: the Kahan
+/// update `y = x − c; t = s + y; c = (t − s) − y; s = t` runs on all
+/// eight slots at once. Falls back to the scalar lane off AVX2 hosts
+/// and when `lanes` is too short.
+pub fn ref_dot8_avx2(lanes: &[f64], coeffs: &[f64]) -> [f64; REF_LANES] {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if avx2_available() && lanes.len() >= REF_LANES * coeffs.len() {
+        // SAFETY: AVX2 runtime-checked; the dot reads
+        // `lanes[0 .. 8·coeffs.len()]`, in bounds by the check above.
+        return unsafe { avx2::ref_dot8(lanes, coeffs) };
+    }
+    ref_dot8_scalar(lanes, coeffs)
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 + FMA implementations
 // ---------------------------------------------------------------------------
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx2 {
-    use super::GEMV_BLOCK;
+    use super::{RefSeeds, GEMV_BLOCK, REF_LANES};
     use core::arch::x86_64::*;
 
     /// In-register prefix product of a 4-lane factor vector:
@@ -542,6 +645,92 @@ mod avx2 {
         }
         let t = to_array(acc);
         sum + ((t[0] + t[1]) + (t[2] + t[3]))
+    }
+
+    /// # Safety
+    /// AVX2 must be available; `lanes.len() ≥ 8·(n + 1)` and every mode
+    /// is at most `n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn ref_walk8(lanes: &mut [f64], n: usize, seeds: &RefSeeds) {
+        let modes = seeds.modes.map(|m| m as f64);
+        let (lo, hi) = seeds.modes.iter().fold((n, 0), |(lo, hi), &m| (lo.min(m), hi.max(m)));
+        let base = lanes.as_mut_ptr();
+        let (mode_a, mode_b) =
+            (_mm256_loadu_pd(modes.as_ptr()), _mm256_loadu_pd(modes.as_ptr().add(4)));
+        let seed_a = _mm256_loadu_pd(seeds.b_modes.as_ptr());
+        let seed_b = _mm256_loadu_pd(seeds.b_modes.as_ptr().add(4));
+        let ratio_a = _mm256_loadu_pd(seeds.ratios.as_ptr());
+        let ratio_b = _mm256_loadu_pd(seeds.ratios.as_ptr().add(4));
+        // Upward: row `lo` holds every slot's seed, and a slot keeps its
+        // seed until `j` reaches its mode, so row `mode` holds the seed
+        // and the rows above it the scalar `pmf·(n−j)/(j+1)·ratio` walk.
+        let (mut cur_a, mut cur_b) = (seed_a, seed_b);
+        _mm256_storeu_pd(base.add(lo * REF_LANES), cur_a);
+        _mm256_storeu_pd(base.add(lo * REF_LANES + 4), cur_b);
+        for j in lo..n {
+            let jv = _mm256_set1_pd(j as f64);
+            let num = _mm256_set1_pd((n - j) as f64);
+            let den = _mm256_set1_pd((j + 1) as f64);
+            let step_a = _mm256_mul_pd(_mm256_div_pd(_mm256_mul_pd(cur_a, num), den), ratio_a);
+            let step_b = _mm256_mul_pd(_mm256_div_pd(_mm256_mul_pd(cur_b, num), den), ratio_b);
+            cur_a = _mm256_blendv_pd(cur_a, step_a, _mm256_cmp_pd(jv, mode_a, _CMP_GE_OQ));
+            cur_b = _mm256_blendv_pd(cur_b, step_b, _mm256_cmp_pd(jv, mode_b, _CMP_GE_OQ));
+            _mm256_storeu_pd(base.add((j + 1) * REF_LANES), cur_a);
+            _mm256_storeu_pd(base.add((j + 1) * REF_LANES + 4), cur_b);
+        }
+        // Downward from each slot's seed: `pmf·(j+1)/(n−j)/ratio` below
+        // the mode. A slot at or past its mode keeps the row the upward
+        // pass wrote; below `lo` every slot is below its mode.
+        let (mut cur_a, mut cur_b) = (seed_a, seed_b);
+        for j in (0..hi).rev() {
+            let jv = _mm256_set1_pd(j as f64);
+            let num = _mm256_set1_pd((j + 1) as f64);
+            let den = _mm256_set1_pd((n - j) as f64);
+            let step_a = _mm256_div_pd(_mm256_div_pd(_mm256_mul_pd(cur_a, num), den), ratio_a);
+            let step_b = _mm256_div_pd(_mm256_div_pd(_mm256_mul_pd(cur_b, num), den), ratio_b);
+            let below_a = _mm256_cmp_pd(jv, mode_a, _CMP_LT_OQ);
+            let below_b = _mm256_cmp_pd(jv, mode_b, _CMP_LT_OQ);
+            cur_a = _mm256_blendv_pd(cur_a, step_a, below_a);
+            cur_b = _mm256_blendv_pd(cur_b, step_b, below_b);
+            let row = base.add(j * REF_LANES);
+            if j >= lo {
+                let kept_a = _mm256_loadu_pd(row);
+                let kept_b = _mm256_loadu_pd(row.add(4));
+                _mm256_storeu_pd(row, _mm256_blendv_pd(kept_a, cur_a, below_a));
+                _mm256_storeu_pd(row.add(4), _mm256_blendv_pd(kept_b, cur_b, below_b));
+            } else {
+                _mm256_storeu_pd(row, cur_a);
+                _mm256_storeu_pd(row.add(4), cur_b);
+            }
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available; `lanes.len() ≥ 8·coeffs.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn ref_dot8(lanes: &[f64], coeffs: &[f64]) -> [f64; REF_LANES] {
+        let base = lanes.as_ptr();
+        let (mut sum_a, mut comp_a) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        let (mut sum_b, mut comp_b) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for (j, &c) in coeffs.iter().enumerate() {
+            let cv = _mm256_set1_pd(c);
+            let y_a =
+                _mm256_sub_pd(_mm256_mul_pd(_mm256_loadu_pd(base.add(j * REF_LANES)), cv), comp_a);
+            let y_b = _mm256_sub_pd(
+                _mm256_mul_pd(_mm256_loadu_pd(base.add(j * REF_LANES + 4)), cv),
+                comp_b,
+            );
+            let t_a = _mm256_add_pd(sum_a, y_a);
+            let t_b = _mm256_add_pd(sum_b, y_b);
+            comp_a = _mm256_sub_pd(_mm256_sub_pd(t_a, sum_a), y_a);
+            comp_b = _mm256_sub_pd(_mm256_sub_pd(t_b, sum_b), y_b);
+            sum_a = t_a;
+            sum_b = t_b;
+        }
+        let mut out = [0.0f64; REF_LANES];
+        _mm256_storeu_pd(out.as_mut_ptr(), sum_a);
+        _mm256_storeu_pd(out.as_mut_ptr().add(4), sum_b);
+        out
     }
 
     /// # Safety

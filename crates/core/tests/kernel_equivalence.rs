@@ -104,6 +104,38 @@ fn gbatch_reference_is_bit_identical_and_gemm_within_contract_at_k256() {
 }
 
 #[test]
+fn exact_tile_is_bit_identical_to_scalar_g_at_k256_and_k1000() {
+    // The exact tile (GTable's one-row call and GBatch's whole batch) runs
+    // its interior points through the SIMD reference lane on AVX2 hosts:
+    // every point of a dense grid, off-grid points and a scratch reused
+    // between both grids must keep the scalar `PayoffContext::g` bits.
+    let off_grid: Vec<f64> = (0..2048).map(|i| (i as f64 + 0.37) / 2048.0).collect();
+    for k in [K, 1000] {
+        let batch = GBatch::new(&policies(), k).unwrap();
+        let mut batch_scratch = batch.scratch();
+        for qs in [dense_grid(), off_grid.clone()] {
+            let mut tile = vec![0.0; batch.rows() * qs.len()];
+            batch.eval_many_with(&mut batch_scratch, &qs, &mut tile).unwrap();
+            for (r, c) in policies().iter().enumerate() {
+                let ctx = PayoffContext::new(*c, k).unwrap();
+                let mut curve = vec![0.0; qs.len()];
+                ctx.kernel().eval_many_with(&mut ctx.kernel().scratch(), &qs, &mut curve).unwrap();
+                for (i, &q) in qs.iter().enumerate() {
+                    let scalar = ctx.g(q).unwrap().to_bits();
+                    assert_eq!(
+                        tile[r * qs.len() + i].to_bits(),
+                        scalar,
+                        "{} k={k} q={q}",
+                        c.name()
+                    );
+                    assert_eq!(curve[i].to_bits(), scalar, "{} k={k} q={q} (GTable)", c.name());
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn pb_table_is_bit_identical_to_one_shot_dp_at_k256() {
     // 255 heterogeneous Bernoulli factors (one per opponent at k = 256):
     // the incrementally built table must match the one-shot DP bitwise.

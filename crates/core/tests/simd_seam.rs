@@ -6,16 +6,19 @@
 //!   AVX2 lane agrees with the scalar lane to ≤ 1e-13 × scale — the
 //!   same contract the fused evaluators carry against their scalar
 //!   references.
-//! * **Bitwise paths** (`convolve_step`, and every *reference*
-//!   evaluator): bit-for-bit equality. The reference paths
-//!   (`GTable::eval_with`, `GBatch::eval_many_with`, `PbTable`) never
-//!   dispatch through SIMD, so their bits must be unchanged no matter
-//!   which lane the process picked.
+//! * **Bitwise paths** (`convolve_step`, the reference tile's
+//!   `ref_walk8`/`ref_dot8`, and every *reference* evaluator): bit-for-bit
+//!   equality. `GTable::eval_many_with` and `GBatch::eval_many_with`
+//!   dispatch their interior points to the reference lane, so whole
+//!   grids must keep the per-point `GTable::eval_with` bits no matter
+//!   which lane the process picked (CI runs this file on both lanes:
+//!   the `DISPERSAL_FORCE_SCALAR=1` leg and a release run on AVX2).
 //!
 //! Runtime-gated by construction: the `*_avx2` entry points fall back
 //! to the scalar lane on hosts without AVX2/FMA, so on such CI runners
 //! every assertion still executes (as scalar-vs-scalar identities) and
-//! the suite stays green. On AVX2 hosts they exercise the real
+//! the suite stays green; the direct reference-lane comparison is
+//! skipped there with a note. On AVX2 hosts they exercise the real
 //! intrinsics; `lanes_cover_avx2_on_capable_hosts` pins that this is
 //! not vacuous there.
 
@@ -24,7 +27,8 @@ use dispersal_core::numerics::binomial_pmf;
 use dispersal_core::simd::{
     active_lane, avx2_available, convolve_step_avx2, convolve_step_scalar, force_scalar,
     fused_dot_avx2, fused_dot_scalar, fused_fill_avx2, fused_fill_scalar, gemv_block4_avx2,
-    gemv_block4_scalar, Lane, GEMV_BLOCK,
+    gemv_block4_scalar, ref_dot8_avx2, ref_dot8_scalar, ref_walk8_avx2, ref_walk8_scalar, Lane,
+    RefSeeds, GEMV_BLOCK, REF_LANES,
 };
 use proptest::prelude::*;
 
@@ -142,25 +146,130 @@ proptest! {
         }
     }
 
-    /// Reference (non-fused) evaluators are untouched by the SIMD
-    /// rewrite: `GBatch::eval_many_with` stays bit-identical to the
-    /// per-policy `GTable::eval_with` under whichever lane this process
-    /// dispatched (CI runs this test on both lanes via the
-    /// `DISPERSAL_FORCE_SCALAR=1` leg).
+    /// The reference evaluators keep their bits on whole grids: every
+    /// entry of `GTable::eval_many_with` and of `GBatch::eval_many_with`
+    /// (1–9 rows) equals the per-point `GTable::eval_with` of its row bit
+    /// for bit, under whichever lane this process dispatched. Grids of
+    /// 0–40 points mix the endpoints, `−0.0`, points 1e-13 outside
+    /// `[0, 1]`, the smallest subnormal, `1 − 2⁻⁵³`, repeated quarter
+    /// points and uniform draws; one scratch per evaluator serves every
+    /// grid of a case, so a lane that read a slot left by an earlier
+    /// pass or call would show here.
     #[test]
     fn reference_paths_are_bitwise_unchanged(
-        q in 0.0f64..=1.0,
-        decrements in proptest::collection::vec(0.0f64..0.4, 0..=24),
+        shape in proptest::collection::vec(0.0f64..0.4, 0..=40),
+        row_count in 1usize..=9,
+        grids in proptest::collection::vec(
+            proptest::collection::vec(grid_point(), 0..=40),
+            2..=3,
+        ),
     ) {
-        let mut row = vec![1.0f64];
-        for d in &decrements {
-            row.push(row.last().copied().unwrap_or(1.0) - d);
+        let rows: Vec<Vec<f64>> = (0..row_count).map(|r| policy_row(&shape, r)).collect();
+        let tables: Vec<GTable> =
+            rows.iter().map(|row| GTable::from_coefficients(row.clone()).expect("table")).collect();
+        let batch = GBatch::from_rows(rows).expect("batch");
+        let mut batch_scratch = batch.scratch();
+        let mut table_scratch = tables[0].scratch();
+        let mut point_scratch = tables[0].scratch();
+        for qs in &grids {
+            let mut tile = vec![0.0f64; row_count * qs.len()];
+            batch.eval_many_with(&mut batch_scratch, qs, &mut tile).expect("tile");
+            let mut curve = vec![0.0f64; qs.len()];
+            tables[0].eval_many_with(&mut table_scratch, qs, &mut curve).expect("curve");
+            for (r, table) in tables.iter().enumerate() {
+                for (i, &q) in qs.iter().enumerate() {
+                    let reference = table.eval_with(&mut point_scratch, q);
+                    prop_assert_eq!(
+                        tile[r * qs.len() + i].to_bits(),
+                        reference.to_bits(),
+                        "GBatch row {} of {}, k = {}, q = {:e} (grid {:?})",
+                        r, row_count, shape.len() + 1, q, qs
+                    );
+                    if r == 0 {
+                        prop_assert_eq!(
+                            curve[i].to_bits(),
+                            reference.to_bits(),
+                            "GTable k = {}, q = {:e} (grid {:?})",
+                            shape.len() + 1, q, qs
+                        );
+                    }
+                }
+            }
         }
-        let batch = GBatch::from_rows(vec![row.clone()]).expect("batch");
-        let table = GTable::from_coefficients(row).expect("table");
-        let mut out = vec![0.0f64; 1];
-        batch.eval_many_with(&mut batch.scratch(), &[q], &mut out).expect("eval");
-        let reference = table.eval_with(&mut table.scratch(), q);
-        prop_assert_eq!(out[0].to_bits(), reference.to_bits());
     }
+
+    /// The reference lane against its scalar lane, directly: the walk's
+    /// whole interleaved buffer and every row dot agree bit for bit. The
+    /// two buffers start out holding different garbage, so a slot the
+    /// AVX2 walk read before writing it would differ too. Skipped with a
+    /// note off AVX2, where both entry points run the scalar lane.
+    #[test]
+    fn reference_lane_matches_scalar_lane_bitwise(
+        n in 1usize..=300,
+        qs in proptest::collection::vec(grid_point(), REF_LANES),
+        coeffs in proptest::collection::vec(-3.0f64..3.0, 1..=301),
+    ) {
+        if !avx2_available() {
+            println!("note: reference-lane comparison skipped (host lacks avx2+fma)");
+            return Ok(());
+        }
+        let mut seeds = RefSeeds {
+            modes: [0; REF_LANES],
+            b_modes: [0.0; REF_LANES],
+            ratios: [0.0; REF_LANES],
+        };
+        for (l, &q) in qs.iter().enumerate() {
+            // Interior points only, as the tile sends them.
+            let q = q.clamp(1e-9, 1.0 - 1e-9);
+            (seeds.modes[l], seeds.b_modes[l]) = mode_seed(n, q);
+            seeds.ratios[l] = q / (1.0 - q);
+        }
+        let mut scalar = vec![f64::NAN; REF_LANES * (n + 1)];
+        let mut lane = vec![7.0f64; REF_LANES * (n + 1)];
+        ref_walk8_scalar(&mut scalar, n, &seeds);
+        ref_walk8_avx2(&mut lane, n, &seeds);
+        for (slot, (s, v)) in scalar.iter().zip(lane.iter()).enumerate() {
+            prop_assert_eq!(
+                s.to_bits(), v.to_bits(),
+                "n = {}, row {}, slot {} (modes {:?})",
+                n, slot / REF_LANES, slot % REF_LANES, seeds.modes
+            );
+        }
+        let row: Vec<f64> = (0..=n).map(|j| coeffs[j % coeffs.len()]).collect();
+        let (s, v) = (ref_dot8_scalar(&scalar, &row), ref_dot8_avx2(&lane, &row));
+        for l in 0..REF_LANES {
+            prop_assert_eq!(s[l].to_bits(), v[l].to_bits(), "n = {}, dot slot {}", n, l);
+        }
+    }
+}
+
+/// One point of a reference-path test grid: a special value (the
+/// endpoints, `−0.0`, 1e-13 outside `[0, 1]` on either side, the
+/// smallest subnormal, `1 − 2⁻⁵³`), a quarter point (so grids repeat
+/// points), or a uniform draw.
+fn grid_point() -> impl Strategy<Value = f64> {
+    (0usize..20, 0.0f64..=1.0).prop_map(|(pick, u)| match pick {
+        0 => 0.0,
+        1 => 1.0,
+        2 => -0.0,
+        3 => -1e-13,
+        4 => 1.0 + 1e-13,
+        5 => 5e-324,
+        6 => 1.0 - f64::EPSILON / 2.0,
+        7..=9 => (u * 4.0).floor() / 4.0,
+        _ => u,
+    })
+}
+
+/// Row `r` of a test batch: a non-increasing table `C(1) = 1, …` of
+/// length `shape.len() + 1` whose drops are `shape`'s, rotated by `r`
+/// and scaled, so rows differ but share the degree.
+fn policy_row(shape: &[f64], r: usize) -> Vec<f64> {
+    let scale = 1.0 + 0.37 * r as f64;
+    let mut row = vec![1.0f64];
+    for j in 0..shape.len() {
+        let drop = shape[(j + r) % shape.len()] * scale;
+        row.push(row.last().copied().unwrap_or(1.0) - drop);
+    }
+    row
 }

@@ -19,7 +19,12 @@
 //!   per-policy [`GTable`](dispersal_core::kernel::GTable) reference
 //!   path, and so to the scalar `PayoffContext::g`, *regardless of batch
 //!   composition*: a request answered alone, grouped with 3 strangers,
-//!   or grouped with 63 gets the same curve bits.
+//!   or grouped with 63 gets the same curve bits. On AVX2 hosts the
+//!   tile's interior grid points run eight at a time on the kernel's
+//!   bit-identical reference lane (`dispersal_core::simd`), so a lone
+//!   `k = 64` request's tile takes about a quarter of the per-point time.
+//!   The parser bounds its work per curve
+//!   ([`crate::protocol::MAX_RESPONSE_WORK`]).
 //! * [`eval_interp_tile`] — each policy's `O(1)`-per-point grid from the
 //!   shared [`SharedGridCache`] ([`SharedGridCache::table`] +
 //!   `GTable::eval_fast_many_with`), fanned out on the pool. A warm
@@ -159,9 +164,12 @@ mod tests {
 
     #[test]
     fn exact_tile_matches_scalar_reference() {
-        let qs = unit_grid(64).unwrap();
-        for k in [2usize, 8, 33] {
-            let g = eval_exact_tile(&[&Sharing], k, 64).unwrap();
+        // The small shapes, then the daemon's own (k = 64 and 256 at the
+        // default resolution 256), whose interior points run the SIMD
+        // reference lane on AVX2 hosts.
+        for (k, resolution) in [(2usize, 64usize), (8, 64), (33, 64), (64, 256), (256, 256)] {
+            let qs = unit_grid(resolution).unwrap();
+            let g = eval_exact_tile(&[&Sharing], k, resolution).unwrap();
             assert_eq!(g[0].len(), qs.len());
             let ctx = PayoffContext::new(&Sharing, k).unwrap();
             for (&q, &v) in qs.iter().zip(g[0].iter()) {

@@ -29,9 +29,18 @@
 //! Size fields are bounded — `k` by [`MAX_K`], `resolution` by
 //! [`MAX_RESOLUTION`], `epochs` by [`MAX_EPOCHS`], `mutants` by
 //! [`MAX_MUTANTS`] — and an over-limit field is refused at parse time
-//! with an error naming the limit. An `"ess"` request is also bounded as a
-//! whole: its worst-case work ([`ess_work`]) must not exceed
-//! [`MAX_ESS_WORK`], checked once its profile is parsed.
+//! with an error naming the limit. Two requests are also bounded as a
+//! whole, with an error naming the budget:
+//!
+//! * an exact `"response"` (no `"tol"`) and a `"catalog"` scan, whose work
+//!   per curve ([`response_work`]) must not exceed [`MAX_RESPONSE_WORK`],
+//!   checked at parse time. Tolerance-mode `"response"` requests stay
+//!   unbudgeted: their cost is the interpolation grid's build, which
+//!   depends on `k` and the tolerance, is cached across requests, and is
+//!   followed by `O(1)` work per point;
+//! * an `"ess"` probe, whose worst-case work ([`ess_work`]) must not
+//!   exceed [`MAX_ESS_WORK`], checked once its profile is parsed.
+//!
 //! Policy and profile specs are the `dispersal` CLI spec strings
 //! (`dispersal_mech::catalog::parse_policy` / `parse_profile`).
 //!
@@ -71,6 +80,37 @@ pub const MAX_MUTANTS: usize = 10_000;
 /// them at about 18 ns a cell, so the largest admissible request answers
 /// in about 0.75 s on a 2-vCPU x86-64 VM.
 pub const MAX_ESS_WORK: u64 = 40_000_000;
+
+/// Largest work per curve of an exact `"response"` or a `"catalog"` scan,
+/// in kernel cells ([`response_work`]). A cell of the exact tile costs
+/// 2–3 ns on the AVX2 reference lane and 12–18 ns on the scalar lane up
+/// to `k = 10⁴`, but up to about 70 ns at `k = 10⁶` on either (a grid of
+/// fewer than eight interior points runs per point, and the binomial
+/// tails walk through subnormals). On a 2-vCPU x86-64 VM the largest
+/// admissible exact responses (`k = 10⁶` at resolution 8, `k = 38 909`
+/// at 256, `k = 151` at 2¹⁶) answered within 0.7 s on either lane; a
+/// catalog scan at `k = 10⁶` took 0.6 s on the AVX2 lane and 1.6 s on
+/// the scalar lane.
+pub const MAX_RESPONSE_WORK: u64 = 10_000_000;
+
+/// Work per curve of an exact `"response"` or `"catalog"` shape: the
+/// `resolution + 1` grid points times the `k + 1` cells of each point's
+/// PMF walk and coefficient dot. Saturates instead of wrapping.
+pub fn response_work(k: usize, resolution: usize) -> u64 {
+    (k as u64).saturating_add(1).saturating_mul((resolution as u64).saturating_add(1))
+}
+
+/// Refuse an exact `"response"` or `"catalog"` shape whose
+/// [`response_work`] exceeds [`MAX_RESPONSE_WORK`], naming the budget.
+fn within_response_budget(k: usize, resolution: usize) -> Result<(), String> {
+    let work = response_work(k, resolution);
+    if work > MAX_RESPONSE_WORK {
+        return Err(format!(
+            "response work (k + 1)·(resolution + 1) = {work} exceeds the limit {MAX_RESPONSE_WORK}"
+        ));
+    }
+    Ok(())
+}
 
 /// Worst-case work of an `"ess"` probe on `sites` sites: its `6M + 6`
 /// structured mutants plus the random ones, each a full ledger of `M`
@@ -282,15 +322,17 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
     };
     let body = match cmd.as_str() {
         "response" => (|| {
-            Ok(Request::Response {
-                policy: require_str(entries, "policy")?,
-                k: require_k(entries)?,
-                resolution: optional_resolution(entries)?,
-                tol: match field(entries, "tol") {
-                    None => None,
-                    Some(v) => Some(as_f64(v).ok_or("non-number field \"tol\"".to_string())?),
-                },
-            })
+            let policy = require_str(entries, "policy")?;
+            let k = require_k(entries)?;
+            let resolution = optional_resolution(entries)?;
+            let tol = match field(entries, "tol") {
+                None => None,
+                Some(v) => Some(as_f64(v).ok_or("non-number field \"tol\"".to_string())?),
+            };
+            if tol.is_none() {
+                within_response_budget(k, resolution)?;
+            }
+            Ok(Request::Response { policy, k, resolution, tol })
         })(),
         "equilibrium" => (|| {
             Ok(Request::Equilibrium {
@@ -315,10 +357,10 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
             })
         })(),
         "catalog" => (|| {
-            Ok(Request::Catalog {
-                k: require_k(entries)?,
-                resolution: optional_resolution(entries)?,
-            })
+            let k = require_k(entries)?;
+            let resolution = optional_resolution(entries)?;
+            within_response_budget(k, resolution)?;
+            Ok(Request::Catalog { k, resolution })
         })(),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
@@ -490,7 +532,8 @@ mod tests {
     #[test]
     fn size_fields_are_bounded_at_their_limits() {
         let cases = [
-            (r#""cmd":"response","policy":"s","k":N"#, MAX_K as u64),
+            // Tolerance mode, so the exact-work budget stays out of the way.
+            (r#""cmd":"response","policy":"s","k":N,"tol":1e-9"#, MAX_K as u64),
             (r#""cmd":"response","policy":"s","k":2,"resolution":N"#, MAX_RESOLUTION as u64),
             (r#""cmd":"catalog","k":2,"resolution":N"#, MAX_RESOLUTION as u64),
             (r#""cmd":"equilibrium","policy":"s","profile":"p","k":N"#, MAX_K as u64),
@@ -516,6 +559,35 @@ mod tests {
         assert_eq!(ess_work(4, 1000, 0), 30 * 4 * 1000 * 1000);
         assert!(ess_work(4, 1000, 0) > MAX_ESS_WORK);
         assert_eq!(ess_work(MAX_K, MAX_K, MAX_MUTANTS), u64::MAX);
+    }
+
+    #[test]
+    fn response_work_admits_every_shipped_shape_and_saturates() {
+        // The benchmark's exact shapes and catalog scan (also loadgen's
+        // k = 64), the serve tests' shapes, ROADMAP item 1's slow-reader
+        // repro, and the largest resolution at small k.
+        let shapes = [(16, 256), (64, 256), (256, 256), (8, 256), (16, 64), (12, 48), (8, 16)]
+            .into_iter()
+            .chain([(6, 32), (4, 8), (33, 96), (64, 20_000), (4, MAX_RESOLUTION)]);
+        for (k, resolution) in shapes {
+            let work = response_work(k, resolution);
+            assert!(work <= MAX_RESPONSE_WORK, "k = {k}, resolution = {resolution}: {work}");
+        }
+        assert_eq!(response_work(64, 256), 65 * 257);
+        assert_eq!(response_work(usize::MAX, usize::MAX), u64::MAX);
+        // The largest legal fields exceed it in exact mode; a
+        // tolerance-mode grid of the same shape is not budgeted.
+        let huge = format!("\"k\":{MAX_K},\"resolution\":{MAX_RESOLUTION}");
+        let limit = format!("limit {MAX_RESPONSE_WORK}");
+        for line in [
+            format!(r#"{{"id":1,"cmd":"response","policy":"sharing",{huge}}}"#),
+            format!(r#"{{"id":2,"cmd":"catalog",{huge}}}"#),
+        ] {
+            let err = parse_line(&line).1.unwrap_err();
+            assert!(err.contains(&limit) && err.contains("work"), "{line}: {err}");
+        }
+        let line = format!(r#"{{"id":3,"cmd":"response","policy":"sharing",{huge},"tol":1e-9}}"#);
+        assert!(parse_line(&line).1.is_ok(), "{line}");
     }
 
     #[test]

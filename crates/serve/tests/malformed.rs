@@ -4,6 +4,7 @@
 //! refused in place, silent connections are reaped by the idle timeout).
 
 use dispersal_serve::client::Client;
+use dispersal_serve::protocol;
 use dispersal_serve::server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -220,5 +221,36 @@ fn ess_requests_beyond_the_work_budget_are_refused_promptly() {
         r#"{"id":3,"cmd":"ess","profile":"zipf:4:1.0","k":64,"mutants":4}"#,
     );
     assert!(reply.contains("\"ok\":true"), "an admissible probe must be served: {reply}");
+    server.shutdown();
+}
+
+#[test]
+fn exact_responses_beyond_the_work_budget_are_refused_promptly() {
+    // Regression: every exact response or catalog line within the field
+    // limits used to reach the kernel. k = 10⁶ at resolution 2¹⁶ is about
+    // 6.6·10¹⁰ kernel cells, minutes of dispatcher time during which no
+    // other client got a reply. Both are now refused at parse time with an
+    // error naming the budget.
+    let server = bounded_server(1 << 20);
+    let limit = format!("limit {}", protocol::MAX_RESPONSE_WORK);
+    for line in [
+        r#"{"id":1,"cmd":"response","policy":"sharing","k":1000000,"resolution":65536}"#,
+        r#"{"id":2,"cmd":"catalog","k":1000000,"resolution":65536}"#,
+    ] {
+        let started = Instant::now();
+        let reply = call_within_5s(server.addr(), line);
+        assert!(reply.contains("\"ok\":false"), "{line} must be refused: {reply}");
+        assert!(reply.contains(&limit), "{line}: budget not named: {reply}");
+        let stats = call_within_5s(server.addr(), r#"{"id":99,"cmd":"stats"}"#);
+        assert!(stats.contains("\"ok\":true"), "stats after {line}: {stats}");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "{line} and a stats took {took:?}");
+    }
+    // An exact response within the budget is still served.
+    let reply = call_within_5s(
+        server.addr(),
+        r#"{"id":3,"cmd":"response","policy":"sharing","k":64,"resolution":256}"#,
+    );
+    assert!(reply.contains("\"ok\":true"), "an admissible response must be served: {reply}");
     server.shutdown();
 }
