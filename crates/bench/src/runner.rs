@@ -4,9 +4,11 @@
 //! boilerplate: ad-hoc argv handling, `results/` plumbing, and no timing
 //! or provenance. [`experiment_main`] centralizes that: it parses the
 //! common flags, configures the thread pool and output directory, times
-//! the run, and emits a JSON run-manifest next to the CSVs so every
-//! results file can be traced back to the exact `(trials, seed, jobs)`
-//! that produced it.
+//! the run, and emits a run manifest next to the CSVs so every results
+//! file can be traced back to the exact `(trials, seed, jobs)` that
+//! produced it. The manifest is one line of JSON: a `serde::Value`
+//! rendered by the vendored codec, like every other JSON the workspace
+//! writes.
 //!
 //! Common flags (all optional; each binary keeps its own defaults):
 //!
@@ -18,6 +20,7 @@
 
 use dispersal_core::kernel::cache::CacheStats;
 use dispersal_core::{Error, Result};
+use serde::Value;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -115,58 +118,38 @@ impl RunContext {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn manifest_json(ctx: &RunContext, wall: Duration) -> String {
-    let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-    let outputs: Vec<String> =
-        ctx.outputs.iter().map(|o| format!("\"{}\"", json_escape(o))).collect();
+    let text = |s: &str| Value::Str(s.to_string());
+    let opt = |v: Option<u64>| v.map_or(Value::Null, Value::UInt);
+    let count = |n: usize| Value::UInt(n as u64);
     // Sorted by construction: BTreeMap iteration order is the key order.
-    let flags: Vec<String> = ctx
-        .flags
-        .iter()
-        .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    let caches: Vec<String> = ctx
+    let flags = ctx.flags.iter().map(|(k, v)| (k.clone(), text(v))).collect();
+    let caches = ctx
         .caches
         .iter()
         .map(|(label, s)| {
-            format!(
-                "\"{}\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}, \
-                 \"capacity\": {}}}",
-                json_escape(label),
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.entries,
-                s.capacity
-            )
+            let stats = vec![
+                ("hits".to_string(), Value::UInt(s.hits)),
+                ("misses".to_string(), Value::UInt(s.misses)),
+                ("evictions".to_string(), Value::UInt(s.evictions)),
+                ("entries".to_string(), count(s.entries)),
+                ("capacity".to_string(), count(s.capacity)),
+            ];
+            (label.clone(), Value::Object(stats))
         })
         .collect();
-    format!(
-        "{{\n  \"experiment\": \"{}\",\n  \"trials\": {},\n  \"seed\": {},\n  \"jobs\": {},\n  \
-         \"wall_ms\": {},\n  \"flags\": {{{}}},\n  \"caches\": {{{}}},\n  \"outputs\": [{}]\n}}\n",
-        json_escape(ctx.name),
-        opt(ctx.trials),
-        opt(ctx.seed),
-        ctx.jobs.map_or_else(|| ctx.effective_jobs().to_string(), |j| j.to_string()),
-        wall.as_millis(),
-        flags.join(", "),
-        caches.join(", "),
-        outputs.join(", ")
-    )
+    let manifest = Value::Object(vec![
+        ("experiment".to_string(), text(ctx.name)),
+        ("trials".to_string(), opt(ctx.trials)),
+        ("seed".to_string(), opt(ctx.seed)),
+        ("jobs".to_string(), count(ctx.jobs.unwrap_or_else(|| ctx.effective_jobs()))),
+        ("wall_ms".to_string(), Value::UInt(u64::try_from(wall.as_millis()).unwrap_or(u64::MAX))),
+        ("flags".to_string(), Value::Object(flags)),
+        ("caches".to_string(), Value::Object(caches)),
+        ("outputs".to_string(), Value::Array(ctx.outputs.iter().map(|o| text(o)).collect())),
+    ]);
+    serde_json::to_string(&manifest).expect("a manifest holds no floats, the codec's one failure")
+        + "\n"
 }
 
 /// Run one experiment under the shared driver: parse the common flags,
@@ -286,29 +269,35 @@ mod tests {
             CacheStats { hits: 9, misses: 3, evictions: 1, entries: 2, capacity: 256 },
         );
         let json = manifest_json(&ctx, Duration::from_millis(1234));
-        assert!(json.contains("\"experiment\": \"exp_x\""));
-        assert!(json.contains("\"trials\": 10"));
-        assert!(json.contains("\"seed\": null"));
-        assert!(json.contains("\"jobs\": 3"));
-        assert!(json.contains("\"wall_ms\": 1234"));
-        assert!(json.contains("\"a.csv\", \"b.csv\""));
-        assert!(
-            json.contains(
-                "\"caches\": {\"grid\": {\"hits\": 9, \"misses\": 3, \"evictions\": 1, \
-                 \"entries\": 2, \"capacity\": 256}}"
-            ),
-            "{json}"
+        assert_eq!(json.lines().count(), 1, "{json}");
+        let manifest = serde_json::from_str(&json).unwrap();
+        let entries = manifest.as_object().unwrap();
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["experiment", "trials", "seed", "jobs", "wall_ms", "flags", "caches", "outputs"]
+        );
+        let field = |key: &str| &entries.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(field("experiment").as_str(), Some("exp_x"));
+        assert_eq!(field("trials"), &Value::UInt(10));
+        assert_eq!(field("seed"), &Value::Null);
+        assert_eq!(field("jobs"), &Value::UInt(3));
+        assert_eq!(field("wall_ms"), &Value::UInt(1234));
+        let outputs: Vec<_> =
+            field("outputs").as_array().unwrap().iter().map(Value::as_str).collect();
+        assert_eq!(outputs, [Some("a.csv"), Some("b.csv")]);
+        let stats =
+            [("hits", 9), ("misses", 3), ("evictions", 1), ("entries", 2), ("capacity", 256)];
+        let grid = stats.iter().map(|&(k, n)| (k.to_string(), Value::UInt(n))).collect();
+        assert_eq!(
+            field("caches"),
+            &Value::Object(vec![("grid".to_string(), Value::Object(grid))])
         );
         // Flags are echoed in sorted key order regardless of the order
         // they appeared on the command line.
-        assert!(
-            json.contains("\"flags\": {\"jobs\": \"3\", \"seed\": \"7\", \"trials\": \"10\"}"),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let flags = [("jobs", "3"), ("seed", "7"), ("trials", "10")];
+        let flags =
+            flags.iter().map(|&(k, v)| (k.to_string(), Value::Str(v.to_string()))).collect();
+        assert_eq!(field("flags"), &Value::Object(flags));
     }
 }

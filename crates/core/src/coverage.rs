@@ -119,12 +119,6 @@ pub fn coverage_profile(f: &ValueProfile, profile: &[Strategy]) -> Result<f64> {
     })))
 }
 
-/// The full-coordination ceiling: coverage when the `k` players are assigned
-/// deterministically to the `k` best sites, `Σ_{x ≤ k} f(x)`.
-pub fn coordinated_ceiling(f: &ValueProfile, k: usize) -> f64 {
-    f.top_sum(k)
-}
-
 /// The Observation 1 lower bound `(1 − 1/e)·Σ_{x ≤ k} f(x)` that the optimal
 /// symmetric coverage always exceeds.
 pub fn observation1_bound(f: &ValueProfile, k: usize) -> f64 {
@@ -292,7 +286,8 @@ mod tests {
     fn observation1_bound_below_ceiling() {
         let f = ValueProfile::zipf(50, 1.0, 1.0).unwrap();
         for k in [1usize, 3, 10] {
-            assert!(observation1_bound(&f, k) < coordinated_ceiling(&f, k));
+            // The ceiling: the `k` players assigned to the `k` best sites.
+            assert!(observation1_bound(&f, k) < f.top_sum(k));
         }
     }
 

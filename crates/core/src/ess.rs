@@ -11,9 +11,8 @@
 //! mutants, and prices populations of several strategy types: a
 //! [`Mixture`] is the mixed population `(1−ε)σ + επ` of Eq. (3) or any
 //! `M`-type generalization, with exact field payoffs
-//! ([`mixture_field_payoffs`]), the invasion barrier
-//! ([`invasion_barrier`]) and per-type transfer ledgers
-//! ([`MixtureEvaluator`]).
+//! ([`mixture_field_payoffs`]) and the invasion barrier
+//! ([`invasion_barrier`]).
 //!
 //! ## Kernel-backed evaluation
 //!
@@ -26,9 +25,7 @@
 //! [`crate::kernel::PbCache`], and across *every mutant probed*), and
 //! each ledger level is one `O(k)` [`crate::kernel::PbTable::replace`]
 //! per site instead of a fresh `O(k²)` DP — an `O(k)` total speedup that
-//! is what makes the tier-2 large-`k` theorem tests affordable. The same
-//! level walk serves the two-column [`EssLedger`] and the one-row-per-type
-//! [`MixtureLedger`].
+//! is what makes the tier-2 large-`k` theorem tests affordable.
 //!
 //! Level 0 remains bit-identical to the pre-kernel per-site DP path.
 //! Rank-updated levels agree with a fresh DP while each site's
@@ -61,14 +58,13 @@ use crate::policy::Congestion;
 use crate::strategy::Strategy;
 use crate::value::ValueProfile;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Numerical tolerance distinguishing "equal" payoffs from strict
 /// advantages in the ESS characterization.
 pub const ESS_TOL: f64 = 1e-10;
 
 /// Outcome of checking the ESS characterization against one mutant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MutantVerdict {
     /// The mutant is repelled at level `m` (the characterization holds with
     /// `m_π = m`); `margin` is the strict payoff advantage at that level.
@@ -94,7 +90,7 @@ pub enum MutantVerdict {
 
 /// Per-level payoff ledger for diagnostics: `resident[ℓ]` is
 /// `E(σ; σ^{k−ℓ−1}, π^ℓ)` and `mutant[ℓ]` is `E(π; σ^{k−ℓ−1}, π^ℓ)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EssLedger {
     /// Resident payoffs by number of mutant opponents.
     pub resident: Vec<f64>,
@@ -142,17 +138,6 @@ enum LevelCall {
 impl<'a> LedgerEvaluator<'a> {
     /// Build the baseline tables for resident `sigma` (requires `k ≥ 2`).
     pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, sigma: &'a Strategy) -> Result<Self> {
-        Self::with_cache(ctx, f, sigma, &PbCache::new())
-    }
-
-    /// [`Self::new`] drawing the baseline tables from `cache`, which a
-    /// [`MixtureEvaluator`] keeps warm for its composition payoffs.
-    fn with_cache(
-        ctx: &'a PayoffContext,
-        f: &'a ValueProfile,
-        sigma: &'a Strategy,
-        cache: &PbCache,
-    ) -> Result<Self> {
         let k = ctx.k();
         if k < 2 {
             return Err(Error::InvalidPlayerCount { k });
@@ -160,6 +145,7 @@ impl<'a> LedgerEvaluator<'a> {
         if f.len() != sigma.len() {
             return Err(Error::DimensionMismatch { strategy: sigma.len(), profile: f.len() });
         }
+        let cache = PbCache::new();
         let mut profile = vec![0.0; k - 1];
         let mut base = Vec::with_capacity(f.len());
         for x in 0..f.len() {
@@ -423,7 +409,7 @@ pub fn check_mutant(
 }
 
 /// Report from probing a candidate ESS with many mutants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EssReport {
     /// Number of mutants tested.
     pub mutants_tested: usize,
@@ -526,7 +512,7 @@ const WEIGHT_TOL: f64 = 1e-9;
 /// resident + mutant population `(1 − ε)σ + επ` of Eq. (3) is
 /// [`Mixture::two`]; a single mutant `π` invading is the one-type
 /// mixture `Mixture::new(vec![π], vec![1.0])`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mixture {
     types: Vec<Strategy>,
     weights: Vec<f64>,
@@ -689,91 +675,6 @@ pub fn invasion_barrier(
     Ok(last_good)
 }
 
-/// The per-level exact payoff ledger of a one-directional type transfer:
-/// `payoffs[t][ℓ]` is the expected payoff of a focal type-`t` player when
-/// `ℓ` of the `k − 1` opponents play the transfer target and the rest
-/// play type 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MixtureLedger {
-    /// `payoffs[t][ℓ]`, one row per mixture type, `k` levels per row.
-    pub payoffs: Vec<Vec<f64>>,
-}
-
-/// Exact `PbTable`-backed evaluator for a multi-type mixture: a
-/// [`LedgerEvaluator`] anchored on type 0 whose level walk prices every
-/// type at once, plus the [`PbCache`] that served its baseline tables for
-/// fixed-composition payoffs.
-#[derive(Debug)]
-pub struct MixtureEvaluator<'a> {
-    ledger: LedgerEvaluator<'a>,
-    mixture: &'a Mixture,
-    cache: PbCache,
-}
-
-impl<'a> MixtureEvaluator<'a> {
-    /// Build the baseline tables anchored on type 0 (requires `k ≥ 2`).
-    pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, mixture: &'a Mixture) -> Result<Self> {
-        let cache = PbCache::new();
-        let ledger = LedgerEvaluator::with_cache(ctx, f, &mixture.types()[0], &cache)?;
-        Ok(Self { ledger, mixture, cache })
-    }
-
-    /// The full per-level ledger of transferring opponents from type 0 to
-    /// type `to`: the level walk with every type as a focal strategy.
-    pub fn transfer_ledger(&self, to: usize) -> Result<MixtureLedger> {
-        let types = self.mixture.types();
-        if to == 0 || to >= types.len() {
-            return Err(Error::InvalidArgument(format!(
-                "transfer target {to} out of range for a {}-type mixture",
-                types.len()
-            )));
-        }
-        let focal: Vec<&Strategy> = types.iter().collect();
-        let mut payoffs = vec![vec![0.0; self.ledger.ctx.k()]; types.len()];
-        self.ledger.walk(&types[to], &focal, &mut payoffs)?;
-        Ok(MixtureLedger { payoffs })
-    }
-
-    /// Exact expected payoff of a focal player of every type against a
-    /// **fixed** opponent composition: `opponent_counts[t]` opponents of
-    /// type `t`, summing to `k − 1`. Opponent site occupancies are exact
-    /// Poisson-binomial expectations through the shared [`PbCache`].
-    pub fn composition_payoffs(&self, opponent_counts: &[usize]) -> Result<Vec<f64>> {
-        let types = self.mixture.types();
-        let k = self.ledger.ctx.k();
-        if opponent_counts.len() != types.len() {
-            return Err(Error::InvalidArgument(format!(
-                "expected {} opponent counts, got {}",
-                types.len(),
-                opponent_counts.len()
-            )));
-        }
-        let total: usize = opponent_counts.iter().sum();
-        if total != k - 1 {
-            return Err(Error::InvalidArgument(format!(
-                "opponent counts must sum to k - 1 = {}, got {total}",
-                k - 1
-            )));
-        }
-        let opponents: Vec<&Strategy> = opponent_counts
-            .iter()
-            .zip(types.iter())
-            .flat_map(|(&n, t)| std::iter::repeat_n(t, n))
-            .collect();
-        types
-            .iter()
-            .map(|rho| {
-                self.ledger.ctx.heterogeneous_payoff_with(
-                    self.ledger.f,
-                    rho,
-                    &opponents,
-                    &self.cache,
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,35 +799,6 @@ mod tests {
                 assert_eq!(direct.to_bits(), (u[0] - u[1]).to_bits(), "{} eps = {eps}", c.name());
             }
         }
-    }
-
-    #[test]
-    fn transfer_ledger_matches_reference_ledger_for_every_target() {
-        let f = ValueProfile::zipf(5, 1.0, 1.0).unwrap();
-        let k = 6;
-        let ctx = PayoffContext::new(&Sharing, k).unwrap();
-        let types = vec![
-            sigma_star(&f, k).unwrap().strategy,
-            Strategy::uniform(5).unwrap(),
-            Strategy::delta(5, 1).unwrap(),
-        ];
-        let mix = Mixture::new(types.clone(), vec![0.5, 0.3, 0.2]).unwrap();
-        let evaluator = MixtureEvaluator::new(&ctx, &f, &mix).unwrap();
-        for to in 1..types.len() {
-            let ledger = evaluator.transfer_ledger(to).unwrap();
-            let reference = reference_ledger(&ctx, &f, &types[0], &types[to]).unwrap();
-            for (row, expect) in [
-                (&ledger.payoffs[0], &reference.resident),
-                (&ledger.payoffs[to], &reference.mutant),
-            ] {
-                assert_eq!(row[0].to_bits(), expect[0].to_bits(), "to = {to}");
-                for (a, b) in row.iter().zip(expect.iter()) {
-                    assert!((a - b).abs() <= 1e-12, "to = {to}: {a} vs {b}");
-                }
-            }
-        }
-        assert!(evaluator.transfer_ledger(0).is_err());
-        assert!(evaluator.transfer_ledger(3).is_err());
     }
 
     #[test]

@@ -19,10 +19,9 @@ use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::strategy::Strategy;
 use crate::value::ValueProfile;
-use serde::{Deserialize, Serialize};
 
 /// An IFD solution for the visit-cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostIfd {
     /// Equilibrium strategy.
     pub strategy: Strategy,

@@ -41,7 +41,6 @@ use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::strategy::Strategy;
 use crate::value::ValueProfile;
-use serde::{Deserialize, Serialize};
 
 /// Outer bisection steps on the common value `ν`, and inner bisection
 /// steps inverting `g_C` at each site. 90 × 64 keeps the residual near
@@ -51,7 +50,7 @@ const OUTER_ITERS: usize = 90;
 const INNER_ITERS: u32 = 64;
 
 /// An IFD solution: the equilibrium strategy plus diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ifd {
     /// The equilibrium (symmetric Nash) strategy.
     pub strategy: Strategy,

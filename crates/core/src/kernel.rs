@@ -640,21 +640,6 @@ impl GTable {
         n as f64 * acc
     }
 
-    /// Batched exact derivatives into `out` (`out.len() == qs.len()`);
-    /// mismatched lengths are [`Error::LengthMismatch`].
-    pub fn eval_prime_many_with(
-        &self,
-        scratch: &mut GScratch,
-        qs: &[f64],
-        out: &mut [f64],
-    ) -> Result<()> {
-        check_len("GTable::eval_prime_many_with", qs.len(), out.len())?;
-        for (slot, &q) in out.iter_mut().zip(qs.iter()) {
-            *slot = self.eval_prime_with(scratch, q);
-        }
-        Ok(())
-    }
-
     /// Attach (or detach) an interpolation grid per `spec` — the single
     /// grid-configuration entry point behind [`GridSpec`]:
     ///
@@ -752,12 +737,6 @@ impl GTable {
             }
         }
         Ok(NonUniformGrid::new(cells, worst))
-    }
-
-    /// Whether an interpolation grid is attached.
-    #[inline]
-    pub fn has_grid(&self) -> bool {
-        self.grid.is_some()
     }
 
     /// The attached grid's worst error measured at cell midpoints
@@ -1399,7 +1378,6 @@ mod tests {
             other => panic!("expected LengthMismatch, got {other:?}"),
         };
         expect_mismatch(table.eval_many_with(&mut scratch, &qs, &mut short));
-        expect_mismatch(table.eval_prime_many_with(&mut scratch, &qs, &mut short));
         expect_mismatch(table.eval_fused_many_into(&qs, &mut short));
         expect_mismatch(table.eval_fast_many_with(&mut scratch, &qs, &mut short));
         // The failed calls must not have touched the output buffer.
@@ -1456,7 +1434,7 @@ mod tests {
         for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.4 }] {
             for k in [2usize, 16, 64] {
                 let table = gridded(c, k, 1e-12);
-                assert!(table.has_grid());
+                assert!(table.grid.is_some());
                 assert!(table.grid_error().unwrap() <= 1e-12 * table.scale());
                 let mut scratch = table.scratch();
                 // Off-midpoint sample points (not used during refinement).
@@ -1511,10 +1489,10 @@ mod tests {
     fn with_spec_exact_detaches_the_grid() {
         let base = GTable::new(&Sharing, 16).unwrap();
         let gridded = base.clone().with_spec(GridSpec::Interpolated { tol: 1e-10 }).unwrap();
-        assert!(gridded.has_grid());
+        assert!(gridded.grid.is_some());
         // Exact spec detaches the grid and restores the reference path.
         let detached = gridded.with_spec(GridSpec::Exact).unwrap();
-        assert!(!detached.has_grid());
+        assert!(detached.grid.is_none());
         let mut s = detached.scratch();
         assert_eq!(detached.eval_fast_with(&mut s, 0.42).to_bits(), base.eval(0.42).to_bits());
     }
@@ -1566,7 +1544,7 @@ mod tests {
             for k in [2usize, 64, 512] {
                 let tol = 1e-9;
                 let table = gridded(c, k, tol);
-                assert!(table.has_grid());
+                assert!(table.grid.is_some());
                 assert!(table.grid_error().unwrap() <= tol * table.scale());
                 let mut scratch = table.scratch();
                 // Off-midpoint sample points (not used during refinement);
@@ -1913,7 +1891,7 @@ mod tests {
         let mut scratch = table.scratch();
         let q = 0.25;
         let expect: f64 = crate::numerics::kahan_sum(
-            (0..=2).map(|j| crate::numerics::bernstein(2, j, q) * 1.0 / (j as f64 + 1.0)),
+            (0..=2).map(|j| crate::numerics::binomial_pmf(2, j, q) * 1.0 / (j as f64 + 1.0)),
         );
         assert!((table.eval_with(&mut scratch, q) - expect).abs() < 1e-12);
     }

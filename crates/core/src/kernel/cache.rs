@@ -86,18 +86,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Component-wise sum of two snapshots (capacity adds too): useful
-    /// for reporting one line over several caches.
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            entries: self.entries + other.entries,
-            capacity: self.capacity.saturating_add(other.capacity),
-        }
-    }
 }
 
 impl fmt::Display for CacheStats {
@@ -360,9 +348,6 @@ mod tests {
     #[test]
     fn stats_display_and_merge() {
         let a = CacheStats { hits: 3, misses: 1, evictions: 0, entries: 1, capacity: 4 };
-        let b = CacheStats { hits: 1, misses: 1, evictions: 1, entries: 1, capacity: 0 };
-        let m = a.merged(b);
-        assert_eq!((m.hits, m.misses, m.evictions, m.entries), (4, 2, 1, 2));
         let line = format!("{a}");
         assert!(line.contains("hits 3") && line.contains("entries 1/4"), "{line}");
         let unbounded = format!("{}", CacheStats::default());

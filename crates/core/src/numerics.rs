@@ -72,15 +72,6 @@ pub fn binomial_pmf_vector(n: usize, p: f64) -> Vec<f64> {
     pmf
 }
 
-/// Bernstein basis polynomial `b_{j,n}(q) = C(n,j) q^j (1-q)^{n-j}`.
-///
-/// This is just the binomial PMF, but named for its role in derivative
-/// formulas.
-#[inline]
-pub fn bernstein(n: usize, j: usize, q: f64) -> f64 {
-    binomial_pmf(n, j, q)
-}
-
 /// One in-place step of the Poisson–binomial convolution DP: fold a single
 /// `Bernoulli(p)` coin into `pmf`, which currently holds the PMF of `count`
 /// coins in `pmf[0..=count]` (entries above are ignored and overwritten at
@@ -113,16 +104,6 @@ pub fn poisson_binomial_pmf(probs: &[f64]) -> Vec<f64> {
         convolve_bernoulli(&mut pmf, i, p);
     }
     pmf
-}
-
-/// Expectation `E[h(L)]` where `L ~ PoissonBinomial(probs)` and `h` is given
-/// by its value table `h[j]` for `j = 0..=probs.len()`.
-pub fn poisson_binomial_expectation(probs: &[f64], h: &[f64]) -> f64 {
-    let pmf = poisson_binomial_pmf(probs);
-    debug_assert!(h.len() >= pmf.len());
-    // Kahan dot, matching `kernel::PbTable::expectation` term-for-term so
-    // the one-shot and table-backed paths agree bit-for-bit.
-    kahan_sum(pmf.iter().zip(h.iter()).map(|(p, v)| p * v))
 }
 
 /// Simple scalar bisection on a monotone (non-increasing) function.
@@ -303,10 +284,11 @@ mod tests {
 
     #[test]
     fn poisson_binomial_expectation_linear_function() {
-        // E[L] via the expectation helper with h(j) = j.
+        // E[L] via the table expectation with h(j) = j.
         let probs = [0.2, 0.7, 0.4];
         let h: Vec<f64> = (0..=3).map(|j| j as f64).collect();
-        assert_close(poisson_binomial_expectation(&probs, &h), 1.3, 1e-12);
+        let table = crate::kernel::PbTable::from_probs(&probs).unwrap();
+        assert_close(table.expectation(&h), 1.3, 1e-12);
     }
 
     #[test]
@@ -322,11 +304,6 @@ mod tests {
         let items = std::iter::once(1.0).chain(std::iter::repeat_n(1e-16, 100_000));
         let s = kahan_sum(items);
         assert_close(s, 1.0 + 1e-11, 1e-14);
-    }
-
-    #[test]
-    fn bernstein_is_binomial_pmf() {
-        assert_close(bernstein(4, 2, 0.3), binomial_pmf(4, 2, 0.3), 0.0);
     }
 
     // `miri_*` tests form the CI Miri subset: small, allocation-light

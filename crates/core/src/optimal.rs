@@ -11,7 +11,7 @@
 //! * [`optimal_coverage_gradient`] — projected-gradient ascent on `Cover`
 //!   from multiple starting points (no structural knowledge at all).
 
-use crate::coverage::{coverage, coverage_gradient};
+use crate::coverage::coverage;
 use crate::error::{Error, Result};
 use crate::simplex::{projected_gradient_ascent, AscentConfig};
 use crate::strategy::Strategy;
@@ -129,34 +129,10 @@ pub fn optimal_coverage(f: &ValueProfile, k: usize) -> Result<OptimalCoverage> {
     optimal_coverage_waterfill(f, k)
 }
 
-/// First-order optimality residual of a candidate maximizer: on the
-/// support, the coverage gradient must be constant; off the support it must
-/// not exceed that constant. Returns the worst violation.
-pub fn optimality_residual(f: &ValueProfile, p: &Strategy, k: usize) -> Result<f64> {
-    let grad = coverage_gradient(f, p, k)?;
-    let support_tol = 1e-10;
-    let on: Vec<f64> = grad
-        .iter()
-        .zip(p.probs().iter())
-        .filter(|(_, &px)| px > support_tol)
-        .map(|(&g, _)| g)
-        .collect();
-    if on.is_empty() {
-        return Ok(f64::INFINITY);
-    }
-    let level = on.iter().sum::<f64>() / on.len() as f64;
-    let mut residual = on.iter().map(|g| (g - level).abs()).fold(0.0, f64::max);
-    for (g, &px) in grad.iter().zip(p.probs().iter()) {
-        if px <= support_tol && *g > level {
-            residual = residual.max(g - level);
-        }
-    }
-    Ok(residual / level.max(1e-300))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::coverage_gradient;
     use crate::sigma_star::sigma_star;
 
     fn close(a: f64, b: f64, tol: f64) {
@@ -234,6 +210,31 @@ mod tests {
             let bound = crate::coverage::observation1_bound(&f, k);
             assert!(opt.coverage > bound, "coverage {} <= bound {bound}", opt.coverage);
         }
+    }
+
+    /// First-order optimality residual of a candidate maximizer: on the
+    /// support, the coverage gradient must be constant; off the support it must
+    /// not exceed that constant. Returns the worst violation.
+    fn optimality_residual(f: &ValueProfile, p: &Strategy, k: usize) -> Result<f64> {
+        let grad = coverage_gradient(f, p, k)?;
+        let support_tol = 1e-10;
+        let on: Vec<f64> = grad
+            .iter()
+            .zip(p.probs().iter())
+            .filter(|(_, &px)| px > support_tol)
+            .map(|(&g, _)| g)
+            .collect();
+        if on.is_empty() {
+            return Ok(f64::INFINITY);
+        }
+        let level = on.iter().sum::<f64>() / on.len() as f64;
+        let mut residual = on.iter().map(|g| (g - level).abs()).fold(0.0, f64::max);
+        for (g, &px) in grad.iter().zip(p.probs().iter()) {
+            if px <= support_tol && *g > level {
+                residual = residual.max(g - level);
+            }
+        }
+        Ok(residual / level.max(1e-300))
     }
 
     #[test]

@@ -42,29 +42,6 @@ impl PayoffContext {
         Ok(Self { kernel: GTable::from_coefficients(c_table)?, k })
     }
 
-    /// Build a context directly from a coefficient table `[C(1), …, C(k)]`
-    /// **without** the `C(1) = 1` normalization requirement — the entry
-    /// point for scaled policies (e.g. reward-designed tables with
-    /// `C(1) = 10⁹`). The table must be non-empty, finite, and
-    /// non-increasing up to a *relative* tolerance of its own scale.
-    pub fn from_table(c_table: Vec<f64>) -> Result<Self> {
-        if c_table.is_empty() {
-            return Err(Error::InvalidPlayerCount { k: 0 });
-        }
-        let scale = c_table[0].abs().max(1.0);
-        for ell in 0..c_table.len() - 1 {
-            if c_table[ell + 1] > c_table[ell] + REL_TOL * scale {
-                return Err(Error::IncreasingCongestion {
-                    ell: ell + 1,
-                    c_ell: c_table[ell],
-                    c_next: c_table[ell + 1],
-                });
-            }
-        }
-        let k = c_table.len();
-        Ok(Self { kernel: GTable::from_coefficients(c_table)?, k })
-    }
-
     /// Attach (or detach) an interpolation grid per `spec` — the
     /// context-level face of [`GTable::with_spec`], sharing the single
     /// [`GridSpec`] configuration surface and its one typed tolerance
@@ -106,9 +83,8 @@ impl PayoffContext {
     /// Whether the policy is degenerate (constant on `[1, k]`), in which
     /// case `g_C` is constant and site values do not react to congestion.
     ///
-    /// The comparison is *relative* to `C(1)` so scaled tables (built via
-    /// [`Self::from_table`], e.g. `C(1) = 10⁹`) classify the same way as
-    /// their normalized counterparts.
+    /// The comparison is *relative* to `C(1)`, so a scaled table (e.g.
+    /// `C(1) = 10⁹`) classifies the same way as its normalized counterpart.
     pub fn is_degenerate(&self) -> bool {
         let table = self.kernel.coefficients();
         let first = table[0];
@@ -138,13 +114,6 @@ impl PayoffContext {
         Ok(kahan_sum(pmf.iter().zip(self.c_table().iter()).map(|(p, c)| p * c)))
     }
 
-    /// Infallible `g_C` for callers whose `q` is mathematically a
-    /// probability but may carry round-off (solver interiors, ODE states):
-    /// clamps `q` into `[0, 1]` and evaluates through the kernel.
-    pub fn g_clamped(&self, q: f64) -> f64 {
-        self.kernel.eval(q.clamp(0.0, 1.0))
-    }
-
     /// Derivative `g_C'(q)`, via the Bernstein derivative identity
     /// `d/dq b_{j,n}(q) = n·(b_{j−1,n−1}(q) − b_{j,n−1}(q))`.
     ///
@@ -165,14 +134,6 @@ impl PayoffContext {
             acc += b * (c_table[i + 1] - c_table[i]);
         }
         n as f64 * acc
-    }
-
-    /// The site value `ν_p(x) = f(x)·g_C(p(x))` (Eq. 2). `px` is clamped
-    /// into `[0, 1]` (debug builds assert it is within round-off of the
-    /// range); use [`Self::g`] when out-of-range inputs must error.
-    pub fn site_value(&self, fx: f64, px: f64) -> f64 {
-        debug_assert!((-1e-12..=1.0 + 1e-12).contains(&px), "px out of range: {px}");
-        fx * self.g_clamped(px)
     }
 
     /// All site values `ν_p(·)` for a symmetric field `p`, batched into a
@@ -214,27 +175,6 @@ impl PayoffContext {
     /// the individual welfare objective of Figure 1's blue curve.
     pub fn symmetric_payoff(&self, f: &ValueProfile, p: &Strategy) -> Result<f64> {
         self.expected_payoff(f, p, p)
-    }
-
-    /// Gradient of `U(p)` w.r.t. `p`:
-    /// `∂U/∂p(x) = f(x)·(g_C(p(x)) + p(x)·g_C'(p(x)))`, evaluated in two
-    /// batched kernel passes (values then derivatives).
-    pub fn symmetric_payoff_gradient(&self, f: &ValueProfile, p: &Strategy) -> Result<Vec<f64>> {
-        if f.len() != p.len() {
-            return Err(Error::DimensionMismatch { strategy: p.len(), profile: f.len() });
-        }
-        let m = f.len();
-        let mut scratch = self.kernel.scratch();
-        let mut gs = vec![0.0; m];
-        let mut dgs = vec![0.0; m];
-        self.kernel.eval_many_with(&mut scratch, p.probs(), &mut gs)?;
-        self.kernel.eval_prime_many_with(&mut scratch, p.probs(), &mut dgs)?;
-        Ok(f.values()
-            .iter()
-            .zip(p.probs().iter())
-            .zip(gs.iter().zip(dgs.iter()))
-            .map(|((&fx, &px), (&g, &dg))| fx * (g + px * dg))
-            .collect())
     }
 
     /// Exact multi-opponent payoff `E(ρ; σ₁, …, σ_{k−1})` where each
@@ -421,26 +361,13 @@ mod tests {
         // A scaled constant policy: C(1) = 1e9 with round-off-level wiggle
         // (relative 1e-13). The old absolute 1e-12 comparison misclassified
         // this as non-degenerate; the relative check does not.
-        let wiggly = PayoffContext::from_table(vec![1e9, 1e9 - 1e-4, 1e9 - 1e-4]).unwrap();
-        assert!(wiggly.is_degenerate());
+        let scaled = |table: Vec<f64>| PayoffContext {
+            k: table.len(),
+            kernel: GTable::from_coefficients(table).unwrap(),
+        };
+        assert!(scaled(vec![1e9, 1e9 - 1e-4, 1e9 - 1e-4]).is_degenerate());
         // A genuinely decaying scaled policy stays non-degenerate.
-        let scaled_exclusive = PayoffContext::from_table(vec![1e9, 0.0, 0.0]).unwrap();
-        assert!(!scaled_exclusive.is_degenerate());
-    }
-
-    #[test]
-    fn from_table_validates_and_scales() {
-        assert!(PayoffContext::from_table(vec![]).is_err());
-        assert!(PayoffContext::from_table(vec![1.0, f64::NAN]).is_err());
-        // Increasing beyond relative tolerance is rejected …
-        assert!(matches!(
-            PayoffContext::from_table(vec![1e9, 1e9 + 1.0]),
-            Err(Error::IncreasingCongestion { .. })
-        ));
-        // … but round-off-level increase at scale is tolerated.
-        let ctx = PayoffContext::from_table(vec![1e9, 1e9 + 1e-5]).unwrap();
-        assert_eq!(ctx.k(), 2);
-        close(ctx.g(0.0).unwrap(), 1e9, 1e-3);
+        assert!(!scaled(vec![1e9, 0.0, 0.0]).is_degenerate());
     }
 
     #[test]
@@ -457,9 +384,6 @@ mod tests {
                 "g({bad}) should be rejected"
             );
         }
-        // The clamped variant never errors.
-        assert_eq!(ctx.g_clamped(1.5).to_bits(), ctx.g(1.0).unwrap().to_bits());
-        assert_eq!(ctx.g_clamped(-3.0).to_bits(), ctx.g(0.0).unwrap().to_bits());
     }
 
     #[test]
@@ -609,7 +533,6 @@ mod tests {
         let ctx = PayoffContext::new(&Sharing, 2).unwrap();
         assert!(ctx.site_values(&f, &p3).is_err());
         assert!(ctx.expected_payoff(&f, &p3, &p2).is_err());
-        assert!(ctx.symmetric_payoff_gradient(&f, &p3).is_err());
         assert!(ctx.heterogeneous_payoff(&f, &p2, &[&p3]).is_err());
     }
 }

@@ -13,7 +13,6 @@
 //!   Kleinberg–Oren policy with `SPoA ≤ 2`.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A congestion function `C(ℓ)` for `ℓ ≥ 1`.
 ///
@@ -62,7 +61,7 @@ pub fn validate_congestion(c: &dyn Congestion, k: usize) -> Result<Vec<f64>> {
 
 /// The exclusive ("Judgment of Solomon") policy: full reward alone, nothing
 /// under any collision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Exclusive;
 
 impl Congestion for Exclusive {
@@ -81,7 +80,7 @@ impl Congestion for Exclusive {
 }
 
 /// The sharing policy `C(ℓ) = 1/ℓ` (scramble competition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Sharing;
 
 impl Congestion for Sharing {
@@ -97,7 +96,7 @@ impl Congestion for Sharing {
 
 /// The constant policy `C(ℓ) ≡ 1`: every visitor obtains the full value.
 /// The paper notes this has `SPoA ≈ k` and is ecologically implausible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Constant;
 
 impl Congestion for Constant {
@@ -115,7 +114,7 @@ impl Congestion for Constant {
 ///
 /// `c = 0` is [`Exclusive`]; `c = 0.5` equals [`Sharing`] in the two-player
 /// game; negative `c` models aggression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoLevel {
     /// The collision payoff fraction `c = C(ℓ)` for `ℓ ≥ 2`; must be ≤ 1.
     pub c: f64,
@@ -152,7 +151,7 @@ impl Congestion for TwoLevel {
 ///
 /// `β = 0` is [`Constant`], `β = 1` is [`Sharing`], `β > 1` is harsher than
 /// sharing, and `β → ∞` approaches [`Exclusive`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLaw {
     /// Decay exponent `β ≥ 0`.
     pub beta: f64,
@@ -183,7 +182,7 @@ impl Congestion for PowerLaw {
 
 /// Linearly decaying congestion `C(ℓ) = 1 − slope·(ℓ − 1)`, which becomes
 /// negative (aggressive) once `ℓ > 1 + 1/slope`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearDecay {
     /// Per-extra-player penalty; must be ≥ 0.
     pub slope: f64,
@@ -215,7 +214,7 @@ impl Congestion for LinearDecay {
 /// Cooperative congestion: `C(ℓ) = θ/ℓ + (1−θ)·1` interpolating between
 /// sharing (`θ = 1`) and constant (`θ = 0`). Every value is strictly larger
 /// than the sharing fraction `1/ℓ` when `θ < 1`, modeling synergy at a site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cooperative {
     /// Interpolation weight in `[0, 1]`.
     pub theta: f64,
@@ -246,7 +245,7 @@ impl Congestion for Cooperative {
 
 /// A congestion function given by an explicit table of values
 /// `C(1), C(2), …`; queries beyond the table repeat the final entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableCongestion {
     values: Vec<f64>,
     label: String,
@@ -285,13 +284,6 @@ impl Congestion for TableCongestion {
     fn name(&self) -> String {
         self.label.clone()
     }
-}
-
-/// The reward a player receives for being one of `ell` players at a site of
-/// value `value`: `I(x, ℓ) = f(x)·C(ℓ)`.
-#[inline]
-pub fn reward(c: &dyn Congestion, value: f64, ell: usize) -> f64 {
-    value * c.c(ell)
 }
 
 #[cfg(test)]
@@ -436,12 +428,5 @@ mod tests {
             validate_congestion(&Exclusive, 0),
             Err(Error::InvalidPlayerCount { .. })
         ));
-    }
-
-    #[test]
-    fn reward_scales_value() {
-        assert_eq!(reward(&Sharing, 2.0, 2), 1.0);
-        assert_eq!(reward(&Exclusive, 2.0, 2), 0.0);
-        assert_eq!(reward(&Exclusive, 2.0, 1), 2.0);
     }
 }

@@ -19,10 +19,9 @@ use crate::error::{Error, Result};
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::value::ValueProfile;
-use serde::{Deserialize, Serialize};
 
 /// A pure strategy profile: `sites[i]` is the site chosen by player `i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PureProfile {
     sites: Vec<usize>,
 }
@@ -157,7 +156,7 @@ pub fn best_response_dynamics(
 }
 
 /// Summary of exhaustive pure-equilibrium enumeration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PureEquilibria {
     /// Number of pure Nash equilibria.
     pub count: usize,

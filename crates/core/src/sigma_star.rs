@@ -15,10 +15,9 @@
 use crate::error::{Error, Result};
 use crate::strategy::Strategy;
 use crate::value::ValueProfile;
-use serde::{Deserialize, Serialize};
 
 /// The σ⋆ strategy together with its defining constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SigmaStar {
     /// The strategy itself.
     pub strategy: Strategy,

@@ -16,10 +16,9 @@ use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
 use crate::value::ValueProfile;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single SPoA evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpoaPoint {
     /// Coverage of the optimal symmetric strategy `p⋆`.
     pub optimal_coverage: f64,
@@ -72,7 +71,7 @@ pub fn spoa_with_context(ctx: &PayoffContext, f: &ValueProfile) -> Result<SpoaPo
 }
 
 /// Result of a supremum search for `SPoA(C)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpoaSearchResult {
     /// The best (largest) ratio found.
     pub best_ratio: f64,

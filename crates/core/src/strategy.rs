@@ -8,13 +8,12 @@
 use crate::error::{Error, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tolerance used when validating that probabilities sum to one.
 pub const NORMALIZATION_TOL: f64 = 1e-9;
 
 /// A mixed strategy over `M` sites (0-based site indices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Strategy {
     probs: Vec<f64>,
 }
@@ -143,11 +142,6 @@ impl Strategy {
     /// Size of the support at tolerance `tol`.
     pub fn support_size(&self, tol: f64) -> usize {
         self.probs.iter().filter(|&&p| p > tol).count()
-    }
-
-    /// Shannon entropy (nats). Zero-probability sites contribute zero.
-    pub fn entropy(&self) -> f64 {
-        -crate::numerics::kahan_sum(self.probs.iter().filter(|&&p| p > 0.0).map(|&p| p * p.ln()))
     }
 
     /// Total-variation distance to another strategy of the same dimension.
@@ -340,9 +334,6 @@ mod tests {
         let s = Strategy::new(vec![0.5, 0.5, 0.0]).unwrap();
         assert_eq!(s.support(1e-12), vec![0, 1]);
         assert_eq!(s.support_size(1e-12), 2);
-        assert!((s.entropy() - std::f64::consts::LN_2).abs() < 1e-12);
-        let d = Strategy::delta(3, 0).unwrap();
-        assert_eq!(d.entropy(), 0.0);
     }
 
     #[test]
@@ -409,13 +400,5 @@ mod tests {
         let sampler = StrategySampler::new(&s);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(sampler.sample(&mut rng), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = Strategy::new(vec![0.25, 0.75]).unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Strategy = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -17,10 +17,9 @@
 //! them to machine precision.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Closed-form solution of one Figure 1 column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoByTwo {
     /// Collision payoff fraction `c` (must be `< 1` for non-degeneracy).
     pub c: f64,

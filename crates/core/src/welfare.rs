@@ -215,7 +215,8 @@ mod tests {
         let mut best = f64::NEG_INFINITY;
         for i in 0..=10_000 {
             let p = i as f64 / 10_000.0;
-            let u = p * 1.0 * ctx.g_clamped(p) + (1.0 - p) * 0.5 * ctx.g_clamped(1.0 - p);
+            let g = |q| ctx.kernel().eval(q);
+            let u = p * 1.0 * g(p) + (1.0 - p) * 0.5 * g(1.0 - p);
             best = best.max(u);
         }
         close(opt.payoff, best, 1e-7);

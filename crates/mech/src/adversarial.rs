@@ -14,10 +14,9 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the adversarial SPoA search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversarialConfig {
     /// Sites per instance.
     pub m: usize,
@@ -38,7 +37,7 @@ impl Default for AdversarialConfig {
 }
 
 /// Result of the adversarial search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdversarialResult {
     /// Largest SPoA found.
     pub best_ratio: f64,

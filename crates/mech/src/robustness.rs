@@ -21,10 +21,9 @@ use dispersal_core::sigma_star::sigma_star;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::Result;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One row of the k-misspecification comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMisspecPoint {
     /// The deployed (actual) player count.
     pub k_actual: usize,
@@ -59,7 +58,7 @@ pub fn k_misspecification_curve(
 }
 
 /// Result of the value-noise robustness experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseRobustness {
     /// Relative noise magnitude applied to the values.
     pub noise: f64,

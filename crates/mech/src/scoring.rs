@@ -32,10 +32,9 @@ use dispersal_core::value::ValueProfile;
 use dispersal_core::Result;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Scorecard for one table-specified mechanism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MechScore {
     /// Mechanism label (family spec or catalog name).
     pub name: String,
@@ -131,7 +130,7 @@ pub fn score_catalog(
 /// axis: steer the *sharing* policy's equilibrium onto the
 /// coverage-optimal σ⋆ by redesigning per-site rewards, then measure the
 /// coverage of the induced equilibrium against the TRUE values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KleinbergOrenScore {
     /// Welfare (true-value coverage) of the reward-induced equilibrium.
     pub welfare: f64,

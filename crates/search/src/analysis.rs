@@ -13,7 +13,6 @@ use crate::prior::Prior;
 use dispersal_core::coverage::coverage;
 use dispersal_core::strategy::Strategy;
 use dispersal_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Probability that at least one of `k` searchers playing `p` finds the
 /// treasure in a single round, under `prior` — the coverage of `p` w.r.t.
@@ -23,7 +22,7 @@ pub fn round_success_probability(prior: &Prior, p: &Strategy, k: usize) -> Resul
 }
 
 /// One point of a speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Searcher count.
     pub k: usize,

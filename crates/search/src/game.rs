@@ -13,10 +13,9 @@ use crate::prior::Prior;
 use dispersal_core::strategy::StrategySampler;
 use dispersal_core::{Error, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Evaluation of one plan on one prior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchEvaluation {
     /// Plan name.
     pub plan: String,

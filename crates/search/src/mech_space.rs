@@ -22,10 +22,9 @@
 //! one batched kernel tile.
 
 use dispersal_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A parameterized congestion family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechFamily {
     /// `(t, c1, d)`: plateau `c1` through level `t`, then `c1 − d`.
     Piecewise,
@@ -56,7 +55,7 @@ impl MechFamily {
 }
 
 /// One concrete mechanism: a family plus a parameter vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MechPoint {
     /// The family.
     pub family: MechFamily,
@@ -147,7 +146,7 @@ fn round_level(t: f64) -> usize {
 }
 
 /// An axis-aligned box of parameters within one family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamBox {
     /// The family the box parameterizes.
     pub family: MechFamily,

@@ -36,11 +36,10 @@ use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use dispersal_mech::scoring::{score_table, MechScore};
 use dispersal_sim::engine;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the search maximizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Maximize equilibrium welfare (value-weighted coverage).
     Welfare,
@@ -111,7 +110,7 @@ impl SearchConfig {
 }
 
 /// The best-found mechanism with its certificate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
     /// Family spec of the winning point, e.g. `piecewise:t=8,c1=0,d=0`.
     pub spec: String,
@@ -134,7 +133,7 @@ pub struct Certificate {
 }
 
 /// Search result: the certificate plus tree statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Best-found mechanism.
     pub best: Certificate,

@@ -10,10 +10,9 @@
 
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// A normalized prior over boxes, sorted non-increasing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prior {
     profile: ValueProfile,
 }

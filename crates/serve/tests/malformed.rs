@@ -104,6 +104,24 @@ fn deep_nesting_is_refused_and_the_connection_survives() {
 }
 
 #[test]
+fn a_string_filling_the_line_cap_is_parsed_at_once() {
+    // Regression for the quadratic string parser: it re-checked the whole
+    // rest of the line as UTF-8 for every unescaped character, so one
+    // string just under the default 1 MiB line cap held the connection's
+    // reader thread for about 40 s of CPU. The codec now copies each run
+    // of plain characters in one piece.
+    let server = bounded_server(ServerConfig::default().max_line_bytes);
+    let (head, tail) = (r#"{"id":1,"cmd":"stats","pad":""#, r#""}"#);
+    let pad = "x".repeat((1 << 20) - 16 - head.len() - tail.len());
+    let started = Instant::now();
+    let reply = call_within_5s(server.addr(), &format!("{head}{pad}{tail}"));
+    assert!(reply.contains("\"ok\":true"), "the stats request must be served: {reply}");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "a 1 MiB line took {took:?}");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_requests_answer_in_place_without_panicking() {
     let server = bounded_server(1 << 20);
     let mut client = Client::connect(server.addr()).unwrap();

@@ -11,10 +11,9 @@ use dispersal_core::policy::Congestion;
 use dispersal_core::strategy::Strategy;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the discrete dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsConfig {
     /// Iteration budget.
     pub max_steps: usize,
@@ -33,7 +32,7 @@ impl Default for DynamicsConfig {
 }
 
 /// Outcome of a discrete dynamic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DynamicsRun {
     /// Final state.
     pub state: Strategy,

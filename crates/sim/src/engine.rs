@@ -28,7 +28,6 @@ use crate::stats::Welford;
 use dispersal_core::Result;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// An accumulator that can absorb another instance of itself.
 ///
@@ -71,13 +70,6 @@ impl<T> Merge for Vec<T> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Count(pub u64);
 
-impl Count {
-    /// Record one event.
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-}
-
 impl Merge for Count {
     fn merge(&mut self, other: Self) {
         self.0 += other.0;
@@ -108,7 +100,7 @@ impl Merge for Sum {
 /// trials against the stream [`Seed::stream`]`(i + 1)` (stream 0 is
 /// reserved for non-sharded use). Changing the thread count never changes
 /// which trial sees which random numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Total trials across all shards.
     pub trials: u64,
@@ -252,11 +244,8 @@ mod tests {
 
     #[test]
     fn count_and_sum_merge() {
-        let mut c = Count::default();
-        c.bump();
-        c.bump();
-        let mut c2 = Count::default();
-        c2.bump();
+        let mut c = Count(2);
+        let c2 = Count(1);
         c.merge(c2);
         assert_eq!(c, Count(3));
         let mut s = Sum::default();
@@ -287,7 +276,7 @@ mod tests {
         }
 
         fn trial(&self, _: &mut (), rng: &mut ChaCha8Rng, acc: &mut Self::Output) {
-            acc.0.bump();
+            acc.0.merge(Count(1));
             acc.1.add(rng.gen::<f64>());
         }
     }

@@ -16,10 +16,9 @@ use dispersal_core::strategy::Strategy;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::Result;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Monte-Carlo estimates of the key observables of the dispersal game.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McReport {
     /// Estimated expected coverage.
     pub coverage: Estimate,
@@ -31,7 +30,7 @@ pub struct McReport {
 }
 
 /// Configuration for a Monte-Carlo run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
     /// Total number of one-shot plays.
     pub trials: u64,

@@ -16,10 +16,9 @@ use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the Moran process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoranConfig {
     /// Population size.
     pub population: usize,
@@ -55,7 +54,7 @@ impl Default for MoranConfig {
 }
 
 /// Result of a Moran run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MoranRun {
     /// Time-averaged post-burn-in site frequencies.
     pub mean_frequencies: Strategy,

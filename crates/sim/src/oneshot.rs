@@ -11,10 +11,9 @@ use dispersal_core::strategy::{Strategy, StrategySampler};
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a single one-shot play.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Site chosen by each player (0-based).
     pub choices: Vec<usize>,

@@ -19,10 +19,9 @@ use dispersal_core::strategy::Strategy;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a replicator-dynamics run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicatorConfig {
     /// RK4 step size.
     pub dt: f64,
@@ -41,7 +40,7 @@ impl Default for ReplicatorConfig {
 }
 
 /// Result of integrating the replicator ODE.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatorRun {
     /// Final population state.
     pub state: Strategy,

@@ -28,12 +28,11 @@ use dispersal_core::strategy::Strategy;
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One source of traffic variation. All events act multiplicatively on
 /// the base values, so any combination keeps every site value strictly
 /// positive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficEvent {
     /// A staggered daily cycle: site `x` is scaled by
     /// `1 + amplitude·sin(2π·(epoch/period + x/m))`. The per-site phase
@@ -67,7 +66,7 @@ pub enum TrafficEvent {
 
 /// A schedule of time-varying site values: base profile, epoch count,
 /// and the events that perturb it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     base: ValueProfile,
     epochs: u64,
@@ -200,7 +199,7 @@ impl Scenario {
 }
 
 /// One epoch of replicator tracking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index.
     pub epoch: u64,
@@ -218,7 +217,7 @@ pub struct EpochRecord {
 }
 
 /// Result of replicator tracking over a whole scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRun {
     /// One record per epoch, in schedule order.
     pub records: Vec<EpochRecord>,
@@ -318,7 +317,7 @@ pub fn run_scenario_replicator_ensemble(
 }
 
 /// One epoch of finite-population Moran tracking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoranEpochRecord {
     /// Epoch index.
     pub epoch: u64,
@@ -329,7 +328,7 @@ pub struct MoranEpochRecord {
 }
 
 /// Result of Moran tracking over a whole scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioMoranRun {
     /// One record per epoch, in schedule order.
     pub records: Vec<MoranEpochRecord>,

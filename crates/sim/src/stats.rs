@@ -3,10 +3,9 @@
 
 use dispersal_core::{Error, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable streaming mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     n: u64,
     mean: f64,
@@ -81,7 +80,7 @@ impl Welford {
 }
 
 /// A summarized estimate: mean with a 95% confidence half-width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Point estimate.
     pub mean: f64,

@@ -14,11 +14,10 @@ use dispersal_core::policy::{validate_congestion, Congestion};
 use dispersal_core::value::ValueProfile;
 use dispersal_core::{Error, Result};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One cell of a sweep grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepCell<T> {
     /// Label of the instance (e.g. "zipf(1.0) M=50").
     pub instance: String,
