@@ -118,7 +118,7 @@ pub struct LedgerEvaluator<'a> {
     base: Vec<PbTable>,
     /// `base[x].expectation(C)`: each site's level-0 `E[C(1 + N_x)]`.
     base_expectation: Vec<f64>,
-    /// The level-0 resident payoff, summed as the walk sums it.
+    /// The level-0 resident payoff, summed as [`Self::level_payoffs`] sums it.
     base_resident: f64,
     /// `max(1, 2·Σ_x f(x)·max_j |C_j|)`: twice the largest magnitude any
     /// physically possible ledger value can have.
@@ -172,50 +172,58 @@ impl<'a> LedgerEvaluator<'a> {
         self.sigma
     }
 
-    /// Compute the full per-level payoff ledger against mutant `pi`: the
-    /// level walk with focal strategies `[σ, π]`.
+    /// Compute the full per-level payoff ledger against mutant `pi`. At
+    /// level `ℓ`, `ℓ` of the `k − 1` opponents play `π` and the rest play
+    /// the resident. Level 0 runs on the cloned baseline tables
+    /// (bit-identical to the exact per-site DP); each later level replaces
+    /// one `σ(x)` factor with `π(x)` per site.
     pub fn ledger(&self, pi: &Strategy) -> Result<EssLedger> {
         if pi.len() != self.f.len() {
             return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
         }
         let k = self.ctx.k();
-        let mut rows = [vec![0.0; k], vec![0.0; k]];
-        self.walk(pi, &[self.sigma, pi], &mut rows)?;
-        let [resident, mutant] = rows;
+        let (mut resident, mut mutant) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let mut tables = self.base.clone();
+        for ell in 0..k {
+            if ell > 0 {
+                self.advance(&mut tables, pi)?;
+            }
+            let (res, mu) = self.level_payoffs(&tables, pi);
+            resident.push(res);
+            mutant.push(mu);
+        }
         Ok(EssLedger { resident, mutant })
     }
 
-    /// The level walk shared by every ledger: at level `ℓ`, `ℓ` of the
-    /// `k − 1` opponents play `to` and the rest play the resident, and
-    /// `rows[t][ℓ]` (zeroed, `k` long) receives the payoff of a focal
-    /// `focal[t]` player. Level 0 runs on the cloned baseline tables
-    /// (bit-identical to the exact per-site DP); each later level replaces
-    /// one `σ(x)` factor with `to(x)` per site. Every focal strategy faces
-    /// the *same* opponent law, so all rows share the per-site expectation
-    /// `E[C(1 + N_x)]` and only weight sites differently.
-    fn walk(&self, to: &Strategy, focal: &[&Strategy], rows: &mut [Vec<f64>]) -> Result<()> {
-        let c_table = self.ctx.c_table();
-        let mut tables = self.base.clone();
-        for ell in 0..self.ctx.k() {
-            if ell > 0 {
-                for (x, table) in tables.iter_mut().enumerate() {
-                    table.replace(self.sigma.prob(x), to.prob(x))?;
-                }
-            }
-            for (x, table) in tables.iter().enumerate() {
-                if focal.iter().all(|t| t.prob(x) == 0.0) {
-                    continue;
-                }
-                let expected_c = table.expectation(c_table);
-                for (row, t) in rows.iter_mut().zip(focal) {
-                    let px = t.prob(x);
-                    if px != 0.0 {
-                        row[ell] += px * self.f.value(x) * expected_c;
-                    }
-                }
-            }
+    /// Move one opponent from the resident to `pi`: replace one `σ(x)`
+    /// factor with `π(x)` in every site's table.
+    fn advance(&self, tables: &mut [PbTable], pi: &Strategy) -> Result<()> {
+        for (x, table) in tables.iter_mut().enumerate() {
+            table.replace(self.sigma.prob(x), pi.prob(x))?;
         }
         Ok(())
+    }
+
+    /// Resident and mutant payoffs of one ledger level from its per-site
+    /// tables. Both face the same opponent law, so they share each site's
+    /// `E[C(1 + N_x)]` and only weight sites differently.
+    fn level_payoffs(&self, tables: &[PbTable], pi: &Strategy) -> (f64, f64) {
+        let c_table = self.ctx.c_table();
+        let (mut res, mut mu) = (0.0, 0.0);
+        for (x, table) in tables.iter().enumerate() {
+            let (sx, px) = (self.sigma.prob(x), pi.prob(x));
+            if sx == 0.0 && px == 0.0 {
+                continue;
+            }
+            let expected_c = table.expectation(c_table);
+            if sx != 0.0 {
+                res += sx * self.f.value(x) * expected_c;
+            }
+            if px != 0.0 {
+                mu += px * self.f.value(x) * expected_c;
+            }
+        }
+        (res, mu)
     }
 
     /// Apply the ESS characterization to one mutant, computing ledger
@@ -223,11 +231,11 @@ impl<'a> LedgerEvaluator<'a> {
     ///
     /// Level 0 comes from the stored baseline expectations, with no table
     /// clone. Only when it ties are the baseline tables cloned and levels
-    /// `1, 2, …` advanced, by the same loop as [`Self::ledger`]: the same
-    /// terms in the same order, so every level computed carries the full
-    /// ledger's bits. At level `ℓ`, with `S_ℓ = max(1, |res_j|, |mu_j|,
-    /// j ≤ ℓ)` and `S_B` the stored scale bound, the difference `d =
-    /// res_ℓ − mu_ℓ`:
+    /// `1, 2, …` advanced by the same steps as [`Self::ledger`]
+    /// (`advance`, `level_payoffs`), so every level computed carries the
+    /// full ledger's bits. At level `ℓ`, with `S_ℓ =
+    /// max(1, |res_j|, |mu_j|, j ≤ ℓ)` and `S_B` the stored scale bound,
+    /// the difference `d = res_ℓ − mu_ℓ`:
     ///
     /// * `d > ESS_TOL·S_B` repels and `d < −ESS_TOL·S_B` invades, at `ℓ`;
     /// * `|d| ≤ ESS_TOL·S_ℓ` ties, and the walk goes on;
@@ -272,26 +280,10 @@ impl<'a> LedgerEvaluator<'a> {
             LevelCall::Settled(verdict) => return Ok(verdict),
             LevelCall::Fallback => return Ok(verdict_from_ledger(&self.ledger(pi)?)),
         }
-        let c_table = self.ctx.c_table();
         let mut tables = self.base.clone();
         for ell in 1..self.ctx.k() {
-            for (x, table) in tables.iter_mut().enumerate() {
-                table.replace(self.sigma.prob(x), pi.prob(x))?;
-            }
-            let (mut res, mut mu) = (0.0, 0.0);
-            for (x, table) in tables.iter().enumerate() {
-                let (sx, px) = (self.sigma.prob(x), pi.prob(x));
-                if sx == 0.0 && px == 0.0 {
-                    continue;
-                }
-                let expected_c = table.expectation(c_table);
-                if sx != 0.0 {
-                    res += sx * self.f.value(x) * expected_c;
-                }
-                if px != 0.0 {
-                    mu += px * self.f.value(x) * expected_c;
-                }
-            }
+            self.advance(&mut tables, pi)?;
+            let (res, mu) = self.level_payoffs(&tables, pi);
             match self.call_level(ell, res, mu, &mut scale) {
                 LevelCall::Tie => {}
                 LevelCall::Settled(verdict) => return Ok(verdict),
@@ -395,17 +387,6 @@ fn verdict_from_ledger(ledger: &EssLedger) -> MutantVerdict {
         }
     }
     MutantVerdict::Indistinguishable
-}
-
-/// Apply the ESS characterization to one mutant: [`LedgerEvaluator::check`]
-/// on a one-shot evaluator.
-pub fn check_mutant(
-    ctx: &PayoffContext,
-    f: &ValueProfile,
-    sigma: &Strategy,
-    pi: &Strategy,
-) -> Result<MutantVerdict> {
-    LedgerEvaluator::new(ctx, f, sigma)?.check(pi)
 }
 
 /// Report from probing a candidate ESS with many mutants.
@@ -752,7 +733,8 @@ mod tests {
             for (x, y) in a.mutant.iter().zip(b.mutant.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
-            assert_eq!(evaluator.check(&pi).unwrap(), check_mutant(&ctx, &f, &sigma, &pi).unwrap());
+            let one_shot = LedgerEvaluator::new(&ctx, &f, &sigma).unwrap().check(&pi).unwrap();
+            assert_eq!(evaluator.check(&pi).unwrap(), one_shot);
         }
         // Dimension mismatches are rejected at both entry points.
         let wrong = Strategy::uniform(3).unwrap();
@@ -874,7 +856,7 @@ mod tests {
         assert!(star.support < 10, "need off-support sites for this test");
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
         let pi = Strategy::delta(10, 9).unwrap();
-        match check_mutant(&ctx, &f, &star.strategy, &pi).unwrap() {
+        match LedgerEvaluator::new(&ctx, &f, &star.strategy).unwrap().check(&pi).unwrap() {
             MutantVerdict::Repelled { m, .. } => assert_eq!(m, 0),
             other => panic!("expected repulsion at level 0, got {other:?}"),
         }
@@ -890,7 +872,7 @@ mod tests {
         assert_eq!(star.support, 2);
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
         let pi = Strategy::new(vec![0.7, 0.3]).unwrap();
-        match check_mutant(&ctx, &f, &star.strategy, &pi).unwrap() {
+        match LedgerEvaluator::new(&ctx, &f, &star.strategy).unwrap().check(&pi).unwrap() {
             MutantVerdict::Repelled { m, margin } => {
                 assert_eq!(m, 1, "expected repulsion exactly at level 1");
                 assert!(margin > 0.0);

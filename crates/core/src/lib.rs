@@ -73,9 +73,7 @@ pub mod prelude {
         coverage, coverage_many, coverage_probs, coverage_profile, miss_mass, observation1_bound,
     };
     pub use crate::error::{Error, Result};
-    pub use crate::ess::{
-        check_mutant, invasion_barrier, probe_ess_k, EssReport, Mixture, MutantVerdict,
-    };
+    pub use crate::ess::{invasion_barrier, probe_ess_k, EssReport, Mixture, MutantVerdict};
     pub use crate::extensions::{capacity_coverage, solve_ifd_with_costs, CostIfd};
     pub use crate::ifd::{solve_ifd, solve_ifd_allow_degenerate, Ifd};
     pub use crate::kernel::{GScratch, GTable, GridSpec};

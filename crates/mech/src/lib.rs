@@ -38,7 +38,6 @@ pub mod prelude {
         k_misspecification_curve, value_noise_robustness, KMisspecPoint, NoiseRobustness,
     };
     pub use crate::scoring::{
-        kleinberg_oren_score, policy_table, score_catalog, score_table, KleinbergOrenScore,
-        MechScore,
+        kleinberg_oren_score, score_catalog, score_table, KleinbergOrenScore, MechScore,
     };
 }

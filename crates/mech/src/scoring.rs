@@ -25,7 +25,7 @@ use dispersal_core::ess::probe_ess_k;
 use dispersal_core::ifd::solve_ifd_allow_degenerate;
 use dispersal_core::optimal::optimal_coverage;
 use dispersal_core::payoff::PayoffContext;
-use dispersal_core::policy::{Congestion, Sharing, TableCongestion};
+use dispersal_core::policy::{Sharing, TableCongestion};
 use dispersal_core::sigma_star::sigma_star;
 use dispersal_core::strategy::Strategy;
 use dispersal_core::value::ValueProfile;
@@ -151,17 +151,11 @@ pub fn kleinberg_oren_score(f: &ValueProfile, k: usize) -> Result<KleinbergOrenS
     Ok(KleinbergOrenScore { welfare, design_error, k })
 }
 
-/// Expand a named congestion policy into its `[C(1), …, C(k)]` table —
-/// convenience re-export used by the search CLI and experiment bins.
-pub fn policy_table(policy: &dyn Congestion, k: usize) -> Result<Vec<f64>> {
-    dispersal_core::policy::validate_congestion(policy, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::evaluate_policy;
-    use dispersal_core::policy::Exclusive;
+    use dispersal_core::policy::{validate_congestion, Exclusive};
 
     fn profile() -> ValueProfile {
         ValueProfile::zipf(10, 1.0, 1.0).unwrap()
@@ -173,7 +167,7 @@ mod tests {
         // mechanisms: same IFD pipeline, same numbers.
         let f = profile();
         let k = 4;
-        let table = policy_table(&Exclusive, k).unwrap();
+        let table = validate_congestion(&Exclusive, k).unwrap();
         let opt = optimal_coverage(&f, k).unwrap().coverage;
         let score = score_table("exclusive", &table, &f, k, opt, 0, 0).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -188,7 +182,7 @@ mod tests {
     fn exclusive_passes_ess_probe_with_positive_margin_pipeline() {
         let f = profile();
         let opt = optimal_coverage(&f, 4).unwrap().coverage;
-        let table = policy_table(&Exclusive, 4).unwrap();
+        let table = validate_congestion(&Exclusive, 4).unwrap();
         let score = score_table("exclusive", &table, &f, 4, opt, 16, 7).unwrap();
         assert!(score.ess_passed, "exclusive is the paper's ESS: {score:?}");
         assert!(score.spoa < 1.0 + 1e-6, "exclusive has unit SPoA: {}", score.spoa);

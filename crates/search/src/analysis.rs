@@ -10,16 +10,7 @@
 
 use crate::plan::SearchPlan;
 use crate::prior::Prior;
-use dispersal_core::coverage::coverage;
-use dispersal_core::strategy::Strategy;
 use dispersal_core::{Error, Result};
-
-/// Probability that at least one of `k` searchers playing `p` finds the
-/// treasure in a single round, under `prior` — the coverage of `p` w.r.t.
-/// the prior weights.
-pub fn round_success_probability(prior: &Prior, p: &Strategy, k: usize) -> Result<f64> {
-    coverage(prior.profile(), p, k)
-}
 
 /// One point of a speedup curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,22 +62,21 @@ where
 mod tests {
     use super::*;
     use crate::astar::IteratedSigmaStar;
+    use dispersal_core::coverage::coverage;
     use dispersal_core::sigma_star::sigma_star;
+    use dispersal_core::strategy::Strategy;
 
     #[test]
     fn round_success_is_coverage_of_the_prior() {
         let prior = Prior::zipf(10, 1.0).unwrap();
         let k = 3;
         let star = sigma_star(prior.profile(), k).unwrap().strategy;
-        let p_success = round_success_probability(&prior, &star, k).unwrap();
-        // Identity: this is Cover_q(sigma*), and sigma* maximizes it.
-        let direct = coverage(prior.profile(), &star, k).unwrap();
-        assert!((p_success - direct).abs() < 1e-15);
-        // It's a probability.
+        // Round-one success is Cover_q(sigma*), a probability.
+        let p_success = coverage(prior.profile(), &star, k).unwrap();
         assert!(p_success > 0.0 && p_success < 1.0);
         // No other strategy detects faster in round 1 (Theorem 4 again).
         let uniform = Strategy::uniform(10).unwrap();
-        assert!(round_success_probability(&prior, &uniform, k).unwrap() <= p_success);
+        assert!(coverage(prior.profile(), &uniform, k).unwrap() <= p_success);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod prior;
 
 /// Common imports for search workflows.
 pub mod prelude {
-    pub use crate::analysis::{round_success_probability, speedup_curve, SpeedupPoint};
+    pub use crate::analysis::{speedup_curve, SpeedupPoint};
     pub use crate::astar::{sigma_star_unsorted, IteratedSigmaStar};
     pub use crate::baselines::{ProportionalPlan, SweepPlan, UniformPlan};
     pub use crate::game::{

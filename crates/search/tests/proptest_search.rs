@@ -1,6 +1,6 @@
 //! Crate-level property tests for `dispersal-search`.
 
-use dispersal_search::analysis::round_success_probability;
+use dispersal_core::coverage::coverage;
 use dispersal_search::astar::IteratedSigmaStar;
 use dispersal_search::baselines::UniformPlan;
 use dispersal_search::game::evaluate_plan;
@@ -39,7 +39,7 @@ proptest! {
         let prior = Prior::from_weights(ws).unwrap();
         let mut plan = IteratedSigmaStar::new(&prior, k).unwrap();
         let round1 = plan.round(0).unwrap();
-        let star_success = round_success_probability(&prior, &round1, k).unwrap();
+        let star_success = coverage(prior.profile(), &round1, k).unwrap();
         let m = prior.len();
         let alternatives = [
             dispersal_core::strategy::Strategy::uniform(m).unwrap(),
@@ -47,7 +47,7 @@ proptest! {
             dispersal_core::strategy::Strategy::uniform_on_top(m, k.min(m)).unwrap(),
         ];
         for alt in &alternatives {
-            let alt_success = round_success_probability(&prior, alt, k).unwrap();
+            let alt_success = coverage(prior.profile(), alt, k).unwrap();
             prop_assert!(alt_success <= star_success + 1e-9);
         }
         prop_assert!(star_success > 0.0 && star_success <= 1.0 + 1e-12);
