@@ -1,25 +1,12 @@
-//! `dispersal` — command-line front end to the library, for downstream
-//! users who want answers without writing Rust.
-//!
-//! ```text
-//! dispersal solve      --policy <spec> --profile <spec> -k <n>
-//! dispersal sigma-star --profile <spec> -k <n>
-//! dispersal optimal    --profile <spec> -k <n>
-//! dispersal spoa       --policy <spec> --profile <spec> -k <n>
-//! dispersal ess        --profile <spec> -k <n> [--mutants <n>]
-//! dispersal evaluate   --profile <spec> -k <n>          # whole catalog
-//! dispersal responses  -k <n>           # catalog g-curves, one GBatch row each
-//! dispersal serve      [--addr <host:port|unix:path>] [--batch-window <ms>]
-//! dispersal search-mech --profile <spec> -k <n> [--objective welfare|spoa]
-//! ```
-//!
-//! Policy specs: `exclusive | sharing | constant | two-level:<c> |
-//! power:<beta> | linear:<slope> | cooperative:<theta>`.
-//! Profile specs: `zipf:<M>:<s> | geometric:<M>:<rho> |
-//! linear:<M>:<hi>:<lo> | uniform:<M>:<v> | slow-decay:<M>:<k> |
-//! values:<v1>,<v2>,…`.
+//! `dispersal` — the workspace's one binary: a command-line front end to
+//! the library for downstream users who want answers without writing
+//! Rust, the `serve` daemon, the paper's experiments (`exp`), and the
+//! `BENCH_*.json` trajectory check (`check-bench-json`). `dispersal help`
+//! prints every command with its flags, the policy and profile spec
+//! syntax, and the experiment names.
 
-use dispersal_bench::runner::parse_flags;
+use dispersal_bench::experiments::{select, EXPERIMENTS};
+use dispersal_bench::runner::{parse_flags, parse_value, run_experiments, Common};
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::{parse_policy, parse_profile, standard_catalog};
 use dispersal_mech::evaluator::{catalog_response_matrix, evaluate_catalog, ResponseCache};
@@ -28,6 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str =
     "usage: dispersal <solve|sigma-star|optimal|spoa|ess|evaluate|responses|serve|search-mech> \
@@ -36,7 +24,28 @@ const USAGE: &str =
                      [--max-batch <n>] [--max-line-bytes <n>] [--read-timeout <secs, 0 = off>]\n\
                      search-mech flags: [--objective welfare|spoa] [--budget <n>] [--wave <n>] \
                      [--children <n>] [--mutants <n>] [--seed <n>]\n\
-                     run `dispersal help` for spec syntax";
+       dispersal exp <name>...|--all [--trials <n>] [--seed <n>] [--jobs <n>] [--out-dir <dir>]\n\
+       dispersal check-bench-json [FILE...]\n\
+                     run `dispersal help` for spec syntax and experiment names";
+
+/// The spec syntax `help` prints. A unit test parses every example through
+/// `parse_policy`/`parse_profile`, so the text cannot drift from the parsers.
+const SPECS: &str = "\
+policy specs (--policy):
+  exclusive              e.g. exclusive
+  sharing                e.g. sharing
+  constant               e.g. constant
+  two-level:<c>          e.g. two-level:-0.3
+  power:<beta>           e.g. power:2
+  linear:<slope>         e.g. linear:0.1
+  cooperative:<theta>    e.g. cooperative:0.5
+profile specs (--profile):
+  zipf:<M>:<s>           e.g. zipf:10:1.0
+  geometric:<M>:<rho>    e.g. geometric:8:0.7
+  linear:<M>:<hi>:<lo>   e.g. linear:10:1.0:0.1
+  uniform:<M>:<v>        e.g. uniform:5:1.0
+  slow-decay:<M>:<k>     e.g. slow-decay:12:3
+  values:<v1>,<v2>,...   e.g. values:1,0.5,0.25";
 
 /// Flag table for the shared parser in `dispersal_bench::runner`.
 const FLAG_SPEC: &[(&str, &str)] = &[
@@ -58,11 +67,7 @@ const FLAG_SPEC: &[(&str, &str)] = &[
 ];
 
 fn get_k(flags: &BTreeMap<String, String>) -> Result<usize> {
-    flags
-        .get("k")
-        .ok_or_else(|| Error::InvalidArgument("missing -k <players>".into()))?
-        .parse::<usize>()
-        .map_err(|e| Error::InvalidArgument(format!("bad -k value: {e}")))
+    parse_value(flags, "k")?.ok_or_else(|| Error::InvalidArgument("missing -k <players>".into()))
 }
 
 fn get_profile(flags: &BTreeMap<String, String>) -> Result<ValueProfile> {
@@ -85,14 +90,39 @@ fn print_strategy(label: &str, f: &ValueProfile, s: &Strategy, k: usize) -> Resu
     Ok(())
 }
 
-fn run() -> Result<()> {
+fn run() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        return Err(Error::InvalidArgument(USAGE.into()));
+        return Err(Error::InvalidArgument(USAGE.into()).into());
     };
-    if command == "help" || command == "--help" {
-        println!("{USAGE}");
-        return Ok(());
+    match command.as_str() {
+        "help" | "--help" => {
+            let names = |in_all: bool| {
+                let names = EXPERIMENTS.iter().filter(|e| e.in_all == in_all).map(|e| e.name);
+                names.collect::<Vec<_>>().join(" ")
+            };
+            println!(
+                "{USAGE}\n\n{SPECS}\n\nexperiments (`--all` runs these, in this order):\n  {}\n\
+                 by name only:\n  {}",
+                names(true),
+                names(false)
+            );
+            return Ok(());
+        }
+        "exp" => {
+            // Experiment names (or `--all`) come first, the common flags after.
+            let rest = &args[1..];
+            let split =
+                rest.iter().position(|a| a.starts_with('-') && a != "--all").unwrap_or(rest.len());
+            let selected = select(&rest[..split])?;
+            run_experiments(&selected, &Common::parse(&rest[split..])?)?;
+            return Ok(());
+        }
+        "check-bench-json" => {
+            dispersal_bench::check_bench_json::run(&args[1..])?;
+            return Ok(());
+        }
+        _ => {}
     }
     let flags = parse_flags(&args[1..], FLAG_SPEC)?;
     match command.as_str() {
@@ -144,18 +174,8 @@ fn run() -> Result<()> {
         "ess" => {
             let f = get_profile(&flags)?;
             let k = get_k(&flags)?;
-            let mutants = flags
-                .get("mutants")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --mutants: {e}")))?
-                .unwrap_or(100);
-            let seed = flags
-                .get("seed")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --seed: {e}")))?
-                .unwrap_or(42);
+            let mutants = parse_value(&flags, "mutants")?.unwrap_or(100);
+            let seed = parse_value(&flags, "seed")?.unwrap_or(42);
             let star = sigma_star(&f, k)?;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let report = probe_ess_k(&Exclusive, &f, &star.strategy, mutants, &mut rng, k)?;
@@ -229,28 +249,15 @@ fn run() -> Result<()> {
             // families, subject to ESS feasibility.
             let f = get_profile(&flags)?;
             let k = get_k(&flags)?;
-            let parse_usize = |name: &str, default: usize| -> Result<usize> {
-                flags
-                    .get(name)
-                    .map(|s| s.parse::<usize>())
-                    .transpose()
-                    .map_err(|e| Error::InvalidArgument(format!("bad --{name}: {e}")))
-                    .map(|v| v.unwrap_or(default))
-            };
             let mut cfg = dispersal_search::parallel::SearchConfig::new(k, f);
             if let Some(spec) = flags.get("objective") {
                 cfg.objective = dispersal_search::parallel::Objective::parse(spec)?;
             }
-            cfg.budget = parse_usize("budget", cfg.budget)?;
-            cfg.wave = parse_usize("wave", cfg.wave)?;
-            cfg.children = parse_usize("children", cfg.children)?;
-            cfg.ess_mutants = parse_usize("mutants", cfg.ess_mutants)?;
-            cfg.seed = flags
-                .get("seed")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --seed: {e}")))?
-                .unwrap_or(cfg.seed);
+            cfg.budget = parse_value(&flags, "budget")?.unwrap_or(cfg.budget);
+            cfg.wave = parse_value(&flags, "wave")?.unwrap_or(cfg.wave);
+            cfg.children = parse_value(&flags, "children")?.unwrap_or(cfg.children);
+            cfg.ess_mutants = parse_value(&flags, "mutants")?.unwrap_or(cfg.ess_mutants);
+            cfg.seed = parse_value(&flags, "seed")?.unwrap_or(cfg.seed);
             let outcome = dispersal_search::parallel::search_mechanisms(&cfg)?;
             let best = &outcome.best;
             println!("best mechanism      = {}", best.spec);
@@ -276,33 +283,16 @@ fn run() -> Result<()> {
             // Runs until a client sends {"cmd":"shutdown"}.
             let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:4891".to_string());
             let defaults = ServerConfig::default();
-            let batch_window = flags
-                .get("batch-window")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --batch-window: {e}")))?
-                .map_or(defaults.batch_window, std::time::Duration::from_millis);
-            let max_batch = flags
-                .get("max-batch")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --max-batch: {e}")))?
-                .unwrap_or(defaults.max_batch);
-            let max_line_bytes = flags
-                .get("max-line-bytes")
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --max-line-bytes: {e}")))?
-                .unwrap_or(defaults.max_line_bytes);
-            let read_timeout = flags
-                .get("read-timeout")
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|e| Error::InvalidArgument(format!("bad --read-timeout: {e}")))?
-                .map_or(defaults.read_timeout, |secs| {
-                    // 0 disables the idle timeout.
-                    (secs > 0).then(|| std::time::Duration::from_secs(secs))
-                });
+            let batch_window = parse_value(&flags, "batch-window")?
+                .map_or(defaults.batch_window, Duration::from_millis);
+            let max_batch = parse_value(&flags, "max-batch")?.unwrap_or(defaults.max_batch);
+            let max_line_bytes =
+                parse_value(&flags, "max-line-bytes")?.unwrap_or(defaults.max_line_bytes);
+            let read_timeout = parse_value(&flags, "read-timeout")?.map_or(
+                defaults.read_timeout,
+                // 0 disables the idle timeout.
+                |secs| (secs > 0).then(|| Duration::from_secs(secs)),
+            );
             let server = dispersal_serve::server::Server::bind(ServerConfig {
                 addr,
                 batch_window,
@@ -314,7 +304,9 @@ fn run() -> Result<()> {
             server.join();
         }
         other => {
-            return Err(Error::InvalidArgument(format!("unknown command '{other}'\n{USAGE}")));
+            return Err(
+                Error::InvalidArgument(format!("unknown command '{other}'\n{USAGE}")).into()
+            );
         }
     }
     Ok(())
@@ -327,5 +319,34 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_names_only_specs_the_parsers_accept() {
+        let (mut section, mut policies, mut profiles) = ("", 0, 0);
+        for line in SPECS.lines() {
+            let Some(row) = line.strip_prefix("  ") else {
+                section = line;
+                continue;
+            };
+            let (syntax, example) = row.split_once(" e.g. ").expect("a syntax and an example");
+            let syntax = syntax.trim_end();
+            assert_eq!(syntax.split(':').next(), example.split(':').next(), "{row}");
+            assert_eq!(syntax.split(':').count(), example.split(':').count(), "{row}");
+            let parsed = if section.starts_with("policy") {
+                policies += 1;
+                parse_policy(example).map(drop)
+            } else {
+                profiles += 1;
+                parse_profile(example).map(drop)
+            };
+            parsed.unwrap_or_else(|e| panic!("help's example {example} does not parse: {e}"));
+        }
+        assert_eq!((policies, profiles), (7, 6), "one example per parser family");
     }
 }

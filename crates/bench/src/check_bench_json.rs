@@ -1,16 +1,15 @@
-//! `check_bench_json` — CI guard for the repo-root `BENCH_*.json`
-//! performance trajectories.
+//! `dispersal check-bench-json` — CI guard for the repo-root
+//! `BENCH_*.json` performance trajectories.
 //!
 //! Those files are the evidence trail behind every kernel PR (scalar →
 //! tabulated → batched), and their contract is append-only measurement
-//! history. This binary validates each file with the vendored serde
-//! codec:
+//! history. [`run`] validates each file with the vendored serde codec:
 //!
 //! * the file parses as a JSON object with non-empty `bench` and
 //!   `description` strings and a non-empty `history` array;
 //! * every history entry carries a `date` (ISO `YYYY-MM-DD`), a `pr`
 //!   number ≥ 1, and a non-empty `results` array;
-//! * every entry whose `pr` is at least [`HOST_FIELDS_FROM_PR`] also
+//! * every entry whose `pr` is at least `HOST_FIELDS_FROM_PR` (12) also
 //!   names the host it was measured on: `host_cores` and `threads`
 //!   (integers ≥ 1) and `lane` (the SIMD lane, a non-empty string);
 //! * entry dates are monotone non-decreasing (history is appended, never
@@ -18,18 +17,17 @@
 //! * every value inside a result row is a finite number, a string, or a
 //!   boolean — no nulls, NaNs, or nested containers.
 //!
-//! Usage: `check_bench_json [FILE...]` — with no arguments it scans the
-//! workspace root (located by walking up from the current directory) for
-//! `BENCH_*.json`. Exits non-zero listing every violation.
+//! Usage: `dispersal check-bench-json [FILE...]` — with no arguments it
+//! scans the workspace root (located by walking up from the current
+//! directory) for `BENCH_*.json`. Exits non-zero listing every violation.
 
 use serde::Value;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 /// The workspace root per the shared detection rule, falling back to the
 /// current directory when no ancestor matches.
 fn workspace_root() -> PathBuf {
-    dispersal_bench::workspace_root().unwrap_or_else(|| PathBuf::from("."))
+    crate::workspace_root().unwrap_or_else(|| PathBuf::from("."))
 }
 
 /// Parse an ISO `YYYY-MM-DD` date into a lexicographically ordered key.
@@ -182,8 +180,10 @@ fn check_file(path: &Path) -> Result<Vec<String>, String> {
     Ok(validate(&text))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Validate `args` as trajectory files, or every `BENCH_*.json` at the
+/// workspace root when `args` is empty. Prints `OK` or `FAIL` per file,
+/// with each violation; errors when any file fails or none is found.
+pub fn run(args: &[String]) -> Result<(), String> {
     let files: Vec<PathBuf> = if args.is_empty() {
         let root = workspace_root();
         let mut found: Vec<PathBuf> = match std::fs::read_dir(&root) {
@@ -196,10 +196,7 @@ fn main() -> ExitCode {
                         .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
                 })
                 .collect(),
-            Err(e) => {
-                eprintln!("error: cannot scan {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return Err(format!("cannot scan {}: {e}", root.display())),
         };
         found.sort();
         found
@@ -207,32 +204,30 @@ fn main() -> ExitCode {
         args.iter().map(PathBuf::from).collect()
     };
     if files.is_empty() {
-        eprintln!("error: no BENCH_*.json files found");
-        return ExitCode::FAILURE;
+        return Err("no BENCH_*.json files found".into());
     }
-    let mut failed = false;
+    let mut failed = 0;
     for path in &files {
         match check_file(path) {
             Ok(errors) if errors.is_empty() => println!("OK {}", path.display()),
             Ok(errors) => {
-                failed = true;
+                failed += 1;
                 eprintln!("FAIL {}", path.display());
                 for e in errors {
                     eprintln!("  - {e}");
                 }
             }
             Err(e) => {
-                failed = true;
+                failed += 1;
                 eprintln!("FAIL {e}");
             }
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("{} trajectory file(s) valid", files.len());
-        ExitCode::SUCCESS
+    if failed > 0 {
+        return Err(format!("{failed} of {} trajectory file(s) invalid", files.len()));
     }
+    println!("{} trajectory file(s) valid", files.len());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -10,17 +10,12 @@
 //!
 //! Output: `results/extensions.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::extensions::{capacity_coverage, solve_ifd_with_costs};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_extensions", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let f = ValueProfile::new(vec![1.0, 0.8, 0.6, 0.4])?;
     let k = 4usize;
     let mut rows: Vec<Vec<f64>> = Vec::new();
@@ -42,7 +37,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     }
     // Sanity: the taxed site's equilibrium probability is non-increasing.
     for w in rows.windows(2) {
-        assert!(w[1][1] <= w[0][1] + 1e-9, "taxed site gained visitors");
+        check!(w[1][1] <= w[0][1] + 1e-9, "taxed site gained visitors");
     }
 
     println!("\nEXT-B: capacity-limited coverage of sigma* vs point mass, k = {k}");
@@ -60,9 +55,9 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     // At large cap, spreading wins (the paper's regime); at tiny cap both
     // collapse to ~ k*cap.
     let first = &cap_rows[0];
-    assert!((first[1] - first[2]).abs() < 0.05, "tiny cap should nearly equalize");
+    check!((first[1] - first[2]).abs() < 0.05, "tiny cap should nearly equalize");
     let last = &cap_rows[cap_rows.len() - 1];
-    assert!(last[1] > last[2], "large cap should favor spreading");
+    check!(last[1] > last[2], "large cap should favor spreading");
 
     let mut csv = to_csv(&["tax", "p_taxed_site", "net_value", "coverage"], &rows);
     csv.push('\n');

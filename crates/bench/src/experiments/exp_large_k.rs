@@ -15,17 +15,12 @@
 //! Output: `results/large_k_sigma.csv`, `results/large_k_gcurve.csv`,
 //! `results/large_k_grid.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::kernel::unit_grid;
 use dispersal_core::prelude::*;
-use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() -> ExitCode {
-    experiment_main("exp_large_k", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     // --- Part 1: σ⋆ support grows with k (Section 2.1), residual stays
     // at the Claim 7 floor. ---
     println!("LK: sigma* support growth through k = 10^4");
@@ -37,8 +32,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         let residual = dispersal_core::sigma_star::ifd_residual_exclusive(&f, &star.strategy, k)?;
         csv.push_str(&format!("{k},{},{residual:.3e}\n", star.support));
         println!("  k = {k}: support {} residual {residual:.1e}", star.support);
-        assert!(star.support > prev_support, "support must grow strictly at k = {k}");
-        assert!(residual < 1e-9, "k = {k}: IFD residual {residual}");
+        check!(star.support > prev_support, "support must grow strictly at k = {k}");
+        check!(residual < 1e-9, "k = {k}: IFD residual {residual}");
         prev_support = star.support;
     }
     let path = ctx.write_result("large_k_sigma.csv", &csv)?;
@@ -63,10 +58,10 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             }
             csv.push_str(&format!("{k},{beta},{tol:.0e},{deviation:.6},{}\n", table.grid_cells()));
             println!("  k = {k} beta = {beta}: deviation {deviation:.3}");
-            assert!(deviation < prev_deviation, "k = {k} beta = {beta}: deviation must shrink");
+            check!(deviation < prev_deviation, "k = {k} beta = {beta}: deviation must shrink");
             prev_deviation = deviation;
         }
-        assert!(prev_deviation < final_bound, "k = {k}: final deviation {prev_deviation}");
+        check!(prev_deviation < final_bound, "k = {k}: final deviation {prev_deviation}");
     }
     let path = ctx.write_result("large_k_gcurve.csv", &csv)?;
     println!("LK: wrote {}", path.display());
@@ -109,8 +104,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             );
             // The build guarantees the midpoint bound; arbitrary points
             // budget the standard 4x factor over it.
-            assert!(measured <= tol * scale, "{name} k = {k}: build exceeded tolerance");
-            assert!(
+            check!(measured <= tol * scale, "{name} k = {k}: build exceeded tolerance");
+            check!(
                 sampled <= 4.0 * tol * scale,
                 "{name} k = {k}: off-midpoint error {sampled:.2e} beyond 4x budget"
             );

@@ -5,18 +5,13 @@
 //! and Eq. (2). Everything must land inside the 95% CI (+ small slack).
 //! Output: `results/mc_validation.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::standard_catalog;
 use dispersal_mech::report::to_csv;
 use dispersal_sim::prelude::*;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_mc_validation", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let f = ValueProfile::new(vec![1.0, 0.6, 0.35, 0.15])?;
     let k = 4usize;
     let p = Strategy::new(vec![0.4, 0.3, 0.2, 0.1])?;
@@ -40,8 +35,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             report.payoff.ci95,
             analytic_pay
         );
-        assert!(cov_ok, "{}: coverage outside CI", named.name);
-        assert!(pay_ok, "{}: payoff outside CI", named.name);
+        check!(cov_ok, "{}: coverage outside CI", named.name);
+        check!(pay_ok, "{}: payoff outside CI", named.name);
         rows.push(vec![
             report.coverage.mean,
             report.coverage.ci95,

@@ -5,16 +5,11 @@
 //! `Cover(p⋆) / Σ_{x ≤ k} f(x)` against the bound `1 − 1/e ≈ 0.6321`.
 //! Output: `results/obs1.csv` + Markdown table on stdout.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::{markdown_table, to_csv};
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_obs1", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let bound = 1.0 - (-1.0f64).exp();
     type FamilyFn = Box<dyn Fn(usize) -> Result<ValueProfile>>;
     let families: Vec<(String, FamilyFn)> = vec![
@@ -70,6 +65,6 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     println!(
         "OBS1: worst ratio {worst_ratio:.4} vs bound {bound:.4}; violations: {violations} (paper predicts 0)"
     );
-    assert_eq!(violations, 0, "Observation 1 violated");
+    check!(violations == 0, "Observation 1 violated on {violations} instance(s)");
     Ok(())
 }

@@ -5,20 +5,15 @@
 //!
 //! Output: `results/pure.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_core::pure::{best_response_dynamics, enumerate_pure_equilibria, PureProfile};
 use dispersal_mech::report::to_csv;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_pure", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let f = ValueProfile::new(vec![1.0, 0.9, 0.8, 0.7, 0.6])?;
     let mut rows: Vec<Vec<f64>> = Vec::new();
     println!("PURE: pure equilibria of the exclusive policy on M = 5 near-uniform sites");
@@ -30,7 +25,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
              best symmetric {:.3}",
             pure.count, pure.profiles, pure.worst_coverage, pure.best_coverage, sym.coverage
         );
-        assert!(pure.best_coverage >= sym.coverage - 1e-9);
+        check!(pure.best_coverage >= sym.coverage - 1e-9, "k = {k}: best pure NE below symmetric");
         rows.push(vec![
             k as f64,
             pure.count as f64,
@@ -42,7 +37,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     }
     // Equilibrium count grows with k.
     for w in rows.windows(2) {
-        assert!(w[1][1] >= w[0][1], "pure NE count should not shrink with k");
+        check!(w[1][1] >= w[0][1], "pure NE count should not shrink with k");
     }
 
     // The coordination problem: random-start best-response dynamics lands
@@ -61,7 +56,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
          (selecting one requires coordination)",
         reached.len()
     );
-    assert!(reached.len() > 1);
+    check!(reached.len() > 1, "200 uncoordinated best-response runs all reached one equilibrium");
 
     let csv = to_csv(
         &["k", "pure_ne_count", "profiles", "worst_coverage", "best_coverage", "best_symmetric"],

@@ -5,18 +5,13 @@
 //! an interior start and reports the distance to the analytically solved
 //! IFD. Output: `results/replicator.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::catalog::standard_catalog;
 use dispersal_mech::report::to_csv;
 use dispersal_sim::prelude::*;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_replicator", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let instances: Vec<(String, ValueProfile, usize)> = vec![
         ("fig1-left k=2".into(), ValueProfile::new(vec![1.0, 0.3])?, 2),
         ("4 sites k=4".into(), ValueProfile::new(vec![1.0, 0.6, 0.3, 0.1])?, 4),
@@ -69,8 +64,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
                  fictitious-play tv {fp_d:.1e}",
                 named.name
             );
-            assert!(rep_d < 1e-3, "{name}/{}: replicator missed the IFD ({rep_d})", named.name);
-            assert!(logit_d < 0.05, "{name}/{}: logit missed the IFD ({logit_d})", named.name);
+            check!(rep_d < 1e-3, "{name}/{}: replicator missed the IFD ({rep_d})", named.name);
+            check!(logit_d < 0.05, "{name}/{}: logit missed the IFD ({logit_d})", named.name);
         }
     }
     let csv = to_csv(&["k", "replicator_tv", "logit_tv", "fictitious_tv"], &rows);

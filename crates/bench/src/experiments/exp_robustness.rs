@@ -6,19 +6,14 @@
 //!
 //! Output: `results/robustness.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
 use dispersal_mech::robustness::{k_misspecification_curve, value_noise_robustness};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_robustness", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let f = ValueProfile::zipf(12, 1.0, 0.8)?;
     let k_design = 4usize;
     println!("ROB-A: rewards designed for k = {k_design}, deployed at other k (sharing policy)");
@@ -34,9 +29,9 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             p.exclusive,
             100.0 * (p.exclusive / p.optimal - 1.0),
         );
-        assert!((p.exclusive - p.optimal).abs() < 1e-6);
+        check!((p.exclusive - p.optimal).abs() < 1e-6, "k = {}: exclusive not optimal", p.k_actual);
         if p.k_actual != k_design {
-            assert!(p.kleinberg_oren < p.optimal - 1e-7);
+            check!(p.kleinberg_oren < p.optimal - 1e-7, "k = {}: K-O still optimal", p.k_actual);
         }
         rows.push(vec![p.k_actual as f64, p.optimal, p.kleinberg_oren, p.exclusive]);
     }
@@ -53,12 +48,12 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             r.worst_efficiency,
             r.samples
         );
-        assert!(r.mean_efficiency <= 1.0 + 1e-9);
+        check!(r.mean_efficiency <= 1.0 + 1e-9, "noise {noise}: mean efficiency above 1");
         noise_rows.push(vec![noise, r.mean_efficiency, r.worst_efficiency]);
     }
     // Efficiency decreases (weakly) with noise.
     for w in noise_rows.windows(2) {
-        assert!(w[1][1] <= w[0][1] + 1e-6);
+        check!(w[1][1] <= w[0][1] + 1e-6, "mean efficiency rose at noise {}", w[1][0]);
     }
 
     let mut csv = to_csv(&["k_actual", "optimal", "kleinberg_oren", "exclusive"], &rows);

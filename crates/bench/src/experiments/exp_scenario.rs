@@ -13,14 +13,9 @@
 //! Output: `results/scenario.csv` (replicator tracking per epoch ×
 //! policy) and `results/scenario_moran.csv` (finite-population tracking).
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_sim::prelude::*;
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    experiment_main("exp_scenario", run)
-}
 
 const EPOCHS: u64 = 10;
 const K: usize = 3;
@@ -51,7 +46,7 @@ fn physical_ifd(c: &dyn Congestion, scenario: &Scenario, epoch: u64) -> Result<S
     Strategy::from_weights(phys.iter().map(|&x| x.max(1e-15)).collect())
 }
 
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let scenario = canonical_scenario()?;
     let policies: [(&str, &dyn Congestion); 2] = [("exclusive", &Exclusive), ("sharing", &Sharing)];
     let config = ReplicatorConfig { velocity_tol: 1e-10, ..Default::default() };
@@ -87,7 +82,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         }
         let worst = run.worst_distance();
         println!("  {name}: worst epoch distance to the moving IFD = {worst:.2e}");
-        assert!(worst < 1e-3, "{name}: replicator lost the moving equilibrium ({worst:.2e})");
+        check!(worst < 1e-3, "{name}: replicator lost the moving equilibrium ({worst:.2e})");
 
         // Global attraction: random interior starts must land on the same
         // tracked state (the schedule, not the start, decides the path).
@@ -99,7 +94,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             }
         }
         println!("  {name}: ensemble final-state spread = {spread:.2e} over 4 starts");
-        assert!(spread < 1e-4, "{name}: scenario tracking is start-dependent ({spread:.2e})");
+        check!(spread < 1e-4, "{name}: scenario tracking is start-dependent ({spread:.2e})");
     }
     let path = ctx.write_result("scenario.csv", &csv)?;
     println!("SCN: wrote {}", path.display());
@@ -131,7 +126,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             .unwrap_or((0, 0.0));
         csv.push_str(&format!("{},{tv:.6},{top_site},{top_freq:.6}\n", record.epoch));
         let total: f64 = record.frequencies.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "epoch {}: frequencies not normalized", record.epoch);
+        check!((total - 1.0).abs() < 1e-9, "epoch {}: frequencies not normalized", record.epoch);
     }
     let path = ctx.write_result("scenario_moran.csv", &csv)?;
     println!(

@@ -12,19 +12,14 @@
 //! `t`) gets no parallel speedup, so it wins at `k = 1`–2 on sorted priors
 //! but is overtaken as `k` grows. Output: `results/search.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
 use dispersal_search::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_search", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     // Round-1 identity.
     let prior = Prior::zipf(30, 1.0)?;
     let k = 4usize;
@@ -33,7 +28,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     let direct = sigma_star(prior.profile(), k)?.strategy;
     let identity_gap = round1.linf_distance(&direct)?;
     println!("SRCH: |A*-round-1 − sigma*|_inf = {identity_gap:.2e} (paper: identical)");
-    assert!(identity_gap < 1e-12);
+    check!(identity_gap < 1e-12, "A* round 1 differs from sigma* by {identity_gap:.2e}");
 
     // Detection-time comparison.
     let priors: Vec<(String, Prior)> = vec![
@@ -74,8 +69,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
                 a.expected_rounds, mem, u.expected_rounds, p.expected_rounds, s.expected_rounds
             );
             // Iterated sigma* dominates every randomized baseline.
-            assert!(a.expected_rounds <= u.expected_rounds + 1e-6, "{name} k={k}: lost to uniform");
-            assert!(
+            check!(a.expected_rounds <= u.expected_rounds + 1e-6, "{name} k={k}: lost to uniform");
+            check!(
                 a.expected_rounds <= p.expected_rounds + 1e-6,
                 "{name} k={k}: lost to prior-proportional"
             );
@@ -93,7 +88,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         // Crossover: the sweep has no parallel speedup, so enough searchers
         // overtake it.
         let best_astar = astar_times.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(
+        check!(
             best_astar < sweep_time + 1e-6,
             "{name}: iterated-sigma* never overtook the sweep ({best_astar} vs {sweep_time})"
         );

@@ -7,18 +7,13 @@
 //! sharing equilibrium recovers optimal coverage (at the cost of knowing
 //! `k`). Output: `results/spoa_sharing.csv`.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::adversarial::{adversarial_spoa, AdversarialConfig};
 use dispersal_mech::kleinberg_oren::{design_rewards, verify_design};
 use dispersal_mech::report::to_csv;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_spoa_sharing", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let mut rows: Vec<Vec<f64>> = Vec::new();
     println!("KO2: adversarial SPoA of the sharing policy (bound: 2)");
     for &k in &[2usize, 3, 5, 8] {
@@ -38,8 +33,8 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             result.best_ratio,
             result.best_ratio < 2.0
         );
-        assert!(result.best_ratio < 2.0 + 1e-9, "Vetta bound violated at k = {k}");
-        assert!(result.best_ratio > 1.0, "sharing should be suboptimal somewhere");
+        check!(result.best_ratio < 2.0 + 1e-9, "Vetta bound violated at k = {k}");
+        check!(result.best_ratio > 1.0, "sharing should be suboptimal somewhere");
         rows.push(vec![k as f64, result.best_ratio, 2.0]);
     }
     // Reward-design escape hatch on a representative instance.
@@ -55,7 +50,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         "KO2: sharing with designed rewards reaches optimal coverage {opt:.6} \
          (design error {err:.1e}); plain sharing covers {plain_cov:.6}"
     );
-    assert!(err < 1e-7);
+    check!(err < 1e-7, "designed rewards miss their target by {err:.1e}");
     let csv = to_csv(&["k", "max_spoa_found", "vetta_bound"], &rows);
     let path = ctx.write_result("spoa_sharing.csv", &csv)?;
     println!("KO2: wrote {}", path.display());

@@ -9,19 +9,14 @@
 //!
 //! Output: `results/thm3.csv` + summary.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
 use dispersal_sim::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_thm3_invasion", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let instances: Vec<(String, ValueProfile, usize)> = vec![
         ("fig1-left k=2".into(), ValueProfile::new(vec![1.0, 0.3])?, 2),
         ("fig1-right k=2".into(), ValueProfile::new(vec![1.0, 0.5])?, 2),
@@ -35,7 +30,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         let star = sigma_star(f, *k)?;
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
         let report = probe_ess_k(&Exclusive, f, &star.strategy, 200, &mut rng, *k)?;
-        assert!(report.passed(), "{name}: mutants invaded: {:?}", report.invasions);
+        check!(report.passed(), "{name}: mutants invaded: {:?}", report.invasions);
 
         // Invasion barrier against the uniform mutant.
         let payoff_ctx = PayoffContext::new(&Exclusive, *k)?;

@@ -7,17 +7,12 @@
 //! coverage to solver precision, and common heuristics must do strictly
 //! worse. Output: `results/thm4.csv` + summary.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::optimal::optimal_coverage_gradient;
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_thm4_optimality", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let instances: Vec<(String, ValueProfile, usize)> = vec![
         ("fig1-left".into(), ValueProfile::new(vec![1.0, 0.3])?, 2),
         ("fig1-right".into(), ValueProfile::new(vec![1.0, 0.5])?, 2),
@@ -54,9 +49,9 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             "  {name}: Cover(sigma*) = {cov_star:.8}, waterfill gap {gap_wf:.2e}, \
              gradient gap {gap_gd:.2e}, best heuristic {heuristic_best:.8}"
         );
-        assert!(gap_wf < 1e-7, "{name}: waterfill disagrees by {gap_wf}");
-        assert!(gap_gd < 1e-6, "{name}: gradient disagrees by {gap_gd}");
-        assert!(heuristic_best <= cov_star + 1e-9, "{name}: a heuristic beat sigma*");
+        check!(gap_wf < 1e-7, "{name}: waterfill disagrees by {gap_wf}");
+        check!(gap_gd < 1e-6, "{name}: gradient disagrees by {gap_gd}");
+        check!(heuristic_best <= cov_star + 1e-9, "{name}: a heuristic beat sigma*");
     }
     let csv = to_csv(
         &["k", "cover_sigma_star", "cover_waterfill", "cover_gradient", "cover_best_heuristic"],

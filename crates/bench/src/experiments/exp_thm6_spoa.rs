@@ -10,18 +10,13 @@
 //!
 //! Output: `results/thm6.csv` + Markdown table.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::adversarial::{adversarial_spoa, AdversarialConfig};
 use dispersal_mech::catalog::standard_catalog;
 use dispersal_mech::report::{markdown_table, to_csv};
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    experiment_main("exp_thm6_spoa", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let k = 3usize;
     let witness = ValueProfile::slow_decay_witness(4 * k, k)?;
     let catalog = standard_catalog();
@@ -51,7 +46,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             if is_exclusive { "= 1 (Cor 5)".into() } else { "> 1 (Thm 6)".into() },
         ]);
         if is_exclusive {
-            assert!(
+            check!(
                 (point.ratio - 1.0).abs() < 1e-6 && (adv.best_ratio - 1.0).abs() < 1e-6,
                 "Corollary 5 violated for {}: {} / {}",
                 named.name,
@@ -60,7 +55,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             );
         } else if named.name != "constant" {
             // (constant is degenerate; its witness ratio is handled below)
-            assert!(
+            check!(
                 adv.best_ratio > 1.0 + 1e-7,
                 "Theorem 6 witness failed for {}: {}",
                 named.name,
@@ -69,7 +64,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         }
         // Observation 2 spot check: solved equilibria satisfy the IFD
         // conditions.
-        assert!(point.ifd_residual < 1e-7, "{}: IFD residual {}", named.name, point.ifd_residual);
+        check!(point.ifd_residual < 1e-7, "{}: IFD residual {}", named.name, point.ifd_residual);
     }
     println!(
         "{}",
@@ -81,6 +76,6 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     let csv = to_csv(&["spoa_witness", "spoa_adversarial", "ifd_residual"], &rows);
     let path = ctx.write_result("thm6.csv", &csv)?;
     println!("THM6: wrote {}", path.display());
-    println!("THM6: exclusive is the unique policy at SPoA = 1 (all assertions passed)");
+    println!("THM6: exclusive is the unique policy at SPoA = 1 (all checks passed)");
     Ok(())
 }

@@ -10,21 +10,16 @@
 //! Output: `results/fig1_left.csv`, `results/fig1_right.csv`,
 //! `results/fig1.txt` (ASCII rendering), summary on stdout.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::{ascii_plot, to_csv, Series};
-use std::process::ExitCode;
 
 struct Panel {
     name: &'static str,
     f2: f64,
 }
 
-fn main() -> ExitCode {
-    experiment_main("fig1", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let k = 2usize;
     let panels = [Panel { name: "left", f2: 0.3 }, Panel { name: "right", f2: 0.5 }];
     let cs: Vec<f64> = (0..=100).map(|i| -0.5 + i as f64 * 0.01).collect();

@@ -17,19 +17,14 @@
 //! `--trials` sets the expansion budget (default 48), `--seed` the
 //! search/ESS seed.
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::prelude::*;
 use dispersal_mech::report::to_csv;
 use dispersal_mech::scoring::{kleinberg_oren_score, score_catalog};
 use dispersal_search::parallel::{search_mechanisms, Objective, SearchConfig};
-use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() -> ExitCode {
-    experiment_main("search_mech", run)
-}
-
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let k = 6usize;
     let f = ValueProfile::zipf(12, 1.0, 1.0)?;
     let mut cfg = SearchConfig::new(k, f.clone());
@@ -73,18 +68,18 @@ fn run(ctx: &mut RunContext) -> Result<()> {
     }
     let best_catalog = catalog.iter().map(|s| s.welfare).fold(f64::NEG_INFINITY, f64::max);
     let worst_catalog = catalog.iter().map(|s| s.welfare).fold(f64::INFINITY, f64::min);
-    assert!(
+    check!(
         best.welfare >= best_catalog - 1e-9,
         "searched welfare {} fell below the best catalog entry {best_catalog} — \
          the anchors make the catalog representable, so this must not happen",
         best.welfare
     );
-    assert!(
+    check!(
         best.welfare > worst_catalog,
         "searched welfare {} does not even beat the worst catalog entry {worst_catalog}",
         best.welfare
     );
-    assert!(best.ess_passed, "the certificate must carry an ESS guarantee");
+    check!(best.ess_passed, "the certificate must carry an ESS guarantee");
 
     // Second run: minimize SPoA instead — must reach ~unit SPoA (the
     // exclusive anchor achieves it).
@@ -94,7 +89,7 @@ fn run(ctx: &mut RunContext) -> Result<()> {
         "MSRCH: SPoA search: best = {} | SPoA {:.6} | welfare {:.6}",
         spoa_outcome.best.spec, spoa_outcome.best.spoa, spoa_outcome.best.welfare
     );
-    assert!(spoa_outcome.best.spoa < 1.0 + 1e-6, "SPoA search must reach ~1");
+    check!(spoa_outcome.best.spoa < 1.0 + 1e-6, "SPoA search must reach ~1");
 
     // Kleinberg–Oren reward design: ~optimal welfare, but needs k and
     // mutable rewards (the paper's contrast).

@@ -1,7 +1,7 @@
 //! Load generator for the `dispersal serve` daemon: an embedded server,
-//! a barrier-released burst of concurrent clients, and (when the
-//! one-shot `dispersal` CLI binary is found next to this one) the
-//! sequential cold-start baseline the daemon exists to beat.
+//! a barrier-released burst of concurrent clients, and the sequential
+//! cold-start baseline the daemon exists to beat (the running `dispersal`
+//! executable, spawned once per request).
 //!
 //! Each round fires `--trials` concurrent response requests (default
 //! 64) that share `(k, tol)` but carry distinct policies, so the
@@ -16,17 +16,15 @@
 //!   `dispersal responses --policy <spec> -k <k>` process invocations,
 //!   and the resulting daemon-vs-CLI throughput ratio.
 //!
-//! Environment knobs for CI smoke: `SERVE_LOADGEN_MIN_OCCUPANCY` (fail
-//! the run if the measured average occupancy lands below it) and
-//! `SERVE_LOADGEN_SKIP_CLI` (skip the process-spawn baseline).
+//! Environment knob for CI smoke: `SERVE_LOADGEN_MIN_OCCUPANCY` fails
+//! the run if the measured average occupancy lands below it.
 //!
 //! [`CacheStats`]: dispersal_core::kernel::cache::CacheStats
 
-use dispersal_bench::runner::{experiment_main, RunContext};
+use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::{Error, Result};
 use dispersal_serve::client::Client;
 use dispersal_serve::server::{Server, ServerConfig};
-use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -133,19 +131,10 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 /// The sequential one-shot baseline: the same burst as fresh `dispersal`
-/// process invocations, one response curve each. Returns total wall
-/// time, or `None` when the CLI binary isn't next to this one (or the
-/// baseline is skipped via `SERVE_LOADGEN_SKIP_CLI`).
+/// process invocations (this executable), one response curve each.
+/// Returns total wall time, or `None` when an invocation fails.
 fn run_cli_baseline(specs: &[String]) -> Option<Duration> {
-    if std::env::var_os("SERVE_LOADGEN_SKIP_CLI").is_some() {
-        println!("serve_loadgen: CLI baseline skipped (SERVE_LOADGEN_SKIP_CLI)");
-        return None;
-    }
-    let cli = std::env::current_exe().ok()?.with_file_name("dispersal");
-    if !cli.exists() {
-        println!("serve_loadgen: CLI baseline skipped ({} not found)", cli.display());
-        return None;
-    }
+    let cli = std::env::current_exe().ok()?;
     let started = Instant::now();
     for spec in specs {
         let status = std::process::Command::new(&cli)
@@ -161,7 +150,7 @@ fn run_cli_baseline(specs: &[String]) -> Option<Duration> {
     Some(started.elapsed())
 }
 
-fn run(ctx: &mut RunContext) -> Result<()> {
+pub(super) fn run(ctx: &mut RunContext) -> Outcome {
     let burst = ctx.trials_or(64) as usize;
     let specs = burst_specs(burst);
     let server = Server::bind(ServerConfig {
@@ -236,26 +225,18 @@ fn run(ctx: &mut RunContext) -> Result<()> {
             p95.as_secs_f64() * 1e3,
             p99.as_secs_f64() * 1e3
         ),
-    )
-    .map_err(Error::from)?;
+    )?;
     server.shutdown();
 
     if let Some(floor) =
         std::env::var("SERVE_LOADGEN_MIN_OCCUPANCY").ok().and_then(|raw| raw.parse::<f64>().ok())
     {
-        if occupancy < floor {
-            return Err(Error::InvalidArgument(format!(
-                "admission batching regressed: occupancy {occupancy:.2} < floor {floor}"
-            )));
-        }
+        check!(
+            occupancy >= floor,
+            "admission batching regressed: occupancy {occupancy:.2} < floor {floor}"
+        );
         println!("  occupancy floor {floor} satisfied");
     }
-    if rps <= 0.0 || !rps.is_finite() {
-        return Err(Error::InvalidArgument(format!("degenerate throughput: {rps}")));
-    }
+    check!(rps > 0.0 && rps.is_finite(), "degenerate throughput: {rps}");
     Ok(())
-}
-
-fn main() -> ExitCode {
-    experiment_main("serve_loadgen", run)
 }

@@ -7,7 +7,7 @@
 //! slower-than-scalar. The bar is deliberately a coarse floor
 //! (`speedup > 1`) rather than a tight threshold: CI runners are noisy,
 //! and the recorded trajectories in the repo-root `BENCH_*.json` files
-//! (validated by the `check_bench_json` binary) are the precision
+//! (validated by `dispersal check-bench-json`) are the precision
 //! instrument.
 
 use std::time::Instant;

@@ -1,22 +1,28 @@
-//! Shared helpers for the experiment binaries of `dispersal-bench`.
+//! The experiments, tools and bench helpers behind the `dispersal` binary.
 //!
-//! Every binary regenerates one experiment from EXPERIMENTS.md, writing CSV
-//! (and ASCII plots) under `results/` at the workspace root and echoing a
-//! summary to stdout. The [`runner`] module is the shared driver: common
-//! flag parsing (`--trials/--seed/--jobs/--out-dir`), wall-clock
-//! reporting, and per-run JSON manifests. The [`guard`] module backs the
-//! benches' `--quick` CI mode (speedup floors over scalar baselines).
+//! Each experiment in [`experiments`] regenerates one figure, table or
+//! claim of the paper (or one of its extensions), writing CSV (and ASCII
+//! plots) under `results/` at the workspace root and echoing a summary to
+//! stdout; `dispersal exp <name>…|--all` runs them in-process. The
+//! [`runner`] module is the shared driver: common flag parsing
+//! (`--trials/--seed/--jobs/--out-dir`), wall-clock reporting, per-run JSON
+//! manifests, and failed claim checks as errors. [`check_bench_json`]
+//! validates the repo-root `BENCH_*.json` trajectories
+//! (`dispersal check-bench-json`), and [`guard`] backs the benches'
+//! `--quick` CI mode (speedup floors over scalar baselines).
 
+pub mod check_bench_json;
+pub mod experiments;
 pub mod guard;
 pub mod runner;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Walk up from the current directory to the workspace root, detected by
 /// the presence of `Cargo.toml` + `crates/`. `None` when no ancestor
 /// matches. The single root-detection rule shared by [`results_dir`] and
-/// the `check_bench_json` trajectory guard.
-pub fn workspace_root() -> Option<PathBuf> {
+/// the `BENCH_*.json` trajectory check.
+pub(crate) fn workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
         if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
@@ -28,20 +34,16 @@ pub fn workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Resolve the `results/` directory: respects `DISPERSAL_RESULTS_DIR`,
-/// else [`workspace_root`]`/results`, else `./results`.
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("DISPERSAL_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
+/// The default results directory: [`workspace_root`]`/results`, else
+/// `./results`.
+pub(crate) fn results_dir() -> PathBuf {
     workspace_root().map_or_else(|| PathBuf::from("results"), |root| root.join("results"))
 }
 
-/// Write `contents` to `results/<name>`, creating the directory if needed.
-/// Returns the full path written.
-pub fn write_result(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Write `contents` to `dir/name`, creating `dir` if needed. Returns the
+/// full path written.
+pub(crate) fn write_result(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
     std::fs::write(&path, contents)?;
     Ok(path)
@@ -50,48 +52,9 @@ pub fn write_result(name: &str, contents: &str) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// `DISPERSAL_RESULTS_DIR` is process-global; tests that touch it run
-    /// in parallel threads, so they serialize on this lock (and restore
-    /// the variable on drop).
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    struct EnvGuard {
-        previous: Option<String>,
-        _lock: MutexGuard<'static, ()>,
-    }
-
-    impl EnvGuard {
-        fn set(value: Option<&str>) -> Self {
-            let lock = ENV_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            let previous = std::env::var("DISPERSAL_RESULTS_DIR").ok();
-            match value {
-                Some(v) => std::env::set_var("DISPERSAL_RESULTS_DIR", v),
-                None => std::env::remove_var("DISPERSAL_RESULTS_DIR"),
-            }
-            EnvGuard { previous, _lock: lock }
-        }
-    }
-
-    impl Drop for EnvGuard {
-        fn drop(&mut self) {
-            match &self.previous {
-                Some(v) => std::env::set_var("DISPERSAL_RESULTS_DIR", v),
-                None => std::env::remove_var("DISPERSAL_RESULTS_DIR"),
-            }
-        }
-    }
-
-    #[test]
-    fn results_dir_env_override() {
-        let _guard = EnvGuard::set(Some("/tmp/dispersal-test-results"));
-        assert_eq!(results_dir(), PathBuf::from("/tmp/dispersal-test-results"));
-    }
 
     #[test]
     fn results_dir_walks_up_to_workspace_root() {
-        let _guard = EnvGuard::set(None);
         // Tests run with the crate directory as cwd; the workspace root is
         // two levels up and is recognized by `Cargo.toml` + `crates/`.
         let dir = results_dir();
@@ -109,9 +72,10 @@ mod tests {
 
     #[test]
     fn write_result_roundtrip() {
-        let _guard = EnvGuard::set(Some("/tmp/dispersal-test-results-rt"));
-        let path = write_result("probe.txt", "hello").unwrap();
+        let dir = std::env::temp_dir().join(format!("dispersal-write-rt-{}", std::process::id()));
+        let path = write_result(&dir, "probe.txt", "hello").unwrap();
+        assert_eq!(path, dir.join("probe.txt"));
         assert_eq!(std::fs::read_to_string(path).unwrap(), "hello");
-        let _ = std::fs::remove_dir_all("/tmp/dispersal-test-results-rt");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

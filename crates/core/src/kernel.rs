@@ -2,7 +2,7 @@
 //!
 //! Everything in this workspace — site values `ν_p(x) = f(x)·g_C(p(x))`
 //! (Eq. 2–3), IFD water-filling, welfare gradients, replicator dynamics,
-//! and every experiment binary — bottoms out in the Bernstein-form sum
+//! and every experiment — bottoms out in the Bernstein-form sum
 //! `g_C(q) = Σ_{j=0}^{k−1} C(j+1)·b_{j,k−1}(q)`. The scalar reference path
 //! ([`crate::payoff::PayoffContext::g`]) rebuilds the binomial PMF from
 //! scratch on every call, which costs `O(k)` *logarithm evaluations* per

@@ -1,5 +1,5 @@
 //! A named catalog of congestion policies, and a small spec parser so
-//! experiment binaries can select policies from the command line.
+//! the `dispersal` CLI can select policies from the command line.
 
 use dispersal_core::policy::{
     Congestion, Constant, Cooperative, Exclusive, LinearDecay, PowerLaw, Sharing, TwoLevel,

@@ -1,4 +1,4 @@
-//! Report emitters shared by the experiment binaries: CSV tables and
+//! Report emitters shared by the experiments: CSV tables and
 //! fixed-width ASCII line plots (the repository's stand-in for the paper's
 //! gnuplot figures).
 

@@ -111,17 +111,17 @@ impl Client {
     /// treat every failure uniformly.
     pub fn request(&mut self, line: &str) -> Result<Value, String> {
         let reply = self.call(line).map_err(|e| format!("transport error: {e}"))?;
-        let value: Value =
-            serde_json::from_str(&reply).map_err(|e| format!("bad reply JSON: {e}"))?;
-        let entries = value.as_object().ok_or("reply is not a JSON object")?.to_vec();
-        let lookup = |name: &str| {
-            entries.iter().find(|(key, _)| key == name).map(|(_, value)| value.clone())
+        let value = serde_json::from_str(&reply).map_err(|e| format!("bad reply JSON: {e}"))?;
+        let Value::Object(mut entries) = value else {
+            return Err("reply is not a JSON object".into());
         };
-        match lookup("ok") {
-            Some(Value::Bool(true)) => {
-                lookup("result").ok_or_else(|| "reply missing result".into())
-            }
-            Some(Value::Bool(false)) => match lookup("error") {
+        // Move each field out of the parsed reply instead of copying it.
+        let mut take = |name: &str| {
+            entries.iter().position(|(key, _)| key == name).map(|i| entries.remove(i).1)
+        };
+        match take("ok") {
+            Some(Value::Bool(true)) => take("result").ok_or_else(|| "reply missing result".into()),
+            Some(Value::Bool(false)) => match take("error") {
                 Some(Value::Str(message)) => Err(message),
                 _ => Err("unspecified daemon error".into()),
             },

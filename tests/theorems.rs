@@ -1,6 +1,6 @@
 //! End-to-end verification of every theorem/observation in the paper,
 //! across instance grids — the integration-level counterpart of the
-//! experiment binaries.
+//! experiments (`dispersal exp`).
 
 use selfish_explorers::prelude::*;
 
