@@ -37,27 +37,27 @@
 //! * [`Lint::BenchGuardCoverage`] — every `BENCH_*.json` trajectory at
 //!   the repo root must have a bench target with a `--quick` guard mode
 //!   (`guard::quick_mode`) and a CI invocation of it, so no recorded
-//!   trajectory can regress unguarded. Trajectories with named per-lane
-//!   floors ([`REQUIRED_GUARD_LABELS`]: the engine pool-reuse and
-//!   two-thread floors, the batch GEMM and reference-tile AVX2-vs-scalar
-//!   floors, the serve
-//!   admission-batching floor, the search batched-expansion floor, the
-//!   kernel fused-path and interp-vs-fused floors, the IFD
-//!   water-filling-vs-nested-bisection floor, the ESS kernel-ledger and
-//!   lazy-check-vs-full-ledger floors) must keep those labels in
-//!   their guard — deleting a floor is a lint failure, not a silent
-//!   coverage loss.
+//!   trajectory can regress unguarded; conversely every bench target
+//!   `crates/bench/benches/<name>.rs` must have its `BENCH_<name>.json`,
+//!   so no bench runs without a recorded trajectory. Trajectories with
+//!   named per-lane floors ([`REQUIRED_GUARD_LABELS`]: the engine
+//!   pool-reuse and two-thread floors, the batch GEMM and reference-tile
+//!   AVX2-vs-scalar floors, the serve admission-batching floor, the
+//!   search batched-expansion floor, the kernel fused-path and
+//!   interp-vs-fused floors, the IFD water-filling-vs-nested-bisection
+//!   floor, the ESS kernel-ledger and lazy-check-vs-full-ledger floors)
+//!   must keep those labels in their guard — deleting a floor is a lint
+//!   failure, not a silent coverage loss.
 //! * [`Lint::DeadPublicApi`] — a `pub fn` in non-test code of
 //!   `crates/{core,sim,search,mech,serve}/src` fails unless its name is
 //!   used, as a whole word outside tests, comments, strings and `use`
 //!   items, in `crates/*/src`, `crates/bench/benches`, `src/`, `examples/`
 //!   or `perfbench/src` (the repo benchmark, read only: whatever it calls
 //!   is API). A prelude re-export is not a caller. Public code only tests
-//!   call is deleted, except references that tests compare against and
-//!   `burn-down:` entries (called only by their own unit tests, deleted
-//!   with them in a change of their own), which the allowlist keeps one
-//!   by one as `dead-public-api <path> <fn> # <reason>`; an entry without
-//!   a reason suppresses nothing.
+//!   call is deleted, except references that tests compare against,
+//!   which the allowlist keeps one by one as
+//!   `dead-public-api <path> <fn> # <reason>`; an entry without a reason
+//!   suppresses nothing.
 //!
 //! The scanner strips comments, strings, and character literals first
 //! (so doc-prose `panic!` or a `"HashMap"` string literal never fire) and
@@ -86,7 +86,8 @@ pub enum Lint {
     DeterministicIteration,
     /// Order-sensitive naive float reductions in the numerics hot files.
     FloatReduction,
-    /// A recorded bench trajectory without a wired `--quick` CI guard.
+    /// A recorded bench trajectory without a wired `--quick` CI guard, or
+    /// a bench without a recorded trajectory.
     BenchGuardCoverage,
     /// A library `pub fn` that no non-test code calls.
     DeadPublicApi,
@@ -116,7 +117,8 @@ impl Lint {
                 "naive .sum()/fold(0.0, ..) in kernel.rs/numerics.rs outside kahan_sum"
             }
             Lint::BenchGuardCoverage => {
-                "BENCH_*.json trajectory without a --quick bench guard wired into CI"
+                "BENCH_*.json trajectory without a --quick bench guard wired into CI, \
+                 or a bench without a BENCH_*.json trajectory"
             }
             Lint::DeadPublicApi => "library pub fn whose name no non-test code uses",
         }
@@ -676,11 +678,14 @@ pub fn lint_float_reduction(file: &str, src: &str) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 /// Inputs for the bench-guard lint, gathered by the driver (pure data so
-/// tests can seed them without a filesystem).
+/// tests can seed them without a filesystem): one per name that has a
+/// trajectory, a bench target, or both.
 #[derive(Debug, Clone)]
 pub struct BenchGuardInput {
-    /// Trajectory name: `BENCH_<name>.json`.
+    /// The name shared by `BENCH_<name>.json` and its bench target.
     pub name: String,
+    /// Whether `BENCH_<name>.json` exists at the repo root.
+    pub trajectory: bool,
     /// Contents of `crates/bench/benches/<name>.rs`, if the file exists.
     pub bench_source: Option<String>,
     /// Contents of `.github/workflows/ci.yml`.
@@ -722,10 +727,22 @@ pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 7] = [
 /// into CI: a bench target of the same name that consults
 /// `guard::quick_mode`, a `--bench <name> -- --quick` CI invocation, and
 /// (for trajectories listed in [`REQUIRED_GUARD_LABELS`]) every named
-/// per-lane floor still present in the guard source.
+/// per-lane floor still present in the guard source. A bench target
+/// without a trajectory fails too: record its runs or delete it.
 pub fn lint_bench_guards(inputs: &[BenchGuardInput]) -> Vec<Violation> {
     let mut out = Vec::new();
     for input in inputs {
+        if !input.trajectory {
+            out.push(Violation {
+                lint: Lint::BenchGuardCoverage,
+                file: format!("crates/bench/benches/{}.rs", input.name),
+                line: 0,
+                item: None,
+                excerpt: format!("bench without a BENCH_{}.json trajectory", input.name),
+                allowed: false,
+            });
+            continue;
+        }
         let file = format!("BENCH_{}.json", input.name);
         let mut fail = |excerpt: String| {
             out.push(Violation {
@@ -1126,23 +1143,33 @@ pub fn run_check(root: &Path) -> io::Result<Report> {
     }
     report.violations.extend(lint_dead_public_api(&sources));
 
-    // bench-guard-coverage over the recorded trajectories.
+    // bench-guard-coverage over the recorded trajectories and the benches.
     let ci_text = fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap_or_default();
-    let mut names: Vec<String> = Vec::new();
-    for entry in fs::read_dir(root)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(stem) = name.strip_prefix("BENCH_").and_then(|s| s.strip_suffix(".json")) {
-            names.push(stem.to_string());
+    let stems = |dir: &Path, prefix: &str, suffix: &str| -> io::Result<BTreeSet<String>> {
+        let mut out = BTreeSet::new();
+        if dir.is_dir() {
+            for entry in fs::read_dir(dir)? {
+                let name = entry?.file_name().to_string_lossy().into_owned();
+                if let Some(stem) = name.strip_prefix(prefix).and_then(|s| s.strip_suffix(suffix)) {
+                    out.insert(stem.to_string());
+                }
+            }
         }
-    }
-    names.sort();
-    let inputs: Vec<BenchGuardInput> = names
-        .into_iter()
+        Ok(out)
+    };
+    let trajectories = stems(root, "BENCH_", ".json")?;
+    let benches = stems(&root.join("crates/bench/benches"), "", ".rs")?;
+    let inputs: Vec<BenchGuardInput> = trajectories
+        .union(&benches)
         .map(|name| {
             let bench_source =
                 fs::read_to_string(root.join(format!("crates/bench/benches/{name}.rs"))).ok();
-            BenchGuardInput { name, bench_source, ci_text: ci_text.clone() }
+            BenchGuardInput {
+                name: name.clone(),
+                trajectory: trajectories.contains(name),
+                bench_source,
+                ci_text: ci_text.clone(),
+            }
         })
         .collect();
     report.violations.extend(lint_bench_guards(&inputs));
@@ -1295,9 +1322,28 @@ let lt: &'static str = unrelated;"##;
     fn guard_input(name: &str, bench: Option<&str>, ci: &str) -> BenchGuardInput {
         BenchGuardInput {
             name: name.to_string(),
+            trajectory: true,
             bench_source: bench.map(|s| s.to_string()),
             ci_text: ci.to_string(),
         }
+    }
+
+    #[test]
+    fn bench_without_a_trajectory_is_caught() {
+        // A bench target with no BENCH_*.json: even a guarded bench that CI
+        // runs fails, since nothing records what it measures.
+        let untracked = BenchGuardInput {
+            trajectory: false,
+            ..guard_input(
+                "sigma_star",
+                Some("if guard::quick_mode() {} criterion_main!(benches);"),
+                "cargo bench -p dispersal-bench --bench sigma_star -- --quick",
+            )
+        };
+        let v = lint_bench_guards(&[untracked]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].file, "crates/bench/benches/sigma_star.rs");
+        assert!(v[0].excerpt.contains("without a BENCH_sigma_star.json"), "{v:?}");
     }
 
     #[test]
@@ -1542,7 +1588,7 @@ let lt: &'static str = unrelated;"##;
         let text = report.render_text();
         assert!(!report.failing(), "workspace must be lint-clean:\n{text}");
         // The acceptance bar: no allowlist entry shadows crates/core, except
-        // dead-public-api entries (test references and burn-down).
+        // dead-public-api entries (test references).
         assert!(
             !report.violations.iter().any(|v| {
                 v.allowed && v.lint != Lint::DeadPublicApi && v.file.starts_with("crates/core/")

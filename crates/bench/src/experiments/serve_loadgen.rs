@@ -6,8 +6,7 @@
 //! Each round fires `--trials` concurrent response requests (default
 //! 64) that share `(k, tol)` but carry distinct policies, so the
 //! admission window can coalesce them into a handful of policy-major
-//! kernel tiles. Recorded per run (in `results/serve_loadgen.csv` and
-//! the run manifest, alongside the daemon's [`CacheStats`]):
+//! kernel tiles. Recorded per run in `results/serve_loadgen.csv`:
 //!
 //! * requests/sec over the measured rounds;
 //! * request latency percentiles (p50 / p95 / p99);
@@ -18,8 +17,6 @@
 //!
 //! Environment knob for CI smoke: `SERVE_LOADGEN_MIN_OCCUPANCY` fails
 //! the run if the measured average occupancy lands below it.
-//!
-//! [`CacheStats`]: dispersal_core::kernel::cache::CacheStats
 
 use crate::runner::{check, Outcome, RunContext};
 use dispersal_core::{Error, Result};
@@ -212,9 +209,6 @@ pub(super) fn run(ctx: &mut RunContext) -> Outcome {
         None => (f64::NAN, f64::NAN),
     };
 
-    let (grid_stats, catalog_stats) = server.cache_stats();
-    ctx.record_cache_stats("serve.grid", grid_stats);
-    ctx.record_cache_stats("serve.catalog", catalog_stats);
     ctx.write_result(
         "serve_loadgen.csv",
         &format!(

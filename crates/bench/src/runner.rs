@@ -18,7 +18,6 @@
 //! * `--out-dir D` — results directory (default: `results/` at the
 //!   workspace root).
 
-use dispersal_core::kernel::cache::CacheStats;
 use dispersal_core::{Error, Result};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -174,9 +173,6 @@ pub struct RunContext {
     name: &'static str,
     common: Common,
     outputs: Vec<String>,
-    /// Labelled cache snapshots recorded by the run, echoed into the
-    /// manifest (insertion order, so bytes stay deterministic).
-    caches: Vec<(String, CacheStats)>,
 }
 
 impl RunContext {
@@ -198,13 +194,6 @@ impl RunContext {
         self.outputs.push(file.to_string());
         Ok(path)
     }
-
-    /// Record a labelled [`CacheStats`] snapshot (e.g. a daemon's grid
-    /// cache at shutdown) in the run manifest's `"caches"` object, so
-    /// hit-rates ship with the results they explain.
-    pub fn record_cache_stats(&mut self, label: &str, stats: CacheStats) {
-        self.caches.push((label.to_string(), stats));
-    }
 }
 
 fn manifest_json(ctx: &RunContext, wall: Duration) -> String {
@@ -214,20 +203,6 @@ fn manifest_json(ctx: &RunContext, wall: Duration) -> String {
     let common = &ctx.common;
     // Sorted by construction: BTreeMap iteration order is the key order.
     let flags = common.flags.iter().map(|(k, v)| (k.clone(), text(v))).collect();
-    let caches = ctx
-        .caches
-        .iter()
-        .map(|(label, s)| {
-            let stats = vec![
-                ("hits".to_string(), Value::UInt(s.hits)),
-                ("misses".to_string(), Value::UInt(s.misses)),
-                ("evictions".to_string(), Value::UInt(s.evictions)),
-                ("entries".to_string(), count(s.entries)),
-                ("capacity".to_string(), count(s.capacity)),
-            ];
-            (label.clone(), Value::Object(stats))
-        })
-        .collect();
     let manifest = Value::Object(vec![
         ("experiment".to_string(), text(ctx.name)),
         ("trials".to_string(), opt(common.trials)),
@@ -235,7 +210,6 @@ fn manifest_json(ctx: &RunContext, wall: Duration) -> String {
         ("jobs".to_string(), count(common.jobs.unwrap_or_else(rayon::current_num_threads))),
         ("wall_ms".to_string(), Value::UInt(u64::try_from(wall.as_millis()).unwrap_or(u64::MAX))),
         ("flags".to_string(), Value::Object(flags)),
-        ("caches".to_string(), Value::Object(caches)),
         ("outputs".to_string(), Value::Array(ctx.outputs.iter().map(|o| text(o)).collect())),
     ]);
     serde_json::to_string(&manifest).expect("a manifest holds no floats, the codec's one failure")
@@ -246,8 +220,7 @@ fn manifest_json(ctx: &RunContext, wall: Duration) -> String {
 /// `<out-dir>/<name>.manifest.json` describing the run.
 fn run_one(experiment: &Experiment, common: &Common) -> Outcome {
     let name = experiment.name;
-    let mut ctx =
-        RunContext { name, common: common.clone(), outputs: Vec::new(), caches: Vec::new() };
+    let mut ctx = RunContext { name, common: common.clone(), outputs: Vec::new() };
     let started = Instant::now();
     (experiment.run)(&mut ctx)?;
     let wall = started.elapsed();
@@ -320,7 +293,7 @@ mod tests {
     fn context_defaults_and_overrides() {
         let common = Common::parse(&argv(&["--trials", "5"])).unwrap();
         assert_eq!(common.out_dir, crate::results_dir());
-        let ctx = RunContext { name: "t", common, outputs: Vec::new(), caches: Vec::new() };
+        let ctx = RunContext { name: "t", common, outputs: Vec::new() };
         assert_eq!(ctx.trials_or(100), 5);
         assert_eq!(ctx.seed_or(42), 42);
     }
@@ -330,25 +303,14 @@ mod tests {
         let args = ["--trials", "10", "--out-dir", "out", "--jobs", "3"];
         let common = Common::parse(&argv(&args)).unwrap();
         assert_eq!(common.out_dir, PathBuf::from("out"));
-        let mut ctx = RunContext {
-            name: "exp_x",
-            common,
-            outputs: vec!["a.csv".into(), "b.csv".into()],
-            caches: Vec::new(),
-        };
-        ctx.record_cache_stats(
-            "grid",
-            CacheStats { hits: 9, misses: 3, evictions: 1, entries: 2, capacity: 256 },
-        );
+        let ctx =
+            RunContext { name: "exp_x", common, outputs: vec!["a.csv".into(), "b.csv".into()] };
         let json = manifest_json(&ctx, Duration::from_millis(1234));
         assert_eq!(json.lines().count(), 1, "{json}");
         let manifest = serde_json::from_str(&json).unwrap();
         let entries = manifest.as_object().unwrap();
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            ["experiment", "trials", "seed", "jobs", "wall_ms", "flags", "caches", "outputs"]
-        );
+        assert_eq!(keys, ["experiment", "trials", "seed", "jobs", "wall_ms", "flags", "outputs"]);
         let field = |key: &str| &entries.iter().find(|(k, _)| k == key).unwrap().1;
         assert_eq!(field("experiment").as_str(), Some("exp_x"));
         assert_eq!(field("trials"), &Value::UInt(10));
@@ -358,13 +320,6 @@ mod tests {
         let outputs: Vec<_> =
             field("outputs").as_array().unwrap().iter().map(Value::as_str).collect();
         assert_eq!(outputs, [Some("a.csv"), Some("b.csv")]);
-        let stats =
-            [("hits", 9), ("misses", 3), ("evictions", 1), ("entries", 2), ("capacity", 256)];
-        let grid = stats.iter().map(|&(k, n)| (k.to_string(), Value::UInt(n))).collect();
-        assert_eq!(
-            field("caches"),
-            &Value::Object(vec![("grid".to_string(), Value::Object(grid))])
-        );
         // Flags are echoed in sorted key order regardless of the order
         // they appeared on the command line.
         let flags = [("jobs", "3"), ("out-dir", "out"), ("trials", "10")];

@@ -18,22 +18,6 @@ fn check_dims(f: &ValueProfile, p: &Strategy) -> Result<()> {
     Ok(())
 }
 
-/// Validate a raw probability slice against a profile: matching length and
-/// every entry in `[0, 1]` up to round-off tolerance. Used by the
-/// slice-based variants so drifted dynamics states fail loudly instead of
-/// silently evaluating out-of-range masses.
-fn check_probs(f: &ValueProfile, probs: &[f64]) -> Result<()> {
-    if f.len() != probs.len() {
-        return Err(Error::DimensionMismatch { strategy: probs.len(), profile: f.len() });
-    }
-    for &px in probs {
-        if !px.is_finite() || !(-1e-12..=1.0 + 1e-12).contains(&px) {
-            return Err(Error::ProbabilityOutOfRange { q: px });
-        }
-    }
-    Ok(())
-}
-
 /// Expected coverage `Cover(p)` of the symmetric profile where all `k`
 /// players play `p` (Eq. 1).
 pub fn coverage(f: &ValueProfile, p: &Strategy, k: usize) -> Result<f64> {
@@ -47,36 +31,6 @@ pub fn coverage(f: &ValueProfile, p: &Strategy, k: usize) -> Result<f64> {
             .zip(p.probs().iter())
             .map(|(&fx, &px)| fx * (1.0 - (1.0 - px).powi(k as i32))),
     ))
-}
-
-/// Slice-based [`coverage`]: evaluates `Cover` directly on a raw
-/// probability vector (e.g. a replicator/ODE state or one row of a batch)
-/// without constructing a [`Strategy`]. Entries are validated to be
-/// probabilities up to round-off tolerance and clamped.
-pub fn coverage_probs(f: &ValueProfile, probs: &[f64], k: usize) -> Result<f64> {
-    check_probs(f, probs)?;
-    if k == 0 {
-        return Err(Error::InvalidPlayerCount { k });
-    }
-    Ok(kahan_sum(
-        f.values()
-            .iter()
-            .zip(probs.iter())
-            .map(|(&fx, &px)| fx * (1.0 - (1.0 - px.clamp(0.0, 1.0)).powi(k as i32))),
-    ))
-}
-
-/// Batched [`coverage`] over many strategies sharing one profile and `k` —
-/// the grid-sweep shape. Validation is all-or-nothing before any row is
-/// evaluated.
-pub fn coverage_many(f: &ValueProfile, ps: &[Strategy], k: usize) -> Result<Vec<f64>> {
-    if k == 0 {
-        return Err(Error::InvalidPlayerCount { k });
-    }
-    for p in ps {
-        check_dims(f, p)?;
-    }
-    ps.iter().map(|p| coverage(f, p, k)).collect()
 }
 
 /// Miss mass `T(p) = Σ_x f(x)(1 − p(x))^k = Σf − Cover(p)`.
@@ -102,21 +56,6 @@ pub fn coverage_gradient(f: &ValueProfile, p: &Strategy, k: usize) -> Result<Vec
         .zip(p.probs().iter())
         .map(|(&fx, &px)| k as f64 * fx * (1.0 - px).powi(k as i32 - 1))
         .collect())
-}
-
-/// Expected coverage of an arbitrary (possibly asymmetric) strategy profile:
-/// `Σ_x f(x)·(1 − Π_i (1 − p_i(x)))`.
-pub fn coverage_profile(f: &ValueProfile, profile: &[Strategy]) -> Result<f64> {
-    if profile.is_empty() {
-        return Err(Error::InvalidPlayerCount { k: 0 });
-    }
-    for p in profile {
-        check_dims(f, p)?;
-    }
-    Ok(kahan_sum((0..f.len()).map(|x| {
-        let miss: f64 = profile.iter().map(|p| 1.0 - p.prob(x)).product();
-        f.value(x) * (1.0 - miss)
-    })))
 }
 
 /// The Observation 1 lower bound `(1 − 1/e)·Σ_{x ≤ k} f(x)` that the optimal
@@ -207,67 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_profile_matches_symmetric_special_case() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        let p = Strategy::new(vec![0.7, 0.3]).unwrap();
-        let sym = coverage(&f, &p, 3).unwrap();
-        let asym = coverage_profile(&f, &[p.clone(), p.clone(), p]).unwrap();
-        close(sym, asym);
-    }
-
-    #[test]
-    fn asymmetric_profile_perfect_assignment() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        let p0 = Strategy::delta(2, 0).unwrap();
-        let p1 = Strategy::delta(2, 1).unwrap();
-        close(coverage_profile(&f, &[p0, p1]).unwrap(), 1.5);
-    }
-
-    #[test]
-    fn coverage_probs_matches_strategy_path_bitwise() {
-        let f = ValueProfile::zipf(15, 1.0, 0.9).unwrap();
-        let p = Strategy::proportional(f.values()).unwrap();
-        for k in [1usize, 3, 8] {
-            let a = coverage(&f, &p, k).unwrap();
-            let b = coverage_probs(&f, p.probs(), k).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn coverage_probs_validates_range() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        // Round-off drift is clamped …
-        assert!(coverage_probs(&f, &[1.0 + 1e-13, -1e-13], 2).is_ok());
-        // … genuine violations and bad dimensions error.
-        assert!(coverage_probs(&f, &[0.5, 1.5], 2).is_err());
-        assert!(coverage_probs(&f, &[0.5, f64::NAN], 2).is_err());
-        assert!(coverage_probs(&f, &[1.0], 2).is_err());
-        assert!(coverage_probs(&f, &[0.5, 0.5], 0).is_err());
-    }
-
-    #[test]
-    fn coverage_many_matches_individual_calls() {
-        let f = ValueProfile::geometric(8, 1.0, 0.7).unwrap();
-        let ps = vec![
-            Strategy::uniform(8).unwrap(),
-            Strategy::proportional(f.values()).unwrap(),
-            Strategy::delta(8, 2).unwrap(),
-        ];
-        let batch = coverage_many(&f, &ps, 4).unwrap();
-        assert_eq!(batch.len(), 3);
-        for (p, &b) in ps.iter().zip(batch.iter()) {
-            assert_eq!(coverage(&f, p, 4).unwrap().to_bits(), b.to_bits());
-        }
-        // Validation still applies.
-        assert!(coverage_many(&f, &ps, 0).is_err());
-        let bad = vec![Strategy::uniform(3).unwrap()];
-        assert!(coverage_many(&f, &bad, 2).is_err());
-        // Empty batch is fine (no work).
-        assert_eq!(coverage_many(&f, &[], 2).unwrap(), Vec::<f64>::new());
-    }
-
-    #[test]
     fn dimension_and_k_validation() {
         let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
         let p3 = Strategy::uniform(3).unwrap();
@@ -278,8 +156,6 @@ mod tests {
         assert!(miss_mass(&f, &p2, 0).is_err());
         assert!(coverage_gradient(&f, &p3, 2).is_err());
         assert!(coverage_gradient(&f, &p2, 0).is_err());
-        assert!(coverage_profile(&f, &[]).is_err());
-        assert!(coverage_profile(&f, &[p3]).is_err());
     }
 
     #[test]

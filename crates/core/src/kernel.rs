@@ -1219,15 +1219,16 @@ impl PbTable {
 /// multiset: every opponent profile in an equivalence class (same
 /// probabilities, any order) shares one `O(n²)` DP setup.
 ///
-/// [`crate::payoff::PayoffContext::heterogeneous_payoff`] uses one cache
-/// per call (sites with equal opponent profiles share tables);
-/// [`crate::ess::probe_ess_k`] holds one across all mutants so the
-/// resident-only baseline profiles are built exactly once.
+/// [`crate::ess::LedgerEvaluator::new`] uses one cache per resident
+/// (sites with equal `σ(x)` share one baseline table), and
+/// [`crate::ess::probe_ess_k`] reuses that evaluator across all mutants,
+/// so the resident-only baseline profiles are built exactly once.
 ///
 /// Because the DP runs over the *sorted* representative, a cached PMF can
 /// differ from an unsorted one-shot DP by the usual commutation round-off
-/// (`O(n·ε)`, ≈ 3e-14 at `n = 128`) — far inside the 1e-13 agreement
-/// contract tested in CI, but not bit-identical for unsorted profiles.
+/// (`O(n·ε)`, ≈ 3e-14 at `n = 128`), so it is not bit-identical for
+/// unsorted profiles. The ledger's baseline profiles repeat one
+/// probability, and for them the two agree bit for bit.
 ///
 /// Rebased on [`cache::SharedCache`]: lookups take `&self`, return
 /// `Arc<PbTable>`, are safe to share across engine worker threads, and

@@ -69,9 +69,7 @@ pub use error::{Error, Result};
 
 /// One-line imports for the common workflow.
 pub mod prelude {
-    pub use crate::coverage::{
-        coverage, coverage_many, coverage_probs, coverage_profile, miss_mass, observation1_bound,
-    };
+    pub use crate::coverage::{coverage, miss_mass, observation1_bound};
     pub use crate::error::{Error, Result};
     pub use crate::ess::{invasion_barrier, probe_ess_k, EssReport, Mixture, MutantVerdict};
     pub use crate::extensions::{capacity_coverage, solve_ifd_with_costs, CostIfd};

@@ -6,8 +6,8 @@
 //! problem *independently* of the σ⋆ construction so the theorem can be
 //! *checked* rather than assumed:
 //!
-//! * [`optimal_coverage_waterfill`] — bisection on the KKT multiplier `λ`
-//!   with occupancies `p(x) = max(0, 1 − (λ/(k f(x)))^{1/(k−1)})`;
+//! * [`optimal_coverage`] — water-filling: bisection on the KKT multiplier
+//!   `λ` with occupancies `p(x) = max(0, 1 − (λ/(k f(x)))^{1/(k−1)})`;
 //! * [`optimal_coverage_gradient`] — projected-gradient ascent on `Cover`
 //!   from multiple starting points (no structural knowledge at all).
 
@@ -28,13 +28,14 @@ pub struct OptimalCoverage {
     pub lambda: Option<f64>,
 }
 
-/// KKT water-filling solver: exact up to bisection precision.
+/// The optimal-coverage strategy `p⋆` by KKT water-filling: exact up to
+/// bisection precision.
 ///
 /// Stationarity for supported sites reads
 /// `k f(x) (1 − p(x))^{k−1} = λ`, so
 /// `p(x; λ) = max(0, 1 − (λ / (k f(x)))^{1/(k−1)})`, and `Σ_x p(x; λ)` is
 /// continuous and decreasing in `λ`; bisection finds `Σ = 1`.
-pub fn optimal_coverage_waterfill(f: &ValueProfile, k: usize) -> Result<OptimalCoverage> {
+pub fn optimal_coverage(f: &ValueProfile, k: usize) -> Result<OptimalCoverage> {
     if k == 0 {
         return Err(Error::InvalidPlayerCount { k });
     }
@@ -124,11 +125,6 @@ pub fn optimal_coverage_gradient(f: &ValueProfile, k: usize) -> Result<OptimalCo
     best.ok_or(Error::Internal { what: "gradient ascent ran zero starts" })
 }
 
-/// Convenience: compute `p⋆` by water-filling (the fast exact path).
-pub fn optimal_coverage(f: &ValueProfile, k: usize) -> Result<OptimalCoverage> {
-    optimal_coverage_waterfill(f, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +138,7 @@ mod tests {
     #[test]
     fn k_zero_rejected() {
         let f = ValueProfile::uniform(3, 1.0).unwrap();
-        assert!(optimal_coverage_waterfill(&f, 0).is_err());
+        assert!(optimal_coverage(&f, 0).is_err());
         assert!(optimal_coverage_gradient(&f, 0).is_err());
     }
 
@@ -163,7 +159,7 @@ mod tests {
             (ValueProfile::geometric(12, 1.0, 0.8).unwrap(), 4),
             (ValueProfile::linear(40, 1.0, 0.05).unwrap(), 8),
         ] {
-            let opt = optimal_coverage_waterfill(&f, k).unwrap();
+            let opt = optimal_coverage(&f, k).unwrap();
             let star = sigma_star(&f, k).unwrap();
             let d = opt.strategy.linf_distance(&star.strategy).unwrap();
             assert!(d < 1e-8, "k = {k}: distance {d}");
@@ -177,7 +173,7 @@ mod tests {
             (ValueProfile::zipf(8, 1.0, 1.0).unwrap(), 3),
             (ValueProfile::geometric(6, 1.0, 0.5).unwrap(), 4),
         ] {
-            let wf = optimal_coverage_waterfill(&f, k).unwrap();
+            let wf = optimal_coverage(&f, k).unwrap();
             let gd = optimal_coverage_gradient(&f, k).unwrap();
             close(wf.coverage, gd.coverage, 1e-7);
         }

@@ -8,12 +8,12 @@
 //! expected payoff of playing `ρ` against a symmetric field `p` is
 //! `Σ_x ρ(x)·ν_p(x)`.
 //!
-//! For heterogeneous opponent profiles (the ESS conditions need
-//! `E(ρ; σ^a, π^b)`), the number of opponents at a site follows a
-//! Poisson–binomial law, evaluated exactly by [`crate::numerics`].
+//! The ESS conditions need heterogeneous opponents, `E(ρ; σ^a, π^b)`:
+//! the number of opponents at a site then follows a Poisson–binomial law,
+//! and [`crate::ess::LedgerEvaluator`] evaluates it level by level.
 
 use crate::error::{Error, Result};
-use crate::kernel::{GTable, GridSpec, PbCache};
+use crate::kernel::{GTable, GridSpec};
 use crate::numerics::{binomial_pmf_vector, kahan_sum};
 use crate::policy::Congestion;
 use crate::strategy::Strategy;
@@ -177,93 +177,6 @@ impl PayoffContext {
         self.expected_payoff(f, p, p)
     }
 
-    /// Exact multi-opponent payoff `E(ρ; σ₁, …, σ_{k−1})` where each
-    /// opponent may play a different strategy. At each site the number of
-    /// opponents present is Poisson–binomial distributed.
-    ///
-    /// Allocates a fresh [`PbCache`] per call; batch callers evaluating
-    /// many related profiles (ESS ledgers, mutant probes) should hold one
-    /// cache and use [`Self::heterogeneous_payoff_with`] so sites and
-    /// calls sharing an opponent-profile equivalence class reuse one
-    /// `O(k²)` DP table.
-    pub fn heterogeneous_payoff(
-        &self,
-        f: &ValueProfile,
-        rho: &Strategy,
-        opponents: &[&Strategy],
-    ) -> Result<f64> {
-        self.heterogeneous_payoff_with(f, rho, opponents, &PbCache::new())
-    }
-
-    /// [`Self::heterogeneous_payoff`] with a caller-owned Poisson–binomial
-    /// table cache: every site whose opponent visit-probability multiset
-    /// `{σᵢ(x)}` was already seen (in this call *or any previous call with
-    /// the same cache*) reuses the cached `O(k²)` DP instead of rebuilding
-    /// it. Agreement with the per-site one-shot DP is `O(k·ε)` (the cache
-    /// convolves the *sorted* representative), far inside the 1e-13
-    /// contract tested in CI.
-    pub fn heterogeneous_payoff_with(
-        &self,
-        f: &ValueProfile,
-        rho: &Strategy,
-        opponents: &[&Strategy],
-        cache: &PbCache,
-    ) -> Result<f64> {
-        if opponents.len() != self.k - 1 {
-            return Err(Error::InvalidArgument(format!(
-                "expected {} opponents for k = {}, got {}",
-                self.k - 1,
-                self.k,
-                opponents.len()
-            )));
-        }
-        if f.len() != rho.len() {
-            return Err(Error::DimensionMismatch { strategy: rho.len(), profile: f.len() });
-        }
-        for o in opponents {
-            if o.len() != f.len() {
-                return Err(Error::DimensionMismatch { strategy: o.len(), profile: f.len() });
-            }
-        }
-        let mut total = 0.0;
-        let mut probs_at_site = vec![0.0; self.k - 1];
-        for x in 0..f.len() {
-            let rx = rho.prob(x);
-            if rx == 0.0 {
-                continue;
-            }
-            for (slot, o) in probs_at_site.iter_mut().zip(opponents.iter()) {
-                *slot = o.prob(x);
-            }
-            let expected_c = cache.table(&probs_at_site)?.expectation(self.c_table());
-            total += rx * f.value(x) * expected_c;
-        }
-        Ok(total)
-    }
-
-    /// The ESS-characterization payoff `E(ρ; σ^{a}, π^{b})` with `a + b =
-    /// k − 1`: `a` opponents play `σ` and `b` play `π`.
-    pub fn ess_payoff(
-        &self,
-        f: &ValueProfile,
-        rho: &Strategy,
-        sigma: &Strategy,
-        a: usize,
-        pi: &Strategy,
-        b: usize,
-    ) -> Result<f64> {
-        if a + b != self.k - 1 {
-            return Err(Error::InvalidArgument(format!(
-                "opponent counts must satisfy a + b = k - 1, got {a} + {b} != {}",
-                self.k - 1
-            )));
-        }
-        let mut opponents: Vec<&Strategy> = Vec::with_capacity(self.k - 1);
-        opponents.extend(std::iter::repeat_n(sigma, a));
-        opponents.extend(std::iter::repeat_n(pi, b));
-        self.heterogeneous_payoff(f, rho, &opponents)
-    }
-
     /// Population-mixture payoff `U[ρ; (1−ε)σ + επ]` (Eq. 3). Because the
     /// `k − 1` opponents are drawn i.i.d. from the mixed population, this
     /// equals `E(ρ; μ^{k−1})` for the mixture strategy `μ = (1−ε)σ + επ`.
@@ -283,6 +196,7 @@ impl PayoffContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ess::ess_ledger;
     use crate::policy::{Constant, Exclusive, Sharing, TwoLevel};
 
     fn close(a: f64, b: f64, tol: f64) {
@@ -424,47 +338,50 @@ mod tests {
 
     #[test]
     fn heterogeneous_matches_symmetric_when_identical() {
+        // The ledger's end levels face identical opponents: at level 0 all
+        // k - 1 play sigma, at level k - 1 all play pi. There the
+        // Poisson-binomial walk must match the symmetric GTable path.
         let f = ValueProfile::zipf(6, 1.0, 1.0).unwrap();
-        let p = Strategy::proportional(f.values()).unwrap();
-        let rho = Strategy::uniform(6).unwrap();
+        let sigma = Strategy::proportional(f.values()).unwrap();
+        let pi = Strategy::uniform(6).unwrap();
+        let k = 4;
         for c in [&Exclusive as &dyn Congestion, &Sharing, &TwoLevel { c: -0.2 }] {
-            let ctx = PayoffContext::new(c, 4).unwrap();
-            let sym = ctx.expected_payoff(&f, &rho, &p).unwrap();
-            let het = ctx.heterogeneous_payoff(&f, &rho, &[&p, &p, &p]).unwrap();
-            close(sym, het, 1e-12);
+            let ctx = PayoffContext::new(c, k).unwrap();
+            let ledger = ess_ledger(&ctx, &f, &sigma, &pi).unwrap();
+            close(ledger.resident[0], ctx.symmetric_payoff(&f, &sigma).unwrap(), 1e-12);
+            close(ledger.mutant[0], ctx.expected_payoff(&f, &pi, &sigma).unwrap(), 1e-12);
+            close(ledger.resident[k - 1], ctx.expected_payoff(&f, &sigma, &pi).unwrap(), 1e-12);
+            close(ledger.mutant[k - 1], ctx.symmetric_payoff(&f, &pi).unwrap(), 1e-12);
         }
     }
 
     #[test]
-    fn ess_payoff_validates_counts() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        let s = Strategy::uniform(2).unwrap();
-        let ctx = PayoffContext::new(&Exclusive, 3).unwrap();
-        assert!(ctx.ess_payoff(&f, &s, &s, 1, &s, 1).is_ok());
-        assert!(ctx.ess_payoff(&f, &s, &s, 2, &s, 1).is_err());
-    }
-
-    #[test]
     fn ess_payoff_exclusive_closed_form() {
-        // Under exclusive policy: E(rho; sigma^a, pi^b)
-        //   = sum_x rho(x) f(x) (1-sigma(x))^a (1-pi(x))^b.
+        // Under exclusive policy every ledger level has the closed form
+        //   E(rho; sigma^(k-1-l), pi^l)
+        //     = sum_x rho(x) f(x) (1-sigma(x))^(k-1-l) (1-pi(x))^l,
+        // with rho = sigma in the resident column and rho = pi in the
+        // mutant column.
         let f = ValueProfile::new(vec![1.0, 0.6, 0.2]).unwrap();
         let sigma = Strategy::new(vec![0.5, 0.3, 0.2]).unwrap();
         let pi = Strategy::new(vec![0.1, 0.2, 0.7]).unwrap();
-        let rho = Strategy::new(vec![0.2, 0.5, 0.3]).unwrap();
         let k = 5;
-        let (a, b) = (3usize, 1usize);
         let ctx = PayoffContext::new(&Exclusive, k).unwrap();
-        let got = ctx.ess_payoff(&f, &rho, &sigma, a, &pi, b).unwrap();
-        let expect: f64 = (0..3)
-            .map(|x| {
-                rho.prob(x)
-                    * f.value(x)
-                    * (1.0 - sigma.prob(x)).powi(a as i32)
-                    * (1.0 - pi.prob(x)).powi(b as i32)
-            })
-            .sum();
-        close(got, expect, 1e-13);
+        let ledger = ess_ledger(&ctx, &f, &sigma, &pi).unwrap();
+        let closed_form = |rho: &Strategy, l: usize| -> f64 {
+            (0..3)
+                .map(|x| {
+                    rho.prob(x)
+                        * f.value(x)
+                        * (1.0 - sigma.prob(x)).powi((k - 1 - l) as i32)
+                        * (1.0 - pi.prob(x)).powi(l as i32)
+                })
+                .sum()
+        };
+        for (l, (&res, &mu)) in ledger.resident.iter().zip(&ledger.mutant).enumerate() {
+            close(res, closed_form(&sigma, l), 1e-13);
+            close(mu, closed_form(&pi, l), 1e-13);
+        }
     }
 
     #[test]
@@ -485,44 +402,25 @@ mod tests {
     #[test]
     fn mixture_payoff_equals_binomial_mixture_of_ess_payoffs() {
         // Eq. (3): U[rho; (1-eps)sigma + eps pi]
-        //   = sum_l binom(k-1, l) (1-eps)^l eps^{k-1-l} E(rho; sigma^l, pi^{k-1-l}).
+        //   = sum_l binom(k-1, l) eps^l (1-eps)^(k-1-l) E(rho; sigma^(k-1-l), pi^l),
+        // for rho = sigma (the ledger's resident column) and rho = pi (its
+        // mutant column).
         let f = ValueProfile::new(vec![1.0, 0.7, 0.3]).unwrap();
         let sigma = Strategy::new(vec![0.6, 0.3, 0.1]).unwrap();
         let pi = Strategy::new(vec![0.1, 0.1, 0.8]).unwrap();
-        let rho = Strategy::new(vec![0.3, 0.3, 0.4]).unwrap();
         let k = 4usize;
         let eps = 0.3;
         let ctx = PayoffContext::new(&Sharing, k).unwrap();
-        let direct = ctx.mixture_payoff(&f, &rho, &sigma, &pi, eps).unwrap();
-        let mut series = 0.0;
-        for l in 0..k {
-            let w = crate::numerics::binomial_pmf(k - 1, l, 1.0 - eps);
-            let e = ctx.ess_payoff(&f, &rho, &sigma, l, &pi, k - 1 - l).unwrap();
-            series += w * e;
+        let ledger = ess_ledger(&ctx, &f, &sigma, &pi).unwrap();
+        for (rho, levels) in [(&sigma, &ledger.resident), (&pi, &ledger.mutant)] {
+            let direct = ctx.mixture_payoff(&f, rho, &sigma, &pi, eps).unwrap();
+            let series: f64 = levels
+                .iter()
+                .enumerate()
+                .map(|(l, e)| crate::numerics::binomial_pmf(k - 1, l, eps) * e)
+                .sum();
+            close(direct, series, 1e-12);
         }
-        close(direct, series, 1e-12);
-    }
-
-    #[test]
-    fn heterogeneous_payoff_shares_tables_across_calls() {
-        let f = ValueProfile::zipf(5, 1.0, 1.0).unwrap();
-        let sigma = Strategy::proportional(f.values()).unwrap();
-        let pi = Strategy::uniform(5).unwrap();
-        let rho = Strategy::delta(5, 0).unwrap();
-        let ctx = PayoffContext::new(&Sharing, 4).unwrap();
-        let cache = crate::kernel::PbCache::new();
-        let opponents = [&sigma, &sigma, &pi];
-        let a = ctx.heterogeneous_payoff_with(&f, &rho, &opponents, &cache).unwrap();
-        let builds_first = cache.stats().misses;
-        assert!(builds_first > 0);
-        // Second call with the same profiles: all tables come from the cache.
-        let b = ctx.heterogeneous_payoff_with(&f, &rho, &opponents, &cache).unwrap();
-        assert_eq!(cache.stats().misses, builds_first, "no new DP builds on a repeat call");
-        assert!(cache.stats().hits > 0);
-        assert_eq!(a.to_bits(), b.to_bits());
-        // And the cached path matches the one-shot entry point.
-        let fresh = ctx.heterogeneous_payoff(&f, &rho, &opponents).unwrap();
-        assert!((a - fresh).abs() <= 1e-13);
     }
 
     #[test]
@@ -533,6 +431,5 @@ mod tests {
         let ctx = PayoffContext::new(&Sharing, 2).unwrap();
         assert!(ctx.site_values(&f, &p3).is_err());
         assert!(ctx.expected_payoff(&f, &p3, &p2).is_err());
-        assert!(ctx.heterogeneous_payoff(&f, &p2, &[&p3]).is_err());
     }
 }

@@ -2,6 +2,7 @@
 //! the numerics, the game axioms, and the solver identities.
 
 use dispersal_core::coverage::{coverage, coverage_gradient, miss_mass};
+use dispersal_core::ess::ess_ledger;
 use dispersal_core::kernel::{GBatch, GTable, PbTable};
 use dispersal_core::numerics::{
     binomial_pmf, binomial_pmf_vector, kahan_sum, poisson_binomial_pmf,
@@ -365,35 +366,37 @@ proptest! {
     #[test]
     fn heterogeneous_payoff_matches_pre_kernel_reference(
         vals in proptest::collection::vec(0.1f64..5.0, 2..=5),
-        weight_rows in proptest::collection::vec(
-            proptest::collection::vec(0.05f64..1.0, 5), 2..=9,
-        ),
+        sigma_weights in proptest::collection::vec(0.05f64..1.0, 5),
+        pi_weights in proptest::collection::vec(0.05f64..1.0, 5),
+        k in 2usize..=9,
     ) {
-        // weight_rows[0] is rho; the rest are the k−1 opponents.
+        // Every ledger level is a heterogeneous payoff
+        // E(rho; sigma^(k-1-l), pi^l), with rho = sigma in the resident
+        // column and rho = pi in the mutant column.
         let f = ValueProfile::from_unsorted(vals).unwrap();
         let m = f.len();
-        let strategies: Vec<Strategy> = weight_rows
-            .iter()
-            .map(|w| Strategy::from_weights(w[..m].to_vec()).unwrap())
-            .collect();
-        let rho = &strategies[0];
-        let opponents: Vec<&Strategy> = strategies[1..].iter().collect();
-        let k = opponents.len() + 1;
+        let sigma = Strategy::from_weights(sigma_weights[..m].to_vec()).unwrap();
+        let pi = Strategy::from_weights(pi_weights[..m].to_vec()).unwrap();
         let ctx = PayoffContext::new(&Sharing, k).unwrap();
-        let batched = ctx.heterogeneous_payoff(&f, rho, &opponents).unwrap();
-        // Pre-kernel reference: fresh per-site Poisson-binomial DP.
-        let mut reference = 0.0;
-        for x in 0..m {
-            let probs: Vec<f64> = opponents.iter().map(|o| o.prob(x)).collect();
-            let pmf = poisson_binomial_pmf(&probs);
-            let expected_c: f64 =
-                kahan_sum(pmf.iter().zip(ctx.c_table().iter()).map(|(p, c)| p * c));
-            reference += rho.prob(x) * f.value(x) * expected_c;
+        let ledger = ess_ledger(&ctx, &f, &sigma, &pi).unwrap();
+        for (l, (&res, &mu)) in ledger.resident.iter().zip(&ledger.mutant).enumerate() {
+            for (rho, batched) in [(&sigma, res), (&pi, mu)] {
+                // Pre-kernel reference: fresh per-site Poisson-binomial DP.
+                let mut reference = 0.0;
+                for x in 0..m {
+                    let mut probs = vec![sigma.prob(x); k - 1 - l];
+                    probs.extend(std::iter::repeat_n(pi.prob(x), l));
+                    let pmf = poisson_binomial_pmf(&probs);
+                    let expected_c: f64 =
+                        kahan_sum(pmf.iter().zip(ctx.c_table().iter()).map(|(p, c)| p * c));
+                    reference += rho.prob(x) * f.value(x) * expected_c;
+                }
+                prop_assert!(
+                    (batched - reference).abs() <= 1e-13 * (1.0 + reference.abs()),
+                    "level {l}: ledger {batched} vs scalar {reference}"
+                );
+            }
         }
-        prop_assert!(
-            (batched - reference).abs() <= 1e-13 * (1.0 + reference.abs()),
-            "batched {batched} vs scalar {reference}"
-        );
     }
 
     #[test]

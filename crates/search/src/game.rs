@@ -7,6 +7,11 @@
 //! Conditioned on the treasure being at `x`, the survival probability
 //! through round `t` is `Π_{s ≤ t} (1 − p_s(x))^k`, giving a closed-form
 //! expectation that the Monte-Carlo path cross-validates.
+//!
+//! Round 1 alone is the coverage problem of the dispersal game under the
+//! prior: `P[found in round 1] = Σ_x q(x)·(1 − (1 − p(x))^k) = Cover_q(p)`.
+//! Maximizing immediate detection is maximizing coverage, which is why σ⋆
+//! is round 1 of A⋆.
 
 use crate::plan::SearchPlan;
 use crate::prior::Prior;
@@ -210,6 +215,9 @@ mod tests {
     use super::*;
     use crate::astar::IteratedSigmaStar;
     use crate::baselines::{ProportionalPlan, SweepPlan, UniformPlan};
+    use dispersal_core::coverage::coverage;
+    use dispersal_core::sigma_star::sigma_star;
+    use dispersal_core::strategy::Strategy;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -366,5 +374,47 @@ mod tests {
         let mut plan = IteratedSigmaStar::new(&prior, 1).unwrap();
         let eval = evaluate_plan(&mut plan, &prior, 1, 50).unwrap();
         assert!(eval.expected_rounds < 1.1, "expected {}", eval.expected_rounds);
+    }
+
+    #[test]
+    fn round_success_is_coverage_of_the_prior() {
+        let prior = Prior::zipf(10, 1.0).unwrap();
+        let k = 3;
+        let star = sigma_star(prior.profile(), k).unwrap().strategy;
+        // Round-one success is Cover_q(sigma*), a probability.
+        let p_success = coverage(prior.profile(), &star, k).unwrap();
+        assert!(p_success > 0.0 && p_success < 1.0);
+        let mut plan = IteratedSigmaStar::new(&prior, k).unwrap();
+        let eval = evaluate_plan(&mut plan, &prior, k, 1).unwrap();
+        assert!((eval.success_by_round[0] - p_success).abs() < 1e-12);
+        // No other strategy detects faster in round 1 (Theorem 4 again).
+        let uniform = Strategy::uniform(10).unwrap();
+        assert!(coverage(prior.profile(), &uniform, k).unwrap() <= p_success);
+    }
+
+    #[test]
+    fn speedup_monotone_and_efficiency_at_most_one_ish() {
+        let prior = Prior::zipf(40, 1.0).unwrap();
+        let ks = [1usize, 2, 4, 8];
+        let rounds: Vec<f64> = ks
+            .iter()
+            .map(|&k| {
+                let mut plan = IteratedSigmaStar::new(&prior, k).unwrap();
+                evaluate_plan(&mut plan, &prior, k, 400).unwrap().expected_rounds
+            })
+            .collect();
+        // Memoryless randomization costs something at k = 2 (a single
+        // searcher degenerates to the deterministic greedy sweep), but from
+        // k = 2 on, larger teams never search slower.
+        for (w, k) in rounds[1..].windows(2).zip(&ks[2..]) {
+            assert!(w[1] <= w[0] + 1e-9, "k = {k} slower than k = {}", k / 2);
+        }
+        // And a big team is strictly faster than the lone searcher.
+        assert!(rounds[3] < rounds[0]);
+        // Independent searchers cannot be superlinearly efficient by much.
+        for (&k, &r) in ks.iter().zip(&rounds) {
+            let efficiency = rounds[0] / r / k as f64;
+            assert!(efficiency <= 1.5, "k = {k}: efficiency {efficiency}");
+        }
     }
 }

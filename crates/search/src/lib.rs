@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod astar;
 pub mod baselines;
 pub mod game;
@@ -31,7 +30,6 @@ pub mod prior;
 
 /// Common imports for search workflows.
 pub mod prelude {
-    pub use crate::analysis::{speedup_curve, SpeedupPoint};
     pub use crate::astar::{sigma_star_unsorted, IteratedSigmaStar};
     pub use crate::baselines::{ProportionalPlan, SweepPlan, UniformPlan};
     pub use crate::game::{

@@ -33,7 +33,8 @@
 //! whole, with an error naming the budget:
 //!
 //! * an exact `"response"` (no `"tol"`) and a `"catalog"` scan, whose work
-//!   per curve ([`response_work`]) must not exceed [`MAX_RESPONSE_WORK`],
+//!   over all their curves ([`response_work`]: one curve for a response,
+//!   one per catalog row for a scan) must not exceed [`MAX_RESPONSE_WORK`],
 //!   checked at parse time. Tolerance-mode `"response"` requests stay
 //!   unbudgeted: their cost is the interpolation grid's build, which
 //!   depends on `k` and the tolerance, is cached across requests, and is
@@ -48,6 +49,7 @@
 //! is what lets the round-trip integration test compare daemon replies
 //! against direct library calls with `to_bits` equality.
 
+use dispersal_mech::catalog::standard_catalog;
 use dispersal_sim::scenario::TrafficEvent;
 use serde::Value;
 
@@ -81,32 +83,44 @@ pub const MAX_MUTANTS: usize = 10_000;
 /// in about 0.75 s on a 2-vCPU x86-64 VM.
 pub const MAX_ESS_WORK: u64 = 40_000_000;
 
-/// Largest work per curve of an exact `"response"` or a `"catalog"` scan,
-/// in kernel cells ([`response_work`]). A cell of the exact tile costs
+/// Largest work of an exact `"response"` or a `"catalog"` scan, in kernel
+/// cells ([`response_work`]). A cell of the exact tile costs
 /// 2–3 ns on the AVX2 reference lane and 12–18 ns on the scalar lane up
 /// to `k = 10⁴`, but up to about 70 ns at `k = 10⁶` on either (a grid of
 /// fewer than eight interior points runs per point, and the binomial
 /// tails walk through subnormals). On a 2-vCPU x86-64 VM the largest
 /// admissible exact responses (`k = 10⁶` at resolution 8, `k = 38 909`
-/// at 256, `k = 151` at 2¹⁶) answered within 0.7 s on either lane; a
-/// catalog scan at `k = 10⁶` took 0.6 s on the AVX2 lane and 1.6 s on
-/// the scalar lane.
+/// at 256, `k = 151` at 2¹⁶) answered within 0.7 s on either lane. A
+/// catalog scan is charged for each of its 11 rows, so its largest
+/// admissible shapes (`k = 454 544` at resolution 1, `k = 101 009` at 8,
+/// `k = 3 536` at 256) answered within 0.26 s on the scalar lane
+/// (`DISPERSAL_FORCE_SCALAR=1`) and on the AVX2 lane.
 pub const MAX_RESPONSE_WORK: u64 = 10_000_000;
 
-/// Work per curve of an exact `"response"` or `"catalog"` shape: the
+/// Work of an exact `"response"` or `"catalog"` shape over `rows` curves
+/// (1 for a response, every catalog row for a scan): each curve's
 /// `resolution + 1` grid points times the `k + 1` cells of each point's
 /// PMF walk and coefficient dot. Saturates instead of wrapping.
-pub fn response_work(k: usize, resolution: usize) -> u64 {
-    (k as u64).saturating_add(1).saturating_mul((resolution as u64).saturating_add(1))
+pub fn response_work(rows: usize, k: usize, resolution: usize) -> u64 {
+    (rows as u64)
+        .saturating_mul((k as u64).saturating_add(1))
+        .saturating_mul((resolution as u64).saturating_add(1))
 }
 
-/// Refuse an exact `"response"` or `"catalog"` shape whose
-/// [`response_work`] exceeds [`MAX_RESPONSE_WORK`], naming the budget.
-fn within_response_budget(k: usize, resolution: usize) -> Result<(), String> {
-    let work = response_work(k, resolution);
+/// Refuse a `what` request (an exact `"response"` or a `"catalog"` scan)
+/// over `rows` curves whose [`response_work`] exceeds
+/// [`MAX_RESPONSE_WORK`], naming the charge and the budget.
+fn within_response_budget(
+    what: &str,
+    rows: usize,
+    k: usize,
+    resolution: usize,
+) -> Result<(), String> {
+    let work = response_work(rows, k, resolution);
     if work > MAX_RESPONSE_WORK {
         return Err(format!(
-            "response work (k + 1)·(resolution + 1) = {work} exceeds the limit {MAX_RESPONSE_WORK}"
+            "{what} work {rows}·(k + 1)·(resolution + 1) = {work} exceeds the limit \
+             {MAX_RESPONSE_WORK}"
         ));
     }
     Ok(())
@@ -330,7 +344,7 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
                 Some(v) => Some(as_f64(v).ok_or("non-number field \"tol\"".to_string())?),
             };
             if tol.is_none() {
-                within_response_budget(k, resolution)?;
+                within_response_budget("response", 1, k, resolution)?;
             }
             Ok(Request::Response { policy, k, resolution, tol })
         })(),
@@ -359,7 +373,7 @@ pub fn parse_line(line: &str) -> (u64, Result<Request, String>) {
         "catalog" => (|| {
             let k = require_k(entries)?;
             let resolution = optional_resolution(entries)?;
-            within_response_budget(k, resolution)?;
+            within_response_budget("catalog", standard_catalog().len(), k, resolution)?;
             Ok(Request::Catalog { k, resolution })
         })(),
         "stats" => Ok(Request::Stats),
@@ -563,18 +577,29 @@ mod tests {
 
     #[test]
     fn response_work_admits_every_shipped_shape_and_saturates() {
-        // The benchmark's exact shapes and catalog scan (also loadgen's
-        // k = 64), the serve tests' shapes, ROADMAP item 1's slow-reader
-        // repro, and the largest resolution at small k.
-        let shapes = [(16, 256), (64, 256), (256, 256), (8, 256), (16, 64), (12, 48), (8, 16)]
+        // The benchmark's exact shapes (also loadgen's k = 64), the serve
+        // tests' shapes, the slow-reader repro (k = 64 at 20 000), and the
+        // largest resolution at small k, as responses; the benchmark's and
+        // the serve tests' catalog scans, and the largest resolution at
+        // small k, over every catalog row.
+        let responses = [(16, 256), (64, 256), (256, 256), (8, 256), (16, 64), (12, 48), (8, 16)]
             .into_iter()
-            .chain([(6, 32), (4, 8), (33, 96), (64, 20_000), (4, MAX_RESOLUTION)]);
-        for (k, resolution) in shapes {
-            let work = response_work(k, resolution);
-            assert!(work <= MAX_RESPONSE_WORK, "k = {k}, resolution = {resolution}: {work}");
+            .chain([(6, 32), (4, 8), (33, 96), (64, 20_000), (4, MAX_RESOLUTION)])
+            .map(|shape| (1, shape));
+        let rows = standard_catalog().len();
+        let scans = [(8, 256), (6, 32), (6, DEFAULT_RESOLUTION), (4, MAX_RESOLUTION)]
+            .into_iter()
+            .map(|shape| (rows, shape));
+        for (rows, (k, resolution)) in responses.chain(scans) {
+            let work = response_work(rows, k, resolution);
+            assert!(
+                work <= MAX_RESPONSE_WORK,
+                "{rows}·(k = {k}, resolution = {resolution}): {work}"
+            );
         }
-        assert_eq!(response_work(64, 256), 65 * 257);
-        assert_eq!(response_work(usize::MAX, usize::MAX), u64::MAX);
+        assert_eq!(response_work(1, 64, 256), 65 * 257);
+        assert_eq!(response_work(rows, 64, 256), rows as u64 * 65 * 257);
+        assert_eq!(response_work(1, usize::MAX, usize::MAX), u64::MAX);
         // The largest legal fields exceed it in exact mode; a
         // tolerance-mode grid of the same shape is not budgeted.
         let huge = format!("\"k\":{MAX_K},\"resolution\":{MAX_RESOLUTION}");

@@ -246,11 +246,6 @@ impl Server {
         self.inner.counters.snapshot()
     }
 
-    /// Snapshots of the daemon's shared caches: `(grids, catalog)`.
-    pub fn cache_stats(&self) -> (CacheStats, CacheStats) {
-        (self.inner.caches.grids.stats(), self.inner.caches.catalog.stats())
-    }
-
     /// Request a stop (idempotent); service threads exit promptly but
     /// asynchronously — follow with [`Server::join`] to wait for them.
     pub fn shutdown(&self) {

@@ -248,12 +248,15 @@ fn exact_responses_beyond_the_work_budget_are_refused_promptly() {
     // limits used to reach the kernel. k = 10⁶ at resolution 2¹⁶ is about
     // 6.6·10¹⁰ kernel cells, minutes of dispatcher time during which no
     // other client got a reply. Both are now refused at parse time with an
-    // error naming the budget.
+    // error naming the budget. A catalog scan is charged for every row: at
+    // k = 10⁶ and resolution 8 it was admitted as one curve and held the
+    // dispatcher 1.4–1.5 s on the scalar lane.
     let server = bounded_server(1 << 20);
     let limit = format!("limit {}", protocol::MAX_RESPONSE_WORK);
     for line in [
         r#"{"id":1,"cmd":"response","policy":"sharing","k":1000000,"resolution":65536}"#,
         r#"{"id":2,"cmd":"catalog","k":1000000,"resolution":65536}"#,
+        r#"{"id":3,"cmd":"catalog","k":1000000,"resolution":8}"#,
     ] {
         let started = Instant::now();
         let reply = call_within_5s(server.addr(), line);
@@ -267,7 +270,7 @@ fn exact_responses_beyond_the_work_budget_are_refused_promptly() {
     // An exact response within the budget is still served.
     let reply = call_within_5s(
         server.addr(),
-        r#"{"id":3,"cmd":"response","policy":"sharing","k":64,"resolution":256}"#,
+        r#"{"id":4,"cmd":"response","policy":"sharing","k":64,"resolution":256}"#,
     );
     assert!(reply.contains("\"ok\":true"), "an admissible response must be served: {reply}");
     server.shutdown();

@@ -218,9 +218,10 @@ fn interpolated_responses_share_the_grid_cache_and_match_direct_grids() {
     }
     // Two distinct (policy, tol) grids, each built exactly once across
     // both rounds: the daemon's cache is warm after round 0.
-    let (grid_stats, _) = server.cache_stats();
-    assert_eq!(grid_stats.misses, 2, "each grid refined once");
-    assert_eq!(grid_stats.hits, 2, "round two served from the warm cache");
+    let stats = client.request(r#"{"id":99,"cmd":"stats"}"#).unwrap();
+    let grid = |counter: &str| uint(&lookup(&lookup(&lookup(&stats, "caches"), "grid"), counter));
+    assert_eq!(grid("misses"), 2, "each grid refined once");
+    assert_eq!(grid("hits"), 2, "round two served from the warm cache");
     server.shutdown();
 }
 

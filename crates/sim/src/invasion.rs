@@ -81,26 +81,6 @@ pub fn run_invasion(
     })
 }
 
-/// Sweep the mutant share over a grid, returning `(ε, report)` pairs —
-/// the empirical invasion-barrier curve.
-pub fn invasion_sweep(
-    c: &dyn Congestion,
-    f: &ValueProfile,
-    resident: &Strategy,
-    mutant: &Strategy,
-    k: usize,
-    epsilons: &[f64],
-    base: InvasionConfig,
-) -> Result<Vec<(f64, InvasionReport)>> {
-    epsilons
-        .iter()
-        .map(|&eps| {
-            let config = InvasionConfig { epsilon: eps, ..base };
-            run_invasion(c, f, resident, mutant, k, config).map(|r| (eps, r))
-        })
-        .collect()
-}
-
 /// Result of a multi-type invasion experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixtureInvasionReport {
@@ -309,29 +289,6 @@ mod tests {
         .unwrap();
         assert!(report.analytic_advantage < 0.0);
         assert!(report.advantage <= 0.0);
-    }
-
-    #[test]
-    fn sweep_produces_monotone_grid() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        let k = 2;
-        let star = sigma_star(&f, k).unwrap().strategy;
-        let mutant = Strategy::uniform(2).unwrap();
-        let eps = [0.05, 0.25, 0.5];
-        let sweep = invasion_sweep(
-            &Sharing,
-            &f,
-            &star,
-            &mutant,
-            k,
-            &eps,
-            InvasionConfig { matches: 50_000, seed: 5, shards: 8, epsilon: 0.1 },
-        )
-        .unwrap();
-        assert_eq!(sweep.len(), 3);
-        for ((e, _), expect) in sweep.iter().zip(eps.iter()) {
-            assert_eq!(e, expect);
-        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * [`moran`] — finite-population Moran process with k-group matching.
 //! * [`scenario`] — time-varying traffic schedules tracked by replicator
 //!   and Moran dynamics (the population-scale scenario engine).
-//! * [`stats`] / [`rng`] — Welford/bootstrap statistics and forkable
-//!   deterministic RNG streams.
+//! * [`stats`] / [`rng`] — Welford statistics and forkable deterministic
+//!   RNG streams.
 
 #![warn(missing_docs)]
 
@@ -43,12 +43,9 @@ pub mod prelude {
     pub use crate::dynamics::{run_fictitious_play, run_logit, DynamicsConfig, DynamicsRun};
     pub use crate::engine::{self, Count, Experiment, Merge, ShardPlan, Sum};
     pub use crate::invasion::{
-        invasion_sweep, run_invasion, run_invasion_mixture, InvasionConfig, InvasionReport,
-        MixtureInvasionReport,
+        run_invasion, run_invasion_mixture, InvasionConfig, InvasionReport, MixtureInvasionReport,
     };
-    pub use crate::montecarlo::{
-        estimate_profile_coverage, estimate_symmetric, McConfig, McReport,
-    };
+    pub use crate::montecarlo::{estimate_symmetric, McConfig, McReport};
     pub use crate::moran::{run_moran, MoranConfig, MoranRun};
     pub use crate::oneshot::{OneShotGame, Outcome};
     pub use crate::replicator::{
@@ -60,6 +57,6 @@ pub mod prelude {
         EpochProfile, EpochRecord, MoranEpochRecord, Scenario, ScenarioMoranRun, ScenarioRun,
         TrafficEvent,
     };
-    pub use crate::stats::{bootstrap_mean_ci, Estimate, Welford};
+    pub use crate::stats::{Estimate, Welford};
     pub use crate::sweep::{sweep_grid, SharedGridCache, SweepCell};
 }

@@ -79,27 +79,6 @@ impl<'a> Experiment for SymmetricMc<'a> {
     }
 }
 
-/// Asymmetric coverage estimation as an engine [`Experiment`].
-struct ProfileMc<'a> {
-    f: &'a ValueProfile,
-    c: &'a dyn Congestion,
-    profile: &'a [Strategy],
-}
-
-impl<'a> Experiment for ProfileMc<'a> {
-    type State = OneShotGame<'a>;
-    type Output = Welford;
-
-    fn make_state(&self) -> Result<OneShotGame<'a>> {
-        OneShotGame::asymmetric(self.f, self.c, self.profile)
-    }
-
-    fn trial(&self, game: &mut OneShotGame<'a>, rng: &mut ChaCha8Rng, acc: &mut Welford) {
-        let (c_val, _) = game.play_coverage(rng);
-        acc.push(c_val);
-    }
-}
-
 /// Estimate coverage and individual payoff for the symmetric profile where
 /// all `k` players play `strategy` under policy `c`, in parallel.
 pub fn estimate_symmetric(
@@ -115,18 +94,6 @@ pub fn estimate_symmetric(
         payoff: Estimate::from_welford(&pay),
         trials: cov.count(),
     })
-}
-
-/// Estimate the coverage of an asymmetric profile (player `i` plays
-/// `profile[i]`).
-pub fn estimate_profile_coverage(
-    f: &ValueProfile,
-    c: &dyn Congestion,
-    profile: &[Strategy],
-    config: McConfig,
-) -> Result<Estimate> {
-    let cov = engine::run(&ProfileMc { f, c, profile }, config.plan())?;
-    Ok(Estimate::from_welford(&cov))
 }
 
 #[cfg(test)]
@@ -192,28 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn profile_coverage_matches_analytic() {
-        let f = ValueProfile::new(vec![1.0, 0.5, 0.25]).unwrap();
-        let profile = vec![
-            Strategy::new(vec![0.8, 0.1, 0.1]).unwrap(),
-            Strategy::new(vec![0.1, 0.8, 0.1]).unwrap(),
-        ];
-        let est = estimate_profile_coverage(
-            &f,
-            &Sharing,
-            &profile,
-            McConfig { trials: 150_000, seed: 21, shards: 16 },
-        )
-        .unwrap();
-        let analytic = dispersal_core::coverage::coverage_profile(&f, &profile).unwrap();
-        assert!(est.covers(analytic, 1e-3), "MC {} ± {} vs {analytic}", est.mean, est.ci95);
-    }
-
-    #[test]
     fn invalid_inputs_rejected_before_spawning() {
         let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
         let bad = Strategy::uniform(3).unwrap();
         assert!(estimate_symmetric(&f, &Sharing, &bad, 2, McConfig::default()).is_err());
-        assert!(estimate_profile_coverage(&f, &Sharing, &[], McConfig::default()).is_err());
     }
 }

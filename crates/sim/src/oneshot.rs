@@ -1,10 +1,10 @@
 //! One-shot dispersal-game sampler.
 //!
 //! Draws one play of the game: each of the `k` players independently samples
-//! a site from its strategy, collision counts are tallied, and payoffs and
-//! coverage are computed under a congestion policy. This is the empirical
-//! ground truth against which the analytic formulas of `dispersal-core`
-//! (coverage, ν-values, ESS payoffs) are validated.
+//! a site from the strategy they all play, collision counts are tallied, and
+//! payoffs and coverage are computed under a congestion policy. This is the
+//! empirical ground truth against which the analytic formulas of
+//! `dispersal-core` (coverage, ν-values, ESS payoffs) are validated.
 
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::strategy::{Strategy, StrategySampler};
@@ -31,7 +31,8 @@ pub struct Outcome {
 }
 
 /// A reusable one-shot game simulator for a fixed `(f, C, k)` and symmetric
-/// strategy. Precomputes the alias sampler and the full `M × k` reward
+/// strategy. Precomputes the one alias sampler all `k` players draw from
+/// (player `i` takes the `i`-th draw of a play) and the full `M × k` reward
 /// matrix `f(x)·C(ℓ)`, so the per-trial step is pure sampling plus table
 /// lookups — no multiplies against the congestion table, no virtual
 /// dispatch. Built once per engine shard (see `crate::engine::Experiment`)
@@ -47,7 +48,8 @@ pub struct OneShotGame<'a> {
     f: &'a ValueProfile,
     /// Site-major reward matrix: `rewards[x * k + (ℓ − 1)] = f(x)·C(ℓ)`.
     rewards: Vec<f64>,
-    samplers: Vec<StrategySampler>,
+    sampler: StrategySampler,
+    k: usize,
     occupancy: Vec<usize>,
     /// Site `x` is bit `x % 64` of `visited[x / 64]`.
     visited: Vec<u64>,
@@ -76,36 +78,11 @@ impl<'a> OneShotGame<'a> {
             return Err(Error::DimensionMismatch { strategy: strategy.len(), profile: f.len() });
         }
         let ctx = PayoffContext::new(c, k)?;
-        let sampler = StrategySampler::new(strategy);
         Ok(Self {
             f,
             rewards: reward_matrix(f, ctx.c_table()),
-            samplers: vec![sampler; k],
-            occupancy: vec![0; f.len()],
-            visited: vec![0; f.len().div_ceil(64)],
-        })
-    }
-
-    /// Build an asymmetric game: player `i` uses `profile[i]`.
-    pub fn asymmetric(
-        f: &'a ValueProfile,
-        c: &dyn dispersal_core::policy::Congestion,
-        profile: &[Strategy],
-    ) -> Result<Self> {
-        if profile.is_empty() {
-            return Err(Error::InvalidPlayerCount { k: 0 });
-        }
-        for s in profile {
-            if s.len() != f.len() {
-                return Err(Error::DimensionMismatch { strategy: s.len(), profile: f.len() });
-            }
-        }
-        let ctx = PayoffContext::new(c, profile.len())?;
-        let samplers: Vec<StrategySampler> = profile.iter().map(StrategySampler::new).collect();
-        Ok(Self {
-            f,
-            rewards: reward_matrix(f, ctx.c_table()),
-            samplers,
+            sampler: StrategySampler::new(strategy),
+            k,
             occupancy: vec![0; f.len()],
             visited: vec![0; f.len().div_ceil(64)],
         })
@@ -113,21 +90,24 @@ impl<'a> OneShotGame<'a> {
 
     /// Number of players.
     pub fn k(&self) -> usize {
-        self.samplers.len()
+        self.k
+    }
+
+    /// Draw one player's site, and count it in the occupancy and the
+    /// visited-site bitset.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
+        let site = self.sampler.sample(rng);
+        self.occupancy[site] += 1;
+        self.visited[site / 64] |= 1 << (site % 64);
+        site
     }
 
     /// Play one round, returning the full outcome (allocates the outcome
     /// vectors; use [`Self::play_coverage`] in tight loops that only need
     /// scalar statistics).
     pub fn play<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Outcome {
-        let k = self.samplers.len();
-        let mut choices = Vec::with_capacity(k);
-        for sampler in &self.samplers {
-            let site = sampler.sample(rng);
-            self.occupancy[site] += 1;
-            self.visited[site / 64] |= 1 << (site % 64);
-            choices.push(site);
-        }
+        let k = self.k;
+        let choices: Vec<usize> = (0..k).map(|_| self.draw(rng)).collect();
         let payoffs: Vec<f64> =
             choices.iter().map(|&site| self.rewards[site * k + self.occupancy[site] - 1]).collect();
         let occupancy = self.occupancy.clone();
@@ -145,15 +125,10 @@ impl<'a> OneShotGame<'a> {
     /// Play one round returning only `(coverage, payoff of player 0)` —
     /// the allocation-free fast path for Monte-Carlo estimation.
     pub fn play_coverage<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (f64, f64) {
-        let k = self.samplers.len();
-        let mut first_site = 0usize;
-        for (i, sampler) in self.samplers.iter().enumerate() {
-            let site = sampler.sample(rng);
-            self.occupancy[site] += 1;
-            self.visited[site / 64] |= 1 << (site % 64);
-            if i == 0 {
-                first_site = site;
-            }
+        let k = self.k;
+        let first_site = self.draw(rng);
+        for _ in 1..k {
+            self.draw(rng);
         }
         let payoff0 = self.rewards[first_site * k + self.occupancy[first_site] - 1];
         (self.clear_visited(|_| {}), payoff0)
@@ -194,14 +169,6 @@ mod tests {
         assert!(OneShotGame::symmetric(&f, &Sharing, &s3, 2).is_err());
         let s2 = Strategy::uniform(2).unwrap();
         assert!(OneShotGame::symmetric(&f, &Sharing, &s2, 0).is_err());
-    }
-
-    #[test]
-    fn asymmetric_game_validates() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        assert!(OneShotGame::asymmetric(&f, &Sharing, &[]).is_err());
-        let s3 = Strategy::uniform(3).unwrap();
-        assert!(OneShotGame::asymmetric(&f, &Sharing, &[s3]).is_err());
     }
 
     #[test]
@@ -279,19 +246,5 @@ mod tests {
             last_word_plays += usize::from(o.choices.iter().any(|&x| x >= 128));
         }
         assert!(last_word_plays > 100, "only {last_word_plays} plays reached sites 128-129");
-    }
-
-    #[test]
-    fn asymmetric_assignment_never_collides() {
-        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
-        let profile = vec![Strategy::delta(2, 0).unwrap(), Strategy::delta(2, 1).unwrap()];
-        let mut game = OneShotGame::asymmetric(&f, &Exclusive, &profile).unwrap();
-        let mut rng = Seed(9).rng();
-        for _ in 0..50 {
-            let o = game.play(&mut rng);
-            assert_eq!(o.collision_sites, 0);
-            assert!((o.coverage - 1.5).abs() < 1e-15);
-            assert_eq!(o.payoffs, vec![1.0, 0.5]);
-        }
     }
 }

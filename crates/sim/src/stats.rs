@@ -1,8 +1,5 @@
-//! Streaming statistics: Welford accumulation, confidence intervals, and
-//! bootstrap resampling for simulation outputs.
-
-use dispersal_core::{Error, Result};
-use rand::Rng;
+//! Streaming statistics for simulation outputs: Welford accumulation and
+//! normal-approximation confidence intervals.
 
 /// Numerically stable streaming mean/variance accumulator (Welford).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -103,42 +100,6 @@ impl Estimate {
     }
 }
 
-/// Percentile-bootstrap confidence interval for the mean of `data`.
-///
-/// Returns `(lo, hi)` at the given confidence `level ∈ (0, 1)` using
-/// `resamples ≥ 1` bootstrap replicates; empty data or an out-of-range
-/// argument is an [`Error::InvalidArgument`].
-pub fn bootstrap_mean_ci<R: Rng + ?Sized>(
-    data: &[f64],
-    resamples: usize,
-    level: f64,
-    rng: &mut R,
-) -> Result<(f64, f64)> {
-    if data.is_empty() || resamples == 0 || !(level > 0.0 && level < 1.0) {
-        return Err(Error::InvalidArgument(format!(
-            "bootstrap needs data, resamples and a level in (0, 1), got {} points, \
-             {resamples} resamples, level {level}",
-            data.len()
-        )));
-    }
-    let n = data.len();
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            acc += data[rng.gen_range(0..n)];
-        }
-        means.push(acc / n as f64);
-    }
-    // Total order on f64 (no NaNs can occur here: means of finite data);
-    // also keeps this library path panic-free.
-    means.sort_by(f64::total_cmp);
-    let alpha = (1.0 - level) / 2.0;
-    let lo_idx = ((resamples as f64) * alpha).floor() as usize;
-    let hi_idx = (((resamples as f64) * (1.0 - alpha)).ceil() as usize).min(resamples - 1);
-    Ok((means[lo_idx], means[hi_idx]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,23 +177,5 @@ mod tests {
         let est = Estimate::from_welford(&w);
         assert!(est.covers(0.5, 0.01), "mean {} ci {}", est.mean, est.ci95);
         assert!(!est.covers(0.9, 0.0));
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_true_mean() {
-        let mut rng = Seed(11).rng();
-        let data: Vec<f64> = (0..500).map(|_| rand::Rng::gen::<f64>(&mut rng) * 2.0).collect();
-        let (lo, hi) = bootstrap_mean_ci(&data, 500, 0.95, &mut rng).unwrap();
-        assert!(lo < 1.0 && 1.0 < hi, "CI ({lo}, {hi}) should contain 1.0");
-        assert!(lo < hi);
-    }
-
-    #[test]
-    #[should_panic(expected = "got 0 points")]
-    fn bootstrap_rejects_empty() {
-        let mut rng = Seed(0).rng();
-        assert!(bootstrap_mean_ci(&[1.0], 0, 0.95, &mut rng).is_err());
-        assert!(bootstrap_mean_ci(&[1.0], 10, 1.0, &mut rng).is_err());
-        bootstrap_mean_ci(&[], 10, 0.95, &mut rng).unwrap();
     }
 }
