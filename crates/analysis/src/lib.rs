@@ -41,11 +41,12 @@
 //!   `crates/bench/benches/<name>.rs` must have its `BENCH_<name>.json`,
 //!   so no bench runs without a recorded trajectory. Trajectories with
 //!   named per-lane floors ([`REQUIRED_GUARD_LABELS`]: the engine
-//!   pool-reuse and two-thread floors, the batch GEMM and reference-tile
-//!   AVX2-vs-scalar floors, the serve admission-batching floor, the
-//!   search batched-expansion floor, the kernel fused-path and
-//!   interp-vs-fused floors, the IFD water-filling-vs-nested-bisection
-//!   floor, the ESS kernel-ledger and lazy-check-vs-full-ledger floors)
+//!   pool-reuse, two-thread and alias-draw-vs-keystream floors, the
+//!   batch GEMM and reference-tile AVX2-vs-scalar floors, the serve
+//!   admission-batching floor, the search batched-expansion floor, the
+//!   kernel fused-path and interp-vs-fused floors, the IFD
+//!   water-filling-vs-nested-bisection floor, the ESS kernel-ledger and
+//!   lazy-check-vs-full-ledger floors)
 //!   must keep those labels in their guard — deleting a floor is a lint
 //!   failure, not a silent coverage loss.
 //! * [`Lint::DeadPublicApi`] — a `pub fn` in non-test code of
@@ -714,6 +715,7 @@ pub const REQUIRED_GUARD_LABELS: [(&str, &[&str]); 7] = [
             "engine pool_overhead",
             "engine pool_reuse dispatch-vs-respawn",
             "engine two-thread speedup",
+            "engine alias-draw-vs-keystream",
         ],
     ),
     ("serve", &["serve admission-batch-vs-sequential"]),
@@ -1410,13 +1412,16 @@ let lt: &'static str = unrelated;"##;
         let engine_src = "if guard::quick_mode() { \
             check_overhead(\"engine pool_overhead 4-thread\", s, p, 4.0); \
             check_speedup(\"engine pool_reuse dispatch-vs-respawn\", r, d); \
-            let label = \"engine two-thread speedup\"; }";
-        let v = lint_bench_guards(&[guard_input(
-            "engine",
-            Some(engine_src),
-            "run: cargo bench -p dispersal-bench --bench engine -- --quick",
-        )]);
+            let label = \"engine two-thread speedup\"; \
+            check_overhead(\"engine alias-draw-vs-keystream\", k, d, 2.5); }";
+        let ci = "run: cargo bench -p dispersal-bench --bench engine -- --quick";
+        let v = lint_bench_guards(&[guard_input("engine", Some(engine_src), ci)]);
         assert!(v.is_empty(), "{v:?}");
+        // Dropping the alias-draw floor is caught.
+        let without = engine_src.replace("engine alias-draw-vs-keystream", "engine draws");
+        let v = lint_bench_guards(&[guard_input("engine", Some(&without), ci)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].excerpt.contains("engine alias-draw-vs-keystream"), "{v:?}");
         let batch_src = "if guard::quick_mode() { \
             check_speedup(\"batch gemm_speedup p=16 k=64\", a, b); \
             check_speedup(\"batch gbatch_gemm avx2-vs-scalar p=16 k=256\", c, d); \

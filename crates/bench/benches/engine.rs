@@ -20,15 +20,18 @@
 //! `oneshot_play_20k` times 20 000 back-to-back `play_coverage` calls per
 //! iteration on one game and stream (divide by 20 000 for one trial): the
 //! keystream draws plus the visited-site walk, without the engine around
-//! them. The M = 1000 case shows the walk costing O(k + M/64), not O(M).
+//! them. The M = 1000 case shows the walk costing O(k + M/64), not O(M);
+//! `m20_k8` is the game of the thread sweep and of the repo benchmark's
+//! `mc` workload.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use dispersal_core::policy::Exclusive;
-use dispersal_core::strategy::Strategy;
+use dispersal_core::strategy::{Strategy, StrategySampler};
 use dispersal_core::value::ValueProfile;
 use dispersal_sim::montecarlo::{estimate_symmetric, McConfig};
 use dispersal_sim::oneshot::OneShotGame;
 use dispersal_sim::rng::Seed;
+use rand::RngCore;
 use std::time::Instant;
 
 const TRIALS: u64 = 200_000;
@@ -39,6 +42,17 @@ const PLAYS: u32 = 20_000;
 /// The two-thread floor of the quick guard: one 200k-trial call on two
 /// workers must run at least this many times faster than on one.
 const MIN_TWO_THREAD_SPEEDUP: f64 = 1.4;
+
+/// Alias draws per timed call of the alias-draw floor; the keystream side
+/// reads the `2·DRAWS` words they consume.
+const DRAWS: usize = 1_000_000;
+
+/// The alias-draw floor of the quick guard: `DRAWS` sampler draws may
+/// take at most this many times as long as the `2·DRAWS` raw keystream
+/// words they read. On a 2-vCPU x86-64 VM the integer draw reads about
+/// 1.4×, and the float draw it replaced (a 64-bit divide for the column,
+/// a float compare and branch to accept) read 3.2×.
+const MAX_DRAW_OVER_KEYSTREAM: f64 = 2.5;
 
 /// One small parallel dispatch: 64 near-trivial items, the regime where
 /// per-`execute()` fixed costs (historically: thread respawn) dominate.
@@ -86,7 +100,7 @@ fn bench_engine_thread_sweep(c: &mut Criterion) {
 
 fn bench_oneshot_play(c: &mut Criterion) {
     let mut group = c.benchmark_group("oneshot_play_20k");
-    for &(m, k) in &[(50usize, 2usize), (50, 16), (50, 128), (1000, 8)] {
+    for &(m, k) in &[(50usize, 2usize), (50, 16), (50, 128), (1000, 8), (20, 8)] {
         let f = ValueProfile::zipf(m, 1.0, 1.0).unwrap();
         let p = Strategy::proportional(f.values()).unwrap();
         let mut game = OneShotGame::symmetric(&f, &Exclusive, &p, k).unwrap();
@@ -135,7 +149,29 @@ fn one_vs_two_thread_medians(run: impl Fn()) -> (f64, f64) {
     (median(one), median(two))
 }
 
-/// CI guard mode (`-- --quick`), three floors:
+/// Seconds per call of `DRAWS` alias draws from `sampler` and of the
+/// `2·DRAWS` raw keystream words they read, on one stream.
+fn draw_and_keystream_times(sampler: &StrategySampler) -> (f64, f64) {
+    use dispersal_bench::guard;
+    let mut rng = Seed(1).rng();
+    let draws = guard::time_per_call(10, || {
+        let mut sites = 0usize;
+        for _ in 0..DRAWS {
+            sites = sites.wrapping_add(sampler.sample(&mut rng));
+        }
+        black_box(sites);
+    });
+    let keystream = guard::time_per_call(10, || {
+        let mut words = 0u64;
+        for _ in 0..2 * DRAWS {
+            words ^= rng.next_u64();
+        }
+        black_box(words);
+    });
+    (draws, keystream)
+}
+
+/// CI guard mode (`-- --quick`), four floors:
 ///
 /// 1. The 4-thread pool must stay within a coarse overhead bound of the
 ///    1-thread run on the same workload. CI runners may be single-core,
@@ -154,6 +190,10 @@ fn one_vs_two_thread_medians(run: impl Fn()) -> (f64, f64) {
 ///    (medians of 7 alternating calls). Shards share nothing but the
 ///    merge, so a lower ratio means a serial bottleneck crept into the
 ///    engine or the pool. Single-core hosts skip this floor with a note.
+/// 4. `alias-draw-vs-keystream`: [`DRAWS`] draws from the `mc` game's
+///    sampler must take at most [`MAX_DRAW_OVER_KEYSTREAM`]× the time of
+///    the `2·DRAWS` keystream words they read. A draw that grows a divide
+///    or a data-dependent branch again fails it on any host.
 fn quick_guard() -> ! {
     use dispersal_bench::guard;
     let f = ValueProfile::zipf(20, 1.0, 1.0).unwrap();
@@ -204,7 +244,14 @@ fn quick_guard() -> ! {
         );
         speedup >= MIN_TWO_THREAD_SPEEDUP
     };
-    guard::finish(overhead_ok && reuse_ok && two_thread_ok)
+    let (draws, keystream) = draw_and_keystream_times(&StrategySampler::new(&p));
+    let draw_ok = guard::check_overhead(
+        "engine alias-draw-vs-keystream",
+        keystream,
+        draws,
+        MAX_DRAW_OVER_KEYSTREAM,
+    );
+    guard::finish(overhead_ok && reuse_ok && two_thread_ok && draw_ok)
 }
 
 criterion_group!(benches, bench_engine_thread_sweep, bench_pool_reuse, bench_oneshot_play);

@@ -6,8 +6,9 @@
 //! properties the paper studies.
 
 use crate::error::{Error, Result};
-use rand::distributions::Distribution;
 use rand::Rng;
+use std::num::NonZeroU64;
+use std::ops::Rem;
 
 /// Tolerance used when validating that probabilities sum to one.
 pub const NORMALIZATION_TOL: f64 = 1e-9;
@@ -205,38 +206,84 @@ impl Strategy {
     }
 }
 
+/// A 64-bit divisor `n ≥ 1` fixed in advance: `w % divisor` is `w % n`,
+/// computed directly (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019).
+///
+/// `magic = ceil(2¹²⁸ / n)` is computed once; each remainder is then the
+/// high 64 bits of `(magic·w mod 2¹²⁸)·n`, three multiplies and no divide.
+/// With a 128-bit fraction this is exact for every 64-bit `w` and every
+/// `n ≥ 1`; for `n = 1`, `magic` wraps to 0 and so does every remainder.
+#[derive(Debug, Clone, Copy)]
+pub struct Divisor {
+    n: u64,
+    magic: u128,
+}
+
+impl Divisor {
+    /// Precompute the reciprocal of `n`.
+    pub fn new(n: NonZeroU64) -> Self {
+        let n = n.get();
+        // floor((2¹²⁸ − 1) / n) + 1 = ceil(2¹²⁸ / n).
+        Self { n, magic: (u128::MAX / u128::from(n)).wrapping_add(1) }
+    }
+}
+
+impl Rem<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn rem(self, divisor: Divisor) -> u64 {
+        let fraction = divisor.magic.wrapping_mul(u128::from(self));
+        let n = u128::from(divisor.n);
+        let carry = (u128::from(fraction as u64) * n) >> 64;
+        (((fraction >> 64) * n + carry) >> 64) as u64
+    }
+}
+
+/// `2⁵³`: a uniform `f64` in `[0, 1)` is the top 53 bits of a word
+/// times `2⁻⁵³`.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
 /// O(1) alias-method sampler for repeated draws from a fixed [`Strategy`].
 ///
-/// Building the table is O(M); each draw is O(1). This is the sampler the
-/// Monte-Carlo engine uses for millions of one-shot trials.
+/// Building the table is O(M); each draw is O(1), integer-only and
+/// branch-free. This is the sampler the Monte-Carlo engine uses for
+/// millions of one-shot trials.
+///
+/// # Stream contract
+///
+/// Each draw reads exactly two words, `w₁` then `w₂`, with
+/// `RngCore::next_u64`. The column is `i = w₁ % n` (by a [`Divisor`]), and
+/// the draw returns `i` when the top 53 bits of `w₂` are below
+/// `ceil(prob_i·2⁵³)`, else column `i`'s alias. Here `prob_i` is the
+/// column's share in Vose's table, built in `f64`.
+///
+/// This is the same site as `gen_range(0..n)` followed by
+/// `gen::<f64>() < prob_i`. That float is exactly `(w₂ >> 11)·2⁻⁵³`, and
+/// `prob_i·2⁵³` is exact too, so the float compare is
+/// `(w₂ >> 11) < prob_i·2⁵³` between exact numbers; with an integer on the
+/// left it holds exactly when `(w₂ >> 11) < ceil(prob_i·2⁵³)`.
 #[derive(Debug, Clone)]
 pub struct StrategySampler {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
+    /// Per column: `(ceil(prob·2⁵³), alias)`.
+    columns: Vec<(u64, usize)>,
+    n: Divisor,
 }
 
 impl StrategySampler {
     /// Precompute the alias table (Vose's algorithm).
     pub fn new(strategy: &Strategy) -> Self {
         let n = strategy.len();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let scaled: Vec<f64> = strategy.probs().iter().map(|&p| p * n as f64).collect();
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        let mut work = scaled.clone();
-        for (i, &w) in work.iter().enumerate() {
-            if w < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            prob[s] = work[s];
-            alias[s] = l;
+        // `work[i]` is column i's mass left to place, in units of 1/n.
+        let mut work: Vec<f64> = strategy.probs().iter().map(|&p| p * n as f64).collect();
+        // A column never paired as the small side (Vose's leftovers, and
+        // the one popped when the other stack ran out) keeps its whole
+        // mass: a share of 1, which every 53-bit draw is below.
+        let mut columns = vec![(1u64 << 53, 0); n];
+        let (mut small, mut large): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| work[i] < 1.0);
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            columns[s] = ((work[s] * TWO_POW_53).ceil() as u64, l);
             work[l] = (work[l] + work[s]) - 1.0;
             if work[l] < 1.0 {
                 small.push(l);
@@ -244,31 +291,21 @@ impl StrategySampler {
                 large.push(l);
             }
         }
-        for &l in &large {
-            prob[l] = 1.0;
-        }
-        for &s in &small {
-            prob[s] = 1.0;
-        }
-        Self { prob, alias }
+        // A strategy has at least one site.
+        let n = NonZeroU64::new(n as u64).unwrap_or(NonZeroU64::MIN);
+        Self { columns, n: Divisor::new(n) }
     }
 
     /// Draw one site index.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let n = self.prob.len();
-        let i = rng.gen_range(0..n);
-        if rng.gen::<f64>() < self.prob[i] {
-            i
+        let column = (rng.next_u64() % self.n) as usize;
+        let (threshold, alias) = self.columns[column];
+        if rng.next_u64() >> 11 < threshold {
+            column
         } else {
-            self.alias[i]
+            alias
         }
-    }
-}
-
-impl Distribution<usize> for StrategySampler {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        StrategySampler::sample(self, rng)
     }
 }
 

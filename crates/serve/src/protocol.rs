@@ -29,8 +29,9 @@
 //! Size fields are bounded — `k` by [`MAX_K`], `resolution` by
 //! [`MAX_RESOLUTION`], `epochs` by [`MAX_EPOCHS`], `mutants` by
 //! [`MAX_MUTANTS`] — and an over-limit field is refused at parse time
-//! with an error naming the limit. Two requests are also bounded as a
-//! whole, with an error naming the budget:
+//! with an error naming the limit, as is a `resolution` of 0 (the
+//! minimum is 1). Two requests are also bounded as a whole, with an
+//! error naming the budget:
 //!
 //! * an exact `"response"` (no `"tol"`) and a `"catalog"` scan, whose work
 //!   over all their curves ([`response_work`]: one curve for a response,
@@ -270,12 +271,14 @@ fn require_k(entries: &[(String, Value)]) -> Result<usize, String> {
     at_most("k", require_usize(entries, "k")?, MAX_K)
 }
 
+/// `"resolution"` in `1..=MAX_RESOLUTION`: a grid needs at least one
+/// step, and refusing 0 here keeps the line out of the admission queue.
 fn optional_resolution(entries: &[(String, Value)]) -> Result<usize, String> {
-    at_most(
-        "resolution",
-        optional_usize(entries, "resolution", DEFAULT_RESOLUTION)?,
-        MAX_RESOLUTION,
-    )
+    let resolution = optional_usize(entries, "resolution", DEFAULT_RESOLUTION)?;
+    if resolution == 0 {
+        return Err("field \"resolution\" = 0 is below the minimum 1".into());
+    }
+    at_most("resolution", resolution, MAX_RESOLUTION)
 }
 
 fn require_u64(entries: &[(String, Value)], name: &str) -> Result<u64, String> {
@@ -559,6 +562,20 @@ mod tests {
             assert!(parse_line(&line(limit)).1.is_ok(), "{} at its limit", line(limit));
             let err = parse_line(&line(limit + 1)).1.unwrap_err();
             assert!(err.contains(&format!("limit {limit}")), "{}: {err}", line(limit + 1));
+        }
+    }
+
+    #[test]
+    fn zero_resolution_is_refused_at_parse_time() {
+        for line in [
+            r#"{"id":1,"cmd":"response","policy":"sharing","k":4,"resolution":0}"#,
+            r#"{"id":2,"cmd":"response","policy":"sharing","k":4,"resolution":0,"tol":1e-9}"#,
+            r#"{"id":3,"cmd":"catalog","k":4,"resolution":0}"#,
+        ] {
+            let err = parse_line(line).1.unwrap_err();
+            assert!(err.contains("\"resolution\"") && err.contains("minimum 1"), "{line}: {err}");
+            let one = line.replace("\"resolution\":0", "\"resolution\":1");
+            assert!(parse_line(&one).1.is_ok(), "{one}");
         }
     }
 

@@ -213,6 +213,34 @@ fn oversized_fields_are_refused_and_the_dispatcher_keeps_serving() {
 }
 
 #[test]
+fn zero_resolution_is_refused_at_parse_time() {
+    // Regression: the parser bounded `resolution` only from above, so an
+    // exact response or catalog scan at resolution 0 passed the work
+    // budget, was queued and dispatched, and failed only in the grid
+    // builder. The parser now refuses it, naming the field's minimum.
+    let server = bounded_server(1 << 20);
+    for line in [
+        r#"{"id":1,"cmd":"response","policy":"sharing","k":4,"resolution":0}"#,
+        r#"{"id":2,"cmd":"catalog","k":4,"resolution":0}"#,
+    ] {
+        let reply = call_within_5s(server.addr(), line);
+        assert!(reply.contains("\"ok\":false"), "{line} must be refused: {reply}");
+        assert!(
+            reply.contains("resolution") && reply.contains("minimum 1"),
+            "{line}: minimum not named: {reply}"
+        );
+    }
+    let stats = call_within_5s(server.addr(), r#"{"id":3,"cmd":"stats"}"#);
+    assert!(stats.contains("\"ok\":true"), "stats after the refusals: {stats}");
+    let reply = call_within_5s(
+        server.addr(),
+        r#"{"id":4,"cmd":"response","policy":"sharing","k":4,"resolution":8}"#,
+    );
+    assert!(reply.contains("\"ok\":true"), "a valid response must still be served: {reply}");
+    server.shutdown();
+}
+
+#[test]
 fn ess_requests_beyond_the_work_budget_are_refused_promptly() {
     // Regression: every `ess` line with k ≤ 10⁶ used to reach the probe.
     // σ⋆ under the exclusive policy ties at every ledger level at large k,
