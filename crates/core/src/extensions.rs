@@ -13,7 +13,7 @@
 //!   the group. The paper's coverage is the `cap → ∞` limit.
 
 use crate::error::{Error, Result};
-use crate::ifd::{water_fill, Occupancy};
+use crate::ifd::{water_fill, GMemo, Occupancy};
 use crate::numerics::binomial_pmf_vector;
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
@@ -81,7 +81,7 @@ pub fn solve_ifd_with_costs(
     let pad = 1e-12 * (1.0 + hi.abs() + lo.abs());
     hi += pad;
     lo -= pad;
-    let (nu, mut probs) = water_fill(kernel, f.len(), lo, hi, |x, nu| {
+    let (nu, mut probs) = water_fill(&mut GMemo::new(kernel), f.len(), lo, hi, |x, nu| {
         let solo = f.value(x) * kernel.at_zero() - costs[x];
         if solo <= nu {
             return Occupancy::Fixed(0.0);

@@ -31,6 +31,14 @@
 //!   `g(q) ≥ t` gives the same answer at `t(ν_lo)` and `t(ν_hi)` gives it
 //!   for every later step, so each site keeps the deepest bracket reached
 //!   that way and resumes its walk there instead of at `[0, 1]`.
+//! * **An exact memo of `g`.** Walks that resume from an anchor, levels
+//!   past float resolution (where a bracket's midpoint is one of its
+//!   ends) and sites sharing a point keep asking for `g` at a `q` the
+//!   same call has already evaluated. Each call holds a direct-mapped
+//!   table of 2¹⁰ slots keyed by `q`'s bits; a lookup hits only on the
+//!   full key. `g` is a pure function of `q` for a fixed [`GTable`],
+//!   exact or grid-backed, so a hit returns the bits a fresh evaluation
+//!   would, and the table is 16 KiB however large `M` or `k` is.
 //!
 //! This handles negative congestion values (aggression): `ν` itself may be
 //! negative when players are forced to crowd (`M` small, `k` large).
@@ -44,10 +52,62 @@ use crate::value::ValueProfile;
 
 /// Outer bisection steps on the common value `ν`, and inner bisection
 /// steps inverting `g_C` at each site. 90 × 64 keeps the residual near
-/// machine precision; the core evaluates `g_C` about a tenth as often as
+/// machine precision; the core skips most of the evaluations of `g_C`
 /// that product suggests without changing a bit of the result.
 const OUTER_ITERS: usize = 90;
 const INNER_ITERS: u32 = 64;
+
+/// A [`GMemo`] has `2^MEMO_BITS` slots.
+const MEMO_BITS: u32 = 10;
+
+/// The key of an empty slot: the bits of −1.0, which no walk midpoint in
+/// `[0, 1]` has.
+const EMPTY: u64 = 0xbff0_0000_0000_0000;
+
+/// The slot of key `key`: the top [`MEMO_BITS`] bits of a multiplicative
+/// hash.
+fn slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_BITS)) as usize
+}
+
+/// `g` for one water-filling call, memoized exactly: a direct-mapped table
+/// of `(q.to_bits(), g(q))` slots, where a miss evaluates
+/// [`GTable::eval_fast_with`] and overwrites the slot.
+pub(crate) struct GMemo<'k> {
+    kernel: &'k GTable,
+    scratch: GScratch,
+    slots: Box<[(u64, f64); 1 << MEMO_BITS]>,
+    /// Kernel evaluations so far.
+    #[cfg(test)]
+    misses: usize,
+}
+
+impl<'k> GMemo<'k> {
+    /// A memo of `kernel`'s `g` with every slot empty.
+    pub(crate) fn new(kernel: &'k GTable) -> Self {
+        GMemo {
+            kernel,
+            scratch: kernel.scratch(),
+            slots: Box::new([(EMPTY, 0.0); 1 << MEMO_BITS]),
+            #[cfg(test)]
+            misses: 0,
+        }
+    }
+
+    /// `g(q)`: read from `q`'s slot when the slot holds `q`'s key.
+    fn g(&mut self, q: f64) -> f64 {
+        let key = q.to_bits();
+        let slot = &mut self.slots[slot(key)];
+        if slot.0 != key {
+            *slot = (key, self.kernel.eval_fast_with(&mut self.scratch, q));
+            #[cfg(test)]
+            {
+                self.misses += 1;
+            }
+        }
+        slot.1
+    }
+}
 
 /// An IFD solution: the equilibrium strategy plus diagnostics.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,10 +181,10 @@ impl Walk {
 
     /// Finish the walk (every level below the current depth) and return
     /// its output: the midpoint of the full-depth bracket.
-    fn finish(&mut self, kernel: &GTable, scratch: &mut GScratch) -> f64 {
+    fn finish(&mut self, memo: &mut GMemo) -> f64 {
         while self.live() {
             let q = self.mid();
-            self.step(q, kernel.eval_fast_with(scratch, q));
+            self.step(q, memo.g(q));
         }
         self.mid()
     }
@@ -136,12 +196,13 @@ impl Walk {
 /// `rule(x, ν)` is site `x`'s occupancy rule. Where it returns a target,
 /// the target must be non-decreasing in `ν`, and the values of `ν` where
 /// it returns one must form an interval; both solvers' rules divide by a
-/// positive site value, which gives both. `g` is evaluated through
-/// [`GTable::eval_fast_with`]: `O(1)` per evaluation on a context with an
-/// interpolation grid ([`PayoffContext::with_spec`], the large-`k` path),
-/// and bit-identical to the exact `eval_with` without one.
+/// positive site value, which gives both. `g` comes from `memo`, a fresh
+/// one per call, whose misses run [`GTable::eval_fast_with`]: `O(1)` per
+/// evaluation on a context with an interpolation grid
+/// ([`PayoffContext::with_spec`], the large-`k` path), and bit-identical
+/// to the exact `eval_with` without one.
 pub(crate) fn water_fill<R>(
-    kernel: &GTable,
+    memo: &mut GMemo,
     sites: usize,
     lo: f64,
     hi: f64,
@@ -150,12 +211,11 @@ pub(crate) fn water_fill<R>(
 where
     R: Fn(usize, f64) -> Occupancy,
 {
-    let mut scratch = kernel.scratch();
     let mut walks = vec![Walk::ROOT; sites];
     let (mut lo_nu, mut hi_nu) = (lo, hi);
     for _ in 0..OUTER_ITERS {
         let mid = 0.5 * (lo_nu + hi_nu);
-        if reaches_one(kernel, &mut scratch, &mut walks, &rule, [lo_nu, hi_nu], mid) {
+        if reaches_one(memo, &mut walks, &rule, [lo_nu, hi_nu], mid) {
             lo_nu = mid;
         } else {
             hi_nu = mid;
@@ -169,7 +229,7 @@ where
             Occupancy::Fixed(q) => q,
             Occupancy::Target(t) => {
                 walk.restart(t);
-                walk.finish(kernel, &mut scratch)
+                walk.finish(memo)
             }
         })
         .collect();
@@ -179,14 +239,7 @@ where
 /// One outer step: whether `S(mid) ≥ 1`, for `mid` inside the outer
 /// bracket `nu`. Advances the walks only as deep as the decision needs,
 /// and the anchors along the way.
-fn reaches_one<R>(
-    kernel: &GTable,
-    scratch: &mut GScratch,
-    walks: &mut [Walk],
-    rule: &R,
-    nu: [f64; 2],
-    mid: f64,
-) -> bool
+fn reaches_one<R>(memo: &mut GMemo, walks: &mut [Walk], rule: &R, nu: [f64; 2], mid: f64) -> bool
 where
     R: Fn(usize, f64) -> Occupancy,
 {
@@ -223,7 +276,7 @@ where
                 continue;
             }
             let q = walk.mid();
-            let gq = kernel.eval_fast_with(scratch, q);
+            let gq = memo.g(q);
             // Still on the anchor, and the level goes the same way for
             // every target the outer bracket allows: the anchor follows.
             let anchored = walk.depth == walk.anchor_depth
@@ -284,33 +337,7 @@ pub fn solve_ifd_with_context(ctx: &PayoffContext, f: &ValueProfile) -> Result<I
         let strategy = Strategy::delta(f.len(), 0)?;
         return Ok(Ifd { strategy, value: f.value(0), support: 1, residual: 0.0 });
     }
-    let kernel = ctx.kernel();
-    // g(1) = C(k), possibly negative.
-    let g1 = kernel.at_one();
-    // nu_hi: at nu = f(1)·g(0) = f(1), every occupancy is 0, S = 0 <= 1.
-    let mut hi = f.value(0) * kernel.at_zero();
-    // nu_lo: a value at which every site is fully occupied, S = M >= 1.
-    let mut lo = if g1 >= 0.0 { f.value(f.len() - 1) * g1 } else { f.value(0) * g1 };
-    // Guard the bracket against round-off at the endpoints.
-    let pad = 1e-12 * (1.0 + hi.abs() + lo.abs());
-    hi += pad;
-    lo -= pad;
-    let values = f.values();
-    let (nu, mut probs) = water_fill(kernel, values.len(), lo, hi, |x, nu| {
-        let fx = values[x];
-        // Site is used only when its solo value strictly exceeds nu.
-        if fx <= nu {
-            return Occupancy::Fixed(0.0);
-        }
-        let target = nu / fx;
-        if target >= kernel.at_zero() {
-            Occupancy::Fixed(0.0)
-        } else if target <= g1 {
-            Occupancy::Fixed(1.0)
-        } else {
-            Occupancy::Target(target)
-        }
-    });
+    let (nu, mut probs) = fill_ifd(&mut GMemo::new(ctx.kernel()), f);
     // Exact renormalization of residual bisection slack.
     let sum: f64 = crate::numerics::kahan_sum(probs.iter().copied());
     if sum <= 0.0 {
@@ -326,6 +353,38 @@ pub fn solve_ifd_with_context(ctx: &PayoffContext, f: &ValueProfile) -> Result<I
     let support = strategy.support_size(1e-12);
     let residual = ifd_residual(ctx, f, &strategy)?;
     Ok(Ifd { strategy, value: nu, support, residual })
+}
+
+/// The IFD's outer bracket and per-site rule, run through the
+/// water-filling core: `ν` and the occupancies before renormalization.
+fn fill_ifd(memo: &mut GMemo, f: &ValueProfile) -> (f64, Vec<f64>) {
+    let kernel = memo.kernel;
+    // g(1) = C(k), possibly negative.
+    let g1 = kernel.at_one();
+    // nu_hi: at nu = f(1)·g(0) = f(1), every occupancy is 0, S = 0 <= 1.
+    let mut hi = f.value(0) * kernel.at_zero();
+    // nu_lo: a value at which every site is fully occupied, S = M >= 1.
+    let mut lo = if g1 >= 0.0 { f.value(f.len() - 1) * g1 } else { f.value(0) * g1 };
+    // Guard the bracket against round-off at the endpoints.
+    let pad = 1e-12 * (1.0 + hi.abs() + lo.abs());
+    hi += pad;
+    lo -= pad;
+    let values = f.values();
+    water_fill(memo, values.len(), lo, hi, |x, nu| {
+        let fx = values[x];
+        // Site is used only when its solo value strictly exceeds nu.
+        if fx <= nu {
+            return Occupancy::Fixed(0.0);
+        }
+        let target = nu / fx;
+        if target >= kernel.at_zero() {
+            Occupancy::Fixed(0.0)
+        } else if target <= g1 {
+            Occupancy::Fixed(1.0)
+        } else {
+            Occupancy::Target(target)
+        }
+    })
 }
 
 /// Measure the worst violation of the IFD conditions for a candidate `p`
@@ -367,8 +426,19 @@ pub fn nash_gap(c: &dyn Congestion, f: &ValueProfile, p: &Strategy, k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Constant, Exclusive, PowerLaw, Sharing, TwoLevel};
+    use crate::kernel::GridSpec;
+    use crate::policy::{Constant, Exclusive, PowerLaw, Sharing, TableCongestion, TwoLevel};
     use crate::sigma_star::sigma_star;
+
+    /// `piecewise:t=4,c1=0.25,d=0.5` at k = 6: the centre of the
+    /// mechanism search's piecewise root box, which the `ifd` bench times.
+    fn search_candidate() -> TableCongestion {
+        TableCongestion::new(
+            vec![1.0, 0.25, 0.25, 0.25, -0.25, -0.25],
+            "piecewise:t=4,c1=0.25,d=0.5",
+        )
+        .unwrap()
+    }
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -512,6 +582,45 @@ mod tests {
         // Two brackets, two depths and a target: 48 MB at the 10⁶-site
         // profile cap.
         assert_eq!(std::mem::size_of::<Walk>(), 48);
+    }
+
+    #[test]
+    fn memo_returns_the_kernels_bits_through_evictions() {
+        assert_eq!(EMPTY, (-1.0f64).to_bits());
+        let a = 0.3;
+        let b = (1..1 << 20)
+            .map(|i| f64::from(i) / f64::from(1 << 20))
+            .find(|&q| q != a && slot(q.to_bits()) == slot(a.to_bits()))
+            .unwrap();
+        let fixed = [0.0, 1.0, 0.5, f64::from_bits(1), 1.0 - f64::EPSILON / 2.0, a];
+        let mut slots: Vec<usize> = fixed.iter().map(|q| slot(q.to_bits())).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), fixed.len(), "the fixed points must not share a slot");
+        // b evicts a and a evicts b; 0.5 and 0.0 are still in their slots.
+        let script = [fixed.as_slice(), &[b, a, b, 0.5, 0.0, a]].concat();
+        for spec in [GridSpec::Exact, GridSpec::Interpolated { tol: 1e-9 }] {
+            let ctx = PayoffContext::new(&search_candidate(), 6).unwrap().with_spec(spec).unwrap();
+            let kernel = ctx.kernel();
+            let mut scratch = kernel.scratch();
+            let mut memo = GMemo::new(kernel);
+            for (i, &q) in script.iter().enumerate() {
+                let fresh = kernel.eval_fast_with(&mut scratch, q);
+                assert_eq!(memo.g(q).to_bits(), fresh.to_bits(), "{spec:?}, call {i}: q = {q:e}");
+            }
+            assert_eq!(memo.misses, 10, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn memo_cuts_the_search_candidates_kernel_evaluations() {
+        // 2 081 evaluations at 536 distinct points without the memo.
+        let ctx = PayoffContext::new(&search_candidate(), 6).unwrap();
+        let f = ValueProfile::zipf(12, 1.0, 1.0).unwrap();
+        let mut memo = GMemo::new(ctx.kernel());
+        let (nu, _) = fill_ifd(&mut memo, &f);
+        assert_eq!(nu.to_bits(), solve_ifd_with_context(&ctx, &f).unwrap().value.to_bits());
+        assert!(memo.misses <= 600, "{} kernel evaluations", memo.misses);
     }
 
     #[test]

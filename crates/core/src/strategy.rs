@@ -188,22 +188,6 @@ impl Strategy {
                 .collect(),
         )
     }
-
-    /// Sample a site index from this strategy.
-    ///
-    /// Uses inverse-CDF sampling; for hot loops prefer [`StrategySampler`],
-    /// which precomputes the alias table once.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (i, &p) in self.probs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return i;
-            }
-        }
-        self.probs.len() - 1
-    }
 }
 
 /// A 64-bit divisor `n ≥ 1` fixed in advance: `w % divisor` is `w % n`,
@@ -393,15 +377,6 @@ mod tests {
         assert!(a.mix(&b, 1.5).is_err());
         let c = Strategy::uniform(3).unwrap();
         assert!(a.mix(&c, 0.5).is_err());
-    }
-
-    #[test]
-    fn inverse_cdf_sampling_hits_support_only() {
-        let s = Strategy::new(vec![0.0, 1.0, 0.0]).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for _ in 0..100 {
-            assert_eq!(s.sample(&mut rng), 1);
-        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn best_response_from_sigma_star_samples_reaches_pure_nash() {
     use rand::SeedableRng;
     let f = ValueProfile::new(vec![1.0, 0.7, 0.45, 0.3]).unwrap();
     let k = 3;
-    let star = sigma_star(&f, k).unwrap().strategy;
+    let star = StrategySampler::new(&sigma_star(&f, k).unwrap().strategy);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
     for _ in 0..25 {
         let sites: Vec<usize> = (0..k).map(|_| star.sample(&mut rng)).collect();
