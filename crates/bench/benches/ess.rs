@@ -23,14 +23,15 @@
 //! The `probe` group times whole `probe_ess_k` calls with 16 random
 //! mutants on zipf(12, 1), the mechanism search's profile: on the IFD of
 //! its certificate, `piecewise:t=6,c1=0,d=0` (the exclusive table) at
-//! `k = 6`, where every verdict settles at level 0 or 1, and on σ⋆ at
-//! `k = 32`.
+//! `k = 6`, where every verdict settles at level 0 or 1, on σ⋆ at
+//! `k = 32`, and on the IFDs of the search's first 200 candidates at
+//! `k = 6` (`search_forest_k6`, one probe each per iteration).
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use dispersal_core::ess::{
     ess_ledger, invasion_barrier, probe_ess_k, reference_ledger, LedgerEvaluator, Mixture,
 };
-use dispersal_core::ifd::solve_ifd;
+use dispersal_core::ifd::{solve_ifd, solve_ifd_allow_degenerate};
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::{Congestion, Exclusive, TableCongestion};
 use dispersal_core::sigma_star::sigma_star;
@@ -45,6 +46,9 @@ use rand_chacha::ChaCha8Rng;
 /// quick guard times against it.
 #[path = "../../core/tests/oracle/full_ledger_verdict.rs"]
 mod full_ledger_verdict;
+
+#[path = "common/search_candidates.rs"]
+mod search_candidates;
 
 const SITES: usize = 6;
 const BARRIER_GRID: usize = 64;
@@ -138,6 +142,21 @@ fn bench_ess(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             black_box(probe_ess_k(&Exclusive, &f, black_box(&star), PROBE_MUTANTS, &mut rng, 32))
+        })
+    });
+    let equilibria: Vec<(TableCongestion, Strategy)> = search_candidates::search_candidates(6, 200)
+        .into_iter()
+        .filter_map(|c| {
+            let sigma = solve_ifd_allow_degenerate(&c, &f, 6).ok()?.strategy;
+            Some((c, sigma))
+        })
+        .collect();
+    group.bench_function("search_forest_k6", |b| {
+        b.iter(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            for (c, sigma) in &equilibria {
+                black_box(probe_ess_k(c, &f, black_box(sigma), PROBE_MUTANTS, &mut rng, 6).ok());
+            }
         })
     });
     group.finish();

@@ -4,7 +4,7 @@
 //! recorded in `BENCH_ifd.json` at the repo root.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
-use dispersal_core::ifd::{solve_ifd, solve_ifd_with_context};
+use dispersal_core::ifd::{solve_ifd, solve_ifd_allow_degenerate, solve_ifd_with_context};
 use dispersal_core::payoff::PayoffContext;
 use dispersal_core::policy::{Exclusive, Sharing, TableCongestion, TwoLevel};
 use dispersal_core::value::ValueProfile;
@@ -15,6 +15,9 @@ use dispersal_search::mech_space::{MechFamily, ParamBox};
 #[allow(dead_code)]
 #[path = "../../core/tests/oracle/nested_bisection.rs"]
 mod nested_bisection;
+
+#[path = "common/search_candidates.rs"]
+mod search_candidates;
 
 fn bench_ifd_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ifd_solve");
@@ -60,6 +63,16 @@ fn bench_ifd_search_candidate(c: &mut Criterion) {
     let (policy, f) = search_candidate();
     group.bench_function("piecewise_centre_k6_zipf12", |b| {
         b.iter(|| solve_ifd(&policy, black_box(&f), SEARCH_K).unwrap())
+    });
+    // The search's first 200 candidates, one solve each per iteration,
+    // as the search solves them.
+    let candidates = search_candidates::search_candidates(SEARCH_K, 200);
+    group.bench_function("forest_k6_zipf12", |b| {
+        b.iter(|| {
+            for c in &candidates {
+                black_box(solve_ifd_allow_degenerate(c, black_box(&f), SEARCH_K).ok());
+            }
+        })
     });
     group.finish();
 }

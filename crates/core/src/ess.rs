@@ -230,16 +230,18 @@ impl<'a> LedgerEvaluator<'a> {
     /// levels only until the verdict is settled.
     ///
     /// Level 0 comes from the stored baseline expectations, with no table
-    /// clone. Only when it ties are the baseline tables cloned and levels
-    /// `1, 2, …` advanced by the same steps as [`Self::ledger`]
-    /// (`advance`, `level_payoffs`), so every level computed carries the
-    /// full ledger's bits. At level `ℓ`, with `S_ℓ =
+    /// copied. Only when it ties are the baseline tables copied into the
+    /// walk's buffer and levels `1, 2, …` advanced by the same steps as
+    /// [`Self::ledger`] (`advance`, `level_payoffs`), so every level
+    /// computed carries the full ledger's bits. At level `ℓ`, with `S_ℓ =
     /// max(1, |res_j|, |mu_j|, j ≤ ℓ)` and `S_B` the stored scale bound,
     /// the difference `d = res_ℓ − mu_ℓ`:
     ///
     /// * `d > ESS_TOL·S_B` repels and `d < −ESS_TOL·S_B` invades, at `ℓ`;
     /// * `|d| ≤ ESS_TOL·S_ℓ` ties, and the walk goes on;
-    /// * anything else (including NaN) falls back to the full ledger.
+    /// * anything else (including NaN) falls back to the full ledger: the
+    ///   walk goes on to level `k − 1` from where it is, and the verdict
+    ///   is the full ledger's, from every level computed.
     ///
     /// Every level tying is [`MutantVerdict::Indistinguishable`].
     ///
@@ -256,6 +258,21 @@ impl<'a> LedgerEvaluator<'a> {
     /// lazy verdict can differ from it: it decides on the levels up to the
     /// first strict one, which stay accurate longer.
     pub fn check(&self, pi: &Strategy) -> Result<MutantVerdict> {
+        let mut levels = EssLedger { resident: Vec::new(), mutant: Vec::new() };
+        self.check_in(pi, &mut Vec::new(), &mut levels)
+    }
+
+    /// [`Self::check`] on caller-held buffers, whose contents are
+    /// overwritten: `tables` holds the walk's per-site tables and `levels`
+    /// the payoffs of every level computed. [`probe_ess_k`] passes the
+    /// same two for every mutant, so no walk allocates once they are long
+    /// enough.
+    fn check_in(
+        &self,
+        pi: &Strategy,
+        tables: &mut Vec<PbTable>,
+        levels: &mut EssLedger,
+    ) -> Result<MutantVerdict> {
         if pi.len() != self.f.len() {
             return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
         }
@@ -267,30 +284,38 @@ impl<'a> LedgerEvaluator<'a> {
         for &p in pi.probs() {
             normalize_prob(p)?;
         }
-        let mut scale = 1.0f64;
-        let mut mu = 0.0;
+        let mut mu0 = 0.0;
         for (x, &expected_c) in self.base_expectation.iter().enumerate() {
             let px = pi.prob(x);
             if px != 0.0 {
-                mu += px * self.f.value(x) * expected_c;
+                mu0 += px * self.f.value(x) * expected_c;
             }
         }
-        match self.call_level(0, self.base_resident, mu, &mut scale) {
-            LevelCall::Tie => {}
-            LevelCall::Settled(verdict) => return Ok(verdict),
-            LevelCall::Fallback => return Ok(verdict_from_ledger(&self.ledger(pi)?)),
-        }
-        let mut tables = self.base.clone();
-        for ell in 1..self.ctx.k() {
-            self.advance(&mut tables, pi)?;
-            let (res, mu) = self.level_payoffs(&tables, pi);
-            match self.call_level(ell, res, mu, &mut scale) {
-                LevelCall::Tie => {}
-                LevelCall::Settled(verdict) => return Ok(verdict),
-                LevelCall::Fallback => return Ok(verdict_from_ledger(&self.ledger(pi)?)),
+        levels.resident.clear();
+        levels.mutant.clear();
+        let mut scale = 1.0f64;
+        let mut fell_back = false;
+        for ell in 0..self.ctx.k() {
+            let (res, mu) = if ell == 0 {
+                (self.base_resident, mu0)
+            } else {
+                if ell == 1 {
+                    tables.clone_from(&self.base);
+                }
+                self.advance(tables, pi)?;
+                self.level_payoffs(tables, pi)
+            };
+            levels.resident.push(res);
+            levels.mutant.push(mu);
+            if !fell_back {
+                match self.call_level(ell, res, mu, &mut scale) {
+                    LevelCall::Tie => {}
+                    LevelCall::Settled(verdict) => return Ok(verdict),
+                    LevelCall::Fallback => fell_back = true,
+                }
             }
         }
-        Ok(MutantVerdict::Indistinguishable)
+        Ok(if fell_back { verdict_from_ledger(levels) } else { MutantVerdict::Indistinguishable })
     }
 
     /// Decide level `ell` of [`Self::check`] from its two payoffs, folding
@@ -427,6 +452,47 @@ pub fn probe_ess_k<R: Rng + ?Sized>(
     k: usize,
 ) -> Result<EssReport> {
     let ctx = PayoffContext::new(c, k)?;
+    let mutants = probe_mutants(f, sigma, random_mutants, rng)?;
+    let mut report = EssReport {
+        mutants_tested: 0,
+        repelled: 0,
+        indistinguishable: 0,
+        invasions: Vec::new(),
+        worst_margin: f64::INFINITY,
+    };
+    // One evaluator for the whole probe: the resident-only baseline DP
+    // tables are built once and shared across every mutant below, and so
+    // are the buffers each mutant's walk refills.
+    let evaluator = LedgerEvaluator::new(&ctx, f, sigma)?;
+    let mut tables = Vec::new();
+    let mut levels = EssLedger { resident: Vec::new(), mutant: Vec::new() };
+    for (idx, pi) in mutants.iter().enumerate() {
+        if pi.linf_distance(sigma)? < 1e-12 {
+            continue;
+        }
+        report.mutants_tested += 1;
+        match evaluator.check_in(pi, &mut tables, &mut levels)? {
+            MutantVerdict::Repelled { margin, .. } => {
+                report.repelled += 1;
+                report.worst_margin = report.worst_margin.min(margin);
+            }
+            MutantVerdict::Indistinguishable => report.indistinguishable += 1,
+            MutantVerdict::Invades { deficit, .. } => report.invasions.push((idx, deficit)),
+        }
+    }
+    if !report.worst_margin.is_finite() {
+        report.worst_margin = 0.0;
+    }
+    Ok(report)
+}
+
+/// [`probe_ess_k`]'s mutants, in the order it checks them.
+fn probe_mutants<R: Rng + ?Sized>(
+    f: &ValueProfile,
+    sigma: &Strategy,
+    random_mutants: usize,
+    rng: &mut R,
+) -> Result<Vec<Strategy>> {
     let m = f.len();
     let mut mutants: Vec<Strategy> = Vec::new();
     for site in 0..m {
@@ -449,34 +515,7 @@ pub fn probe_ess_k<R: Rng + ?Sized>(
         let weights: Vec<f64> = (0..m).map(|_| rng.gen::<f64>().max(1e-12)).collect();
         mutants.push(Strategy::from_weights(weights)?);
     }
-    let mut report = EssReport {
-        mutants_tested: 0,
-        repelled: 0,
-        indistinguishable: 0,
-        invasions: Vec::new(),
-        worst_margin: f64::INFINITY,
-    };
-    // One evaluator for the whole probe: the resident-only baseline DP
-    // tables are built once and shared across every mutant below.
-    let evaluator = LedgerEvaluator::new(&ctx, f, sigma)?;
-    for (idx, pi) in mutants.iter().enumerate() {
-        if pi.linf_distance(sigma)? < 1e-12 {
-            continue;
-        }
-        report.mutants_tested += 1;
-        match evaluator.check(pi)? {
-            MutantVerdict::Repelled { margin, .. } => {
-                report.repelled += 1;
-                report.worst_margin = report.worst_margin.min(margin);
-            }
-            MutantVerdict::Indistinguishable => report.indistinguishable += 1,
-            MutantVerdict::Invades { deficit, .. } => report.invasions.push((idx, deficit)),
-        }
-    }
-    if !report.worst_margin.is_finite() {
-        report.worst_margin = 0.0;
-    }
-    Ok(report)
+    Ok(mutants)
 }
 
 // ---------------------------------------------------------------------
@@ -934,6 +973,54 @@ mod tests {
         let ctx = PayoffContext::new(&Exclusive, 2).unwrap();
         let s = Strategy::uniform(2).unwrap();
         assert!(invasion_barrier(&ctx, &f, &s, &one_type(&s), 1).is_err());
+    }
+
+    #[test]
+    fn probe_walks_share_one_table_buffer_and_keep_every_verdict() {
+        // Sharing's IFD at k = 24 on two sites: the walk of the
+        // value-proportional mutant, which ties at every level, follows
+        // the uniform mutant's, which stops at level 1.
+        let f = ValueProfile::new(vec![1.0, 0.5]).unwrap();
+        let k = 24;
+        let sigma = crate::ifd::solve_ifd(&Sharing, &f, k).unwrap().strategy;
+        let seeded = || ChaCha8Rng::seed_from_u64(7);
+        let probe = probe_ess_k(&Sharing, &f, &sigma, 16, &mut seeded(), k).unwrap();
+        // The same mutants, each checked with fresh tables.
+        let ctx = PayoffContext::new(&Sharing, k).unwrap();
+        let (mut repelled, mut indistinguishable) = (0, 0);
+        let mut invasions = Vec::new();
+        let mut worst_margin = f64::INFINITY;
+        // The level each walk past level 0 stopped at.
+        let mut walks = Vec::new();
+        for (idx, pi) in probe_mutants(&f, &sigma, 16, &mut seeded()).unwrap().iter().enumerate() {
+            if pi.linf_distance(&sigma).unwrap() < 1e-12 {
+                continue;
+            }
+            let stop = match LedgerEvaluator::new(&ctx, &f, &sigma).unwrap().check(pi).unwrap() {
+                MutantVerdict::Repelled { m, margin } => {
+                    repelled += 1;
+                    worst_margin = worst_margin.min(margin);
+                    m
+                }
+                MutantVerdict::Indistinguishable => {
+                    indistinguishable += 1;
+                    k - 1
+                }
+                MutantVerdict::Invades { level, deficit } => {
+                    invasions.push((idx, deficit.to_bits()));
+                    level
+                }
+            };
+            if stop > 0 {
+                walks.push(stop);
+            }
+        }
+        assert!(walks.windows(2).any(|w| w[0] == 1 && w[1] >= 2), "walks stopped at {walks:?}");
+        assert_eq!(probe.worst_margin.to_bits(), worst_margin.to_bits());
+        assert_eq!((probe.repelled, probe.indistinguishable), (repelled, indistinguishable));
+        let probe_invasions: Vec<_> =
+            probe.invasions.iter().map(|&(i, d)| (i, d.to_bits())).collect();
+        assert_eq!(probe_invasions, invasions);
     }
 
     #[test]

@@ -17,14 +17,20 @@
 //! [`crate::extensions::solve_ifd_with_costs`] call returns the same bits
 //! as the naive nested loop while skipping most of those evaluations:
 //!
-//! * **Lazy outer decisions.** An outer step only needs to know whether
-//!   `S(ν) ≥ 1`. Every site's inner bisection advances one level at a
-//!   time, in lockstep. Each walk's final output lies inside every bracket
-//!   the walk passes through, and floating-point addition is monotone, so
-//!   with all sums taken in site order, `Σ lo ≤ S(ν) ≤ Σ hi` over the
-//!   current brackets. The step is decided as soon as `Σ lo ≥ 1` or
-//!   `Σ hi < 1`; only a step that stays undecided walks to full depth and
-//!   takes `S(ν)` itself.
+//! * **Lazy outer decisions, widest walks first.** An outer step only
+//!   needs to know whether `S(ν) ≥ 1`. Each walk's final output lies
+//!   inside every bracket the walk passes through, and floating-point
+//!   addition is monotone, so with all sums taken in site order,
+//!   `Σ lo ≤ S(ν) ≤ Σ hi` over the current brackets, however deep each
+//!   walk is. The step is decided as soon as `Σ lo ≥ 1` or `Σ hi < 1`;
+//!   only a step that stays undecided walks to full depth and takes
+//!   `S(ν)` itself. Until then each round advances only the shallowest
+//!   live walks, whose brackets are the widest and so hold most of the
+//!   gap between the two sums; deeper walks wait until the rest catch up.
+//! * **A stall stop.** The outer loop ends at the first step that leaves
+//!   `[ν_lo, ν_hi]` unchanged bit for bit: its midpoint rounded to one of
+//!   the ends, so every later step would take the same midpoint, reach
+//!   the same exact decision and change nothing either.
 //! * **Per-site anchors.** Every later candidate `ν` lies inside the
 //!   current outer bracket `[ν_lo, ν_hi]`, and a site's inversion target
 //!   `t(ν)` is non-decreasing in `ν`. An inner level whose comparison
@@ -80,6 +86,9 @@ pub(crate) struct GMemo<'k> {
     /// Kernel evaluations so far.
     #[cfg(test)]
     misses: usize,
+    /// Outer bisection steps taken by [`water_fill`] so far.
+    #[cfg(test)]
+    outer_steps: usize,
 }
 
 impl<'k> GMemo<'k> {
@@ -91,6 +100,8 @@ impl<'k> GMemo<'k> {
             slots: Box::new([(EMPTY, 0.0); 1 << MEMO_BITS]),
             #[cfg(test)]
             misses: 0,
+            #[cfg(test)]
+            outer_steps: 0,
         }
     }
 
@@ -191,7 +202,9 @@ impl Walk {
 }
 
 /// The water-filling core: bisect `ν` over `[lo, hi]` for `S(ν) = 1`
-/// ([`OUTER_ITERS`] steps) and return `ν` with the occupancies there.
+/// and return `ν` with the occupancies there. The bisection takes
+/// [`OUTER_ITERS`] steps, or stops at the first step that leaves the
+/// bracket unchanged bit for bit: each later step would repeat it.
 ///
 /// `rule(x, ν)` is site `x`'s occupancy rule. Where it returns a target,
 /// the target must be non-decreasing in `ν`, and the values of `ν` where
@@ -214,12 +227,20 @@ where
     let mut walks = vec![Walk::ROOT; sites];
     let (mut lo_nu, mut hi_nu) = (lo, hi);
     for _ in 0..OUTER_ITERS {
-        let mid = 0.5 * (lo_nu + hi_nu);
-        if reaches_one(memo, &mut walks, &rule, [lo_nu, hi_nu], mid) {
-            lo_nu = mid;
-        } else {
-            hi_nu = mid;
+        #[cfg(test)]
+        {
+            memo.outer_steps += 1;
         }
+        let mid = 0.5 * (lo_nu + hi_nu);
+        let end = if reaches_one(memo, &mut walks, &rule, [lo_nu, hi_nu], mid) {
+            &mut lo_nu
+        } else {
+            &mut hi_nu
+        };
+        if end.to_bits() == mid.to_bits() {
+            break;
+        }
+        *end = mid;
     }
     let nu = 0.5 * (lo_nu + hi_nu);
     let occupancies = walks
@@ -238,7 +259,7 @@ where
 
 /// One outer step: whether `S(mid) ≥ 1`, for `mid` inside the outer
 /// bracket `nu`. Advances the walks only as deep as the decision needs,
-/// and the anchors along the way.
+/// the shallowest live walks first, and the anchors along the way.
 fn reaches_one<R>(memo: &mut GMemo, walks: &mut [Walk], rule: &R, nu: [f64; 2], mid: f64) -> bool
 where
     R: Fn(usize, f64) -> Occupancy,
@@ -251,28 +272,32 @@ where
         .find(|&x| !matches!(rule(x, mid), Occupancy::Fixed(q) if q == 0.0))
         .map_or(0, |x| x + 1);
     let walks = &mut walks[..end];
-    let mut live = 0usize;
     for (x, walk) in walks.iter_mut().enumerate() {
         match rule(x, mid) {
             Occupancy::Fixed(q) => walk.fix(q),
             Occupancy::Target(t) => walk.restart(t),
         }
-        if walk.live() {
-            live += 1;
-        }
     }
     loop {
-        if live == 0 {
+        // A finished walk's depth is `INNER_ITERS`, so `shallowest` is the
+        // depth of the shallowest live walk while one is left.
+        let (mut lo, mut hi, mut shallowest) = (0.0, 0.0, INNER_ITERS);
+        for walk in walks.iter() {
+            lo += walk.bracket[0];
+            hi += walk.bracket[1];
+            shallowest = shallowest.min(walk.depth);
+        }
+        if shallowest == INNER_ITERS {
             return walks.iter().map(Walk::mid).sum::<f64>() >= 1.0;
         }
-        if walks.iter().map(|w| w.bracket[0]).sum::<f64>() >= 1.0 {
+        if lo >= 1.0 {
             return true;
         }
-        if walks.iter().map(|w| w.bracket[1]).sum::<f64>() < 1.0 {
+        if hi < 1.0 {
             return false;
         }
         for (x, walk) in walks.iter_mut().enumerate() {
-            if !walk.live() {
+            if walk.depth != shallowest {
                 continue;
             }
             let q = walk.mid();
@@ -288,9 +313,6 @@ where
             if anchored {
                 walk.anchor = walk.bracket;
                 walk.anchor_depth = walk.depth;
-            }
-            if !walk.live() {
-                live -= 1;
             }
         }
     }
@@ -614,13 +636,33 @@ mod tests {
 
     #[test]
     fn memo_cuts_the_search_candidates_kernel_evaluations() {
-        // 2 081 evaluations at 536 distinct points without the memo.
+        // 2 081 evaluations at 536 distinct points without the memo; 561
+        // with it when every live walk steps in every round.
         let ctx = PayoffContext::new(&search_candidate(), 6).unwrap();
         let f = ValueProfile::zipf(12, 1.0, 1.0).unwrap();
         let mut memo = GMemo::new(ctx.kernel());
         let (nu, _) = fill_ifd(&mut memo, &f);
         assert_eq!(nu.to_bits(), solve_ifd_with_context(&ctx, &f).unwrap().value.to_bits());
-        assert!(memo.misses <= 600, "{} kernel evaluations", memo.misses);
+        assert!(memo.misses <= 420, "{} kernel evaluations", memo.misses);
+    }
+
+    #[test]
+    fn outer_loop_stops_once_the_bracket_stalls() {
+        // Outer steps of one solve, whose ν must have the solver's bits.
+        let outer_steps = |policy: &dyn Congestion, k: usize, f: ValueProfile| {
+            let ctx = PayoffContext::new(policy, k).unwrap();
+            let mut memo = GMemo::new(ctx.kernel());
+            let (nu, _) = fill_ifd(&mut memo, &f);
+            assert_eq!(nu.to_bits(), solve_ifd_with_context(&ctx, &f).unwrap().value.to_bits());
+            memo.outer_steps
+        };
+        // The search candidate's bracket stops moving at step 56.
+        let steps = outer_steps(&search_candidate(), 6, ValueProfile::zipf(12, 1.0, 1.0).unwrap());
+        assert!(steps < 60, "{steps} outer steps");
+        // One site under exclusive: ν ≈ 1e-16, and floats are dense
+        // around 0, so the bracket never stalls.
+        let one_site = ValueProfile::new(vec![1.0]).unwrap();
+        assert_eq!(outer_steps(&Exclusive, 2, one_site), OUTER_ITERS);
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ pub(crate) fn normalize_prob(p: f64) -> Result<f64> {
 ///
 /// [`crate::ess::LedgerEvaluator::check`] walks only the levels its verdict
 /// needs, which in practice stay in the accurate regime.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PbTable {
     /// PMF of the current multiset: `pmf[j] = P[Σᵢ Xᵢ = j]`,
     /// `j = 0..=probs.len()`.
@@ -1212,6 +1212,20 @@ impl PbTable {
     /// Mean of the current law: `Σᵢ pᵢ` evaluated from the PMF.
     pub fn mean(&self) -> f64 {
         kahan_sum(self.pmf.iter().enumerate().map(|(j, &p)| j as f64 * p))
+    }
+}
+
+impl Clone for PbTable {
+    fn clone(&self) -> Self {
+        Self { pmf: self.pmf.clone(), probs: self.probs.clone() }
+    }
+
+    /// Copy `source` into this table's own vectors, allocating only when
+    /// one of them is too short: a walk that refills one buffer of tables
+    /// from the same baseline allocates once.
+    fn clone_from(&mut self, source: &Self) {
+        self.pmf.clone_from(&source.pmf);
+        self.probs.clone_from(&source.probs);
     }
 }
 

@@ -185,8 +185,8 @@ fn random_instance(seed: u64) -> Instance {
 }
 
 /// Fixed edge cases the random sweep might miss: the largest profiles,
-/// one site, `ν = 0` exactly, the search's own shape, and the interpolated
-/// large-`k` path.
+/// one site, `ν ≈ 0` (an outer bracket around 0, which never stalls), the
+/// search's own shape, and the interpolated large-`k` path.
 fn edge_instances() -> Vec<Instance> {
     let mut out = Vec::new();
     let mut push = |label: &str, k: usize, table: Vec<f64>, f: ValueProfile, grid: bool| {
@@ -198,7 +198,7 @@ fn edge_instances() -> Vec<Instance> {
     let sharing = |k: usize| (1..=k).map(|l| 1.0 / l as f64).collect::<Vec<_>>();
     let two_level = |k: usize, c: f64| (1..=k).map(|l| if l == 1 { 1.0 } else { c }).collect();
     push(
-        "one site, exclusive: nu = 0",
+        "one site, exclusive: nu ~ 4e-28",
         6,
         exclusive(6),
         ValueProfile::uniform(1, 1.0).unwrap(),
