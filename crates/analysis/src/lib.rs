@@ -25,9 +25,9 @@
 //!   process-randomized, so anything it feeds (manifests, error strings,
 //!   CSV rows, merge order) silently loses determinism. Keyed lookups
 //!   (`get` / `insert` / `contains_key` / `entry` / `len`) are fine —
-//!   that is how `SharedGridCache` and `PbCache` stay deterministic — and
-//!   `BTreeMap` / `BTreeSet` iterate in sorted order and are never
-//!   flagged.
+//!   that is how `SharedGridCache` and `ResponseCache` stay
+//!   deterministic — and `BTreeMap` / `BTreeSet` iterate in sorted order
+//!   and are never flagged.
 //! * [`Lint::FloatReduction`] — forbid naive `.sum()` reductions and
 //!   `fold(0.0, …)` accumulators inside the numerics hot files
 //!   (`kernel.rs`, `numerics.rs`, `simd.rs`) outside the approved

@@ -9,11 +9,13 @@
 //!   (`dispersal_core::ess::reference_ledger`, the shared equivalence
 //!   baseline): every ledger level rebuilds the `O(k²)` Poisson–binomial
 //!   DP per site per column (`O(M·k³)` for a full ledger);
-//! * `ledger/kernel` — `ess_ledger`: per-site `PbTable`s built once
-//!   (shared across equal-`σ(x)` sites via `PbCache`), then one `O(k)`
-//!   `replace` rank update per site per level (`O(M·k²)` total);
-//! * `ledger/evaluator` — `LedgerEvaluator::ledger` with the baseline
-//!   tables amortized across calls, the `probe_ess_k` regime where one
+//! * `ledger/kernel` — `ess_ledger`, the direct evaluation: per-site
+//!   logs and level-0 expectations taken once, then each level
+//!   evaluated on its own — one de Casteljau step of the mutant's
+//!   coefficients and one mode-seeded binomial PMF per site (`O(M·k²)`
+//!   total);
+//! * `ledger/evaluator` — `LedgerEvaluator::ledger` with the per-site
+//!   setup amortized across calls, the `probe_ess_k` regime where one
 //!   resident faces many mutants;
 //! * `barrier/scalar` — invasion barrier via two `mixture_payoff`
 //!   evaluations per grid point (two site-value passes + allocations);
@@ -166,7 +168,7 @@ fn bench_ess(c: &mut Criterion) {
 /// the faster path has regressed below its baseline.
 ///
 /// * `ess ledger_kernel_speedup k=32` — the pre-kernel scalar ledger vs
-///   the `PbTable` rank-update ledger.
+///   the direct-evaluation ledger.
 /// * `ess lazy-check-vs-full-ledger` — `probe_ess_k`, whose verdicts walk
 ///   only the levels they need, vs the same probe taking every verdict
 ///   from the full ledger: the `probe` group's two cases, same mutants.

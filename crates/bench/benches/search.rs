@@ -59,7 +59,7 @@ fn sibling_tables(children: usize, k: usize) -> Vec<Vec<f64>> {
 }
 
 /// Batched expansion: one `GBatch` over the whole sibling set — one
-/// `ln_binom` setup and one shared basis column per grid point.
+/// log-factorial row and one shared basis column per grid point.
 fn expand_batched(rows: &[Vec<f64>], qs: &[f64]) -> f64 {
     let batch = GBatch::from_rows(rows.to_vec()).unwrap();
     let grid = batch.eval_grid(qs);
@@ -67,7 +67,7 @@ fn expand_batched(rows: &[Vec<f64>], qs: &[f64]) -> f64 {
 }
 
 /// Sequential expansion: the pre-batch formulation — every child builds
-/// its own `GTable` (its own `ln_binom` walk) and evaluates its own
+/// its own `GTable` (its own log-factorial row) and evaluates its own
 /// curve.
 fn expand_sequential(rows: &[Vec<f64>], qs: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -100,7 +100,7 @@ fn bench_mech_tile(c: &mut Criterion) {
 /// CI guard mode (`-- --quick`): the mechanism search's batched
 /// expansion tile must not regress below per-child sequential
 /// evaluation. This floor is core-count independent — the win is
-/// construction/basis amortization (one `ln_binom` table and one basis
+/// construction/basis amortization (one log-factorial row and one basis
 /// walk per grid point for the whole sibling set), not parallelism — so
 /// it holds on the single-core CI host.
 fn quick_guard() -> ! {

@@ -14,26 +14,19 @@
 //! ([`mixture_field_payoffs`]) and the invasion barrier
 //! ([`invasion_barrier`]).
 //!
-//! ## Kernel-backed evaluation
+//! ## Direct evaluation of each level
 //!
-//! The ledger payoffs `E(·; σ^{k−ℓ−1}, π^ℓ)` only ever differ between
-//! levels by *one opponent switching strategies*, so the per-site
-//! Poisson–binomial law at level `ℓ+1` is a rank-one update of the one at
-//! level `ℓ`. [`LedgerEvaluator`] exploits this through
-//! [`crate::kernel::PbTable`]: the all-resident baseline tables are built
-//! once (shared across equal-`σ(x)` sites via
-//! [`crate::kernel::PbCache`], and across *every mutant probed*), and
-//! each ledger level is one `O(k)` [`crate::kernel::PbTable::replace`]
-//! per site instead of a fresh `O(k²)` DP — an `O(k)` total speedup that
-//! is what makes the tier-2 large-`k` theorem tests affordable.
-//!
-//! Level 0 remains bit-identical to the pre-kernel per-site DP path.
-//! Rank-updated levels agree with a fresh DP while each site's
-//! replacements stay interior, but a long walk toward a point mass (a
-//! point-mass or top-`j` mutant moving factors to 0 or 1) diverges: at
-//! `k = 64` a full ledger can leave the physical bound `Σ_x f(x)·max|C|`
-//! within a few dozen levels (measured in [`crate::kernel::PbTable`]'s
-//! docs).
+//! At level `ℓ` of the ledger `E(·; σ^{k−ℓ−1}, π^ℓ)`, site `x` faces
+//! `n − ℓ` resident opponents at `σ(x)` and `ℓ` mutant opponents at
+//! `π(x)`, with `n = k − 1`. Its occupancy law is
+//! `Bin(n − ℓ, σ(x)) ⊛ Bin(ℓ, π(x))`: two binomials, never a general
+//! Poisson–binomial. [`LedgerEvaluator`] folds the mutant binomial into
+//! the congestion coefficients, one de Casteljau step per level, and
+//! dots the result with the resident binomial's PMF, the walk behind
+//! [`crate::kernel::GTable::eval_with`]. Each level is evaluated on its
+//! own, so no error carries from one level to the next: every level
+//! agrees with the fresh-DP [`reference_ledger`] to round-off, and level
+//! 0 at each site is `g_C(σ(x))` with `GTable`'s bits.
 //!
 //! ## Lazy verdicts
 //!
@@ -42,16 +35,13 @@
 //! breadth-first expansions) every verdict is settled at level 0 or 1.
 //! [`LedgerEvaluator::check`] therefore computes levels only until its
 //! verdict is settled: level 0 from stored per-site expectations, later
-//! levels by the same walk. It returns the full-ledger verdict — variant,
-//! level and margin bits — whenever the full ledger stays physically
-//! possible, and falls back to the full ledger where only its scale can
-//! decide; the method docs give the argument. Where the full ledger leaves
-//! the bound, its verdict is judged on wrong levels; the lazy one decides
-//! on the levels up to its first strict one, and matched the fresh DP on
-//! every such ledger of the oracle test's sweep.
+//! levels as [`LedgerEvaluator::ledger`] computes them. It returns the
+//! full-ledger verdict — variant, level and margin bits — and falls back
+//! to the full ledger where only its scale can decide; the method docs
+//! give the argument.
 
 use crate::error::{Error, Result};
-use crate::kernel::{normalize_prob, PbCache, PbTable};
+use crate::kernel::{fill_pmf, pmf_logs};
 use crate::numerics::kahan_sum;
 use crate::payoff::PayoffContext;
 use crate::policy::Congestion;
@@ -98,31 +88,52 @@ pub struct EssLedger {
     pub mutant: Vec<f64>,
 }
 
-/// Resident-anchored ledger evaluator: owns the per-site Poisson–binomial
-/// tables for the all-resident opponent profile `{σ(x)}^{k−1}` and walks
-/// ledger levels by `O(k)` rank updates ([`PbTable::replace`]) instead of
-/// rebuilding the `O(k²)` DP per site per level.
+/// Resident-anchored ledger evaluator. At level `ℓ`, with `n = k − 1`,
+/// each site's expected congestion is
 ///
-/// Construction costs one DP per *distinct* `σ(x)` value (shared via
-/// [`PbCache`]); [`Self::ledger`] then costs `O(M·k²)` total for a full
-/// `k`-level ledger — the pre-kernel path paid `O(M·k³)`. Build one
-/// evaluator per resident and reuse it across every mutant probed
-/// ([`probe_ess_k`] does exactly this). [`Self::check`] walks only the
-/// levels its verdict needs: `O(M)` when level 0 settles it.
+/// `E[C(1 + N)] = Σ_a Bin(n − ℓ, σ(x))(a)·v_ℓ(a)`, where `v_0(a) = C(a + 1)`
+/// and `v_ℓ(a) = (1 − π(x))·v_{ℓ−1}(a) + π(x)·v_{ℓ−1}(a + 1)`.
+///
+/// The mutant side is one de Casteljau step per level: convex
+/// combinations, no division. The resident side is one mode-seeded
+/// binomial PMF of degree `n − ℓ`, seeded from logs taken once per site
+/// here, so each level past 1 costs one `exp` per site.
+///
+/// Construction stores each site's level-0 expectation `g_C(σ(x))` and
+/// level-1 PMF, neither of which a mutant changes. [`Self::ledger`] then
+/// costs `O(M·k²)` for a full `k`-level ledger, and [`Self::check`]
+/// computes only the levels its verdict needs: `O(M)` when level 0
+/// settles it. Build one evaluator per resident and reuse it across every
+/// mutant probed ([`probe_ess_k`] does exactly this).
 #[derive(Debug, Clone)]
 pub struct LedgerEvaluator<'a> {
     ctx: &'a PayoffContext,
     f: &'a ValueProfile,
     sigma: &'a Strategy,
-    /// Per-site baseline tables for the profile `{σ(x)}^{k−1}`.
-    base: Vec<PbTable>,
-    /// `base[x].expectation(C)`: each site's level-0 `E[C(1 + N_x)]`.
+    /// Each site's resident law: `σ(x)` clamped into `[0, 1]`, with
+    /// `(ln σ(x), ln(1 − σ(x)))`.
+    sites: Vec<(f64, (f64, f64))>,
+    /// `g_C(σ(x))`: each site's level-0 `E[C(1 + N_x)]`, with the bits of
+    /// [`crate::kernel::GTable::eval_with`].
     base_expectation: Vec<f64>,
+    /// `Bin(n − 1, σ(x))` for each site in turn, `k − 1` entries each: the
+    /// resident PMF of level 1, where most verdicts past level 0 settle.
+    level_one: Vec<f64>,
     /// The level-0 resident payoff, summed as [`Self::level_payoffs`] sums it.
     base_resident: f64,
     /// `max(1, 2·Σ_x f(x)·max_j |C_j|)`: twice the largest magnitude any
     /// physically possible ledger value can have.
     scale_bound: f64,
+}
+
+/// The buffers a walk past level 0 refills: the mutant's normalized
+/// probabilities, each site's coefficients `v_ℓ` and one PMF buffer.
+/// [`probe_ess_k`] keeps one for every mutant it checks.
+#[derive(Debug, Default)]
+struct Walk {
+    pi: Vec<f64>,
+    v: Vec<Vec<f64>>,
+    pmf: Vec<f64>,
 }
 
 /// What one level of [`LedgerEvaluator::check`] decides.
@@ -136,7 +147,9 @@ enum LevelCall {
 }
 
 impl<'a> LedgerEvaluator<'a> {
-    /// Build the baseline tables for resident `sigma` (requires `k ≥ 2`).
+    /// Take the per-site logs, level-0 expectations and level-1 PMFs of
+    /// resident `sigma` (requires `k ≥ 2`). A `σ(x)` outside `[0, 1]` by
+    /// more than round-off is [`Error::ProbabilityOutOfRange`].
     pub fn new(ctx: &'a PayoffContext, f: &'a ValueProfile, sigma: &'a Strategy) -> Result<Self> {
         let k = ctx.k();
         if k < 2 {
@@ -145,15 +158,18 @@ impl<'a> LedgerEvaluator<'a> {
         if f.len() != sigma.len() {
             return Err(Error::DimensionMismatch { strategy: sigma.len(), profile: f.len() });
         }
-        let cache = PbCache::new();
-        let mut profile = vec![0.0; k - 1];
-        let mut base = Vec::with_capacity(f.len());
-        for x in 0..f.len() {
-            profile.fill(sigma.prob(x));
-            base.push(cache.table(&profile)?.as_ref().clone());
+        let kernel = ctx.kernel();
+        let mut scratch = kernel.scratch();
+        let mut sites = Vec::with_capacity(f.len());
+        let mut base_expectation = Vec::with_capacity(f.len());
+        let mut level_one = vec![0.0; f.len() * (k - 1)];
+        for (&s, one) in sigma.probs().iter().zip(level_one.chunks_exact_mut(k - 1)) {
+            let q = normalize_prob(s)?;
+            let logs = pmf_logs(q);
+            base_expectation.push(kernel.eval_with(&mut scratch, q));
+            fill_pmf(kernel.ln_factorials(), q, logs, one);
+            sites.push((q, logs));
         }
-        let c_table = ctx.c_table();
-        let base_expectation: Vec<f64> = base.iter().map(|t| t.expectation(c_table)).collect();
         let mut base_resident = 0.0;
         for (x, &expected_c) in base_expectation.iter().enumerate() {
             let px = sigma.prob(x);
@@ -161,9 +177,9 @@ impl<'a> LedgerEvaluator<'a> {
                 base_resident += px * f.value(x) * expected_c;
             }
         }
-        let max_c = c_table.iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
+        let max_c = ctx.c_table().iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
         let scale_bound = (2.0 * f.values().iter().sum::<f64>() * max_c).max(1.0);
-        Ok(Self { ctx, f, sigma, base, base_expectation, base_resident, scale_bound })
+        Ok(Self { ctx, f, sigma, sites, base_expectation, level_one, base_resident, scale_bound })
     }
 
     /// The resident this evaluator is anchored on.
@@ -174,48 +190,82 @@ impl<'a> LedgerEvaluator<'a> {
 
     /// Compute the full per-level payoff ledger against mutant `pi`. At
     /// level `ℓ`, `ℓ` of the `k − 1` opponents play `π` and the rest play
-    /// the resident. Level 0 runs on the cloned baseline tables
-    /// (bit-identical to the exact per-site DP); each later level replaces
-    /// one `σ(x)` factor with `π(x)` per site.
+    /// the resident. Level 0 comes from the stored expectations; each later
+    /// level is evaluated directly (see the type docs).
     pub fn ledger(&self, pi: &Strategy) -> Result<EssLedger> {
-        if pi.len() != self.f.len() {
-            return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
-        }
+        let mut walk = Walk::default();
+        let mu0 = self.start(pi, &mut walk)?;
         let k = self.ctx.k();
         let (mut resident, mut mutant) = (Vec::with_capacity(k), Vec::with_capacity(k));
-        let mut tables = self.base.clone();
-        for ell in 0..k {
-            if ell > 0 {
-                self.advance(&mut tables, pi)?;
-            }
-            let (res, mu) = self.level_payoffs(&tables, pi);
+        resident.push(self.base_resident);
+        mutant.push(mu0);
+        for ell in 1..k {
+            let (res, mu) = self.level_payoffs(ell, pi, &mut walk);
             resident.push(res);
             mutant.push(mu);
         }
         Ok(EssLedger { resident, mutant })
     }
 
-    /// Move one opponent from the resident to `pi`: replace one `σ(x)`
-    /// factor with `π(x)` in every site's table.
-    fn advance(&self, tables: &mut [PbTable], pi: &Strategy) -> Result<()> {
-        for (x, table) in tables.iter_mut().enumerate() {
-            table.replace(self.sigma.prob(x), pi.prob(x))?;
+    /// Start a walk against `pi`: check its length, normalize its
+    /// probabilities into `walk` and size the buffers. Returns the level-0
+    /// mutant payoff, from the stored expectations.
+    ///
+    /// A `π(x)` that does not normalize is rejected here, so a verdict
+    /// settled at level 0 fails like one that needs later levels.
+    fn start(&self, pi: &Strategy, walk: &mut Walk) -> Result<f64> {
+        if pi.len() != self.f.len() {
+            return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
         }
-        Ok(())
+        walk.pi.clear();
+        for &p in pi.probs() {
+            walk.pi.push(normalize_prob(p)?);
+        }
+        walk.v.resize_with(self.f.len(), Vec::new);
+        walk.pmf.resize(self.ctx.k(), 0.0);
+        let mut mu0 = 0.0;
+        for (x, &expected_c) in self.base_expectation.iter().enumerate() {
+            let px = pi.prob(x);
+            if px != 0.0 {
+                mu0 += px * self.f.value(x) * expected_c;
+            }
+        }
+        Ok(mu0)
     }
 
-    /// Resident and mutant payoffs of one ledger level from its per-site
-    /// tables. Both face the same opponent law, so they share each site's
-    /// `E[C(1 + N_x)]` and only weight sites differently.
-    fn level_payoffs(&self, tables: &[PbTable], pi: &Strategy) -> (f64, f64) {
+    /// Resident and mutant payoffs of level `ell ≥ 1`. Each site's
+    /// `walk.v` holds `v_{ℓ−1}` (unread at `ell = 1`, where `v_0` is the C
+    /// table) and is advanced to `v_ℓ`; the resident PMF is the stored one
+    /// at level 1 and is walked afresh past it. Both payoffs face the same
+    /// opponent law, so they share each site's `E[C(1 + N_x)]` and only
+    /// weight sites differently; a site neither plays is skipped at every
+    /// level.
+    fn level_payoffs(&self, ell: usize, pi: &Strategy, walk: &mut Walk) -> (f64, f64) {
         let c_table = self.ctx.c_table();
+        let ln_fact = self.ctx.kernel().ln_factorials();
+        let width = c_table.len() - 1;
+        let Walk { pi: probs, v, pmf } = walk;
         let (mut res, mut mu) = (0.0, 0.0);
-        for (x, table) in tables.iter().enumerate() {
+        for (x, (&(q, logs), v)) in self.sites.iter().zip(v.iter_mut()).enumerate() {
             let (sx, px) = (self.sigma.prob(x), pi.prob(x));
             if sx == 0.0 && px == 0.0 {
                 continue;
             }
-            let expected_c = table.expectation(c_table);
+            let (p, stay) = (probs[x], 1.0 - probs[x]);
+            let pmf: &[f64] = if ell == 1 {
+                v.clear();
+                v.extend(c_table.windows(2).map(|c| stay * c[0] + p * c[1]));
+                &self.level_one[x * width..(x + 1) * width]
+            } else {
+                for a in 1..v.len() {
+                    v[a - 1] = stay * v[a - 1] + p * v[a];
+                }
+                v.pop();
+                let pmf = &mut pmf[..v.len()];
+                fill_pmf(ln_fact, q, logs, pmf);
+                pmf
+            };
+            let expected_c = kahan_sum(pmf.iter().zip(v.iter()).map(|(b, c)| b * c));
             if sx != 0.0 {
                 res += sx * self.f.value(x) * expected_c;
             }
@@ -229,13 +279,11 @@ impl<'a> LedgerEvaluator<'a> {
     /// Apply the ESS characterization to one mutant, computing ledger
     /// levels only until the verdict is settled.
     ///
-    /// Level 0 comes from the stored baseline expectations, with no table
-    /// copied. Only when it ties are the baseline tables copied into the
-    /// walk's buffer and levels `1, 2, …` advanced by the same steps as
-    /// [`Self::ledger`] (`advance`, `level_payoffs`), so every level
-    /// computed carries the full ledger's bits. At level `ℓ`, with `S_ℓ =
-    /// max(1, |res_j|, |mu_j|, j ≤ ℓ)` and `S_B` the stored scale bound,
-    /// the difference `d = res_ℓ − mu_ℓ`:
+    /// Level 0 comes from the stored expectations; levels `1, 2, …` are
+    /// computed as [`Self::ledger`] computes them, so every level carries
+    /// the full ledger's bits. At level `ℓ`, with `S_ℓ = max(1, |res_j|,
+    /// |mu_j|, j ≤ ℓ)` and `S_B` the stored scale bound, the difference
+    /// `d = res_ℓ − mu_ℓ`:
     ///
     /// * `d > ESS_TOL·S_B` repels and `d < −ESS_TOL·S_B` invades, at `ℓ`;
     /// * `|d| ≤ ESS_TOL·S_ℓ` ties, and the walk goes on;
@@ -248,49 +296,28 @@ impl<'a> LedgerEvaluator<'a> {
     /// **Why this is exact.** The full-ledger verdict uses the scale `S` of
     /// all `k` levels, and `S_ℓ ≤ S`: a tie under `S_ℓ` is a tie under `S`,
     /// so the full verdict also passes every level the lazy one passed.
-    /// Every physically possible ledger value satisfies `|v| ≤ Σ_x ρ(x)·
-    /// f(x)·max|C| ≤ Σ_x f(x)·max|C| = S_B/2`; while the full ledger stays
-    /// within `S_B`, `S ≤ S_B`, so a difference beyond `ESS_TOL·S_B` is
-    /// strict under `S` too. The verdict — variant, level and margin bits —
-    /// is then the full ledger's. Where the rank-updated walk leaves the
-    /// physical bound (see [`PbTable`] on long walks toward 0 or 1), the
-    /// full verdict's scale is inflated by levels that are wrong, and the
-    /// lazy verdict can differ from it: it decides on the levels up to the
-    /// first strict one, which stay accurate longer.
+    /// Every level value is `Σ_x ρ(x)·f(x)` times a PMF (non-negative,
+    /// summing to one) dotted with convex combinations of the C table, so
+    /// `|v| ≤ Σ_x f(x)·max|C| = S_B/2` up to round-off. Hence `S ≤ S_B`,
+    /// and a difference beyond `ESS_TOL·S_B` is strict under `S` too. The
+    /// verdict — variant, level and margin bits — is the full ledger's.
     pub fn check(&self, pi: &Strategy) -> Result<MutantVerdict> {
         let mut levels = EssLedger { resident: Vec::new(), mutant: Vec::new() };
-        self.check_in(pi, &mut Vec::new(), &mut levels)
+        self.check_in(pi, &mut Walk::default(), &mut levels)
     }
 
     /// [`Self::check`] on caller-held buffers, whose contents are
-    /// overwritten: `tables` holds the walk's per-site tables and `levels`
+    /// overwritten: `walk` holds the walk's per-site state and `levels`
     /// the payoffs of every level computed. [`probe_ess_k`] passes the
     /// same two for every mutant, so no walk allocates once they are long
     /// enough.
     fn check_in(
         &self,
         pi: &Strategy,
-        tables: &mut Vec<PbTable>,
+        walk: &mut Walk,
         levels: &mut EssLedger,
     ) -> Result<MutantVerdict> {
-        if pi.len() != self.f.len() {
-            return Err(Error::DimensionMismatch { strategy: pi.len(), profile: self.f.len() });
-        }
-        // Every level of the walk replaces the same normalized pair
-        // (σ(x), π(x)), and σ(x) stays in each table until level k − 1, so
-        // no error can first appear at a level this walk skips, except a
-        // π(x) that does not normalize, which the walk rejects at level 1.
-        // Reject it here, so a verdict settled at level 0 fails alike.
-        for &p in pi.probs() {
-            normalize_prob(p)?;
-        }
-        let mut mu0 = 0.0;
-        for (x, &expected_c) in self.base_expectation.iter().enumerate() {
-            let px = pi.prob(x);
-            if px != 0.0 {
-                mu0 += px * self.f.value(x) * expected_c;
-            }
-        }
+        let mu0 = self.start(pi, walk)?;
         levels.resident.clear();
         levels.mutant.clear();
         let mut scale = 1.0f64;
@@ -299,11 +326,7 @@ impl<'a> LedgerEvaluator<'a> {
             let (res, mu) = if ell == 0 {
                 (self.base_resident, mu0)
             } else {
-                if ell == 1 {
-                    tables.clone_from(&self.base);
-                }
-                self.advance(tables, pi)?;
-                self.level_payoffs(tables, pi)
+                self.level_payoffs(ell, pi, walk)
             };
             levels.resident.push(res);
             levels.mutant.push(mu);
@@ -414,6 +437,18 @@ fn verdict_from_ledger(ledger: &EssLedger) -> MutantVerdict {
     MutantVerdict::Indistinguishable
 }
 
+/// Normalize a visit probability: reject non-finite or genuinely
+/// out-of-range values with [`Error::ProbabilityOutOfRange`] (a
+/// [`Strategy`] admits entries up to `1 +`
+/// [`crate::strategy::NORMALIZATION_TOL`]) and clamp round-off into
+/// `[0, 1]`.
+fn normalize_prob(p: f64) -> Result<f64> {
+    if !p.is_finite() || !(-1e-12..=1.0 + 1e-12).contains(&p) {
+        return Err(Error::ProbabilityOutOfRange { q: p });
+    }
+    Ok(p.clamp(0.0, 1.0))
+}
+
 /// Report from probing a candidate ESS with many mutants.
 #[derive(Debug, Clone)]
 pub struct EssReport {
@@ -460,18 +495,18 @@ pub fn probe_ess_k<R: Rng + ?Sized>(
         invasions: Vec::new(),
         worst_margin: f64::INFINITY,
     };
-    // One evaluator for the whole probe: the resident-only baseline DP
-    // tables are built once and shared across every mutant below, and so
-    // are the buffers each mutant's walk refills.
+    // One evaluator for the whole probe: the resident's per-site logs and
+    // level-0 expectations are taken once and shared across every mutant
+    // below, and so are the buffers each mutant's walk refills.
     let evaluator = LedgerEvaluator::new(&ctx, f, sigma)?;
-    let mut tables = Vec::new();
+    let mut walk = Walk::default();
     let mut levels = EssLedger { resident: Vec::new(), mutant: Vec::new() };
     for (idx, pi) in mutants.iter().enumerate() {
         if pi.linf_distance(sigma)? < 1e-12 {
             continue;
         }
         report.mutants_tested += 1;
-        match evaluator.check_in(pi, &mut tables, &mut levels)? {
+        match evaluator.check_in(pi, &mut walk, &mut levels)? {
             MutantVerdict::Repelled { margin, .. } => {
                 report.repelled += 1;
                 report.worst_margin = report.worst_margin.min(margin);
@@ -718,6 +753,12 @@ mod tests {
         assert_eq!(ledger.mutant.len(), 3);
     }
 
+    /// `max(1, 2·Σ_x f(x)·max|C|)`, the scale the ledger tests bound errors by.
+    fn scale_bound(ctx: &PayoffContext, f: &ValueProfile) -> f64 {
+        let max_c = ctx.c_table().iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
+        (2.0 * f.values().iter().sum::<f64>() * max_c).max(1.0)
+    }
+
     #[test]
     fn ledger_matches_pre_kernel_reference() {
         for (f, k) in [
@@ -730,19 +771,32 @@ mod tests {
             let pi = Strategy::uniform(f.len()).unwrap();
             let fast = ess_ledger(&ctx, &f, &sigma, &pi).unwrap();
             let reference = reference_ledger(&ctx, &f, &sigma, &pi).unwrap();
-            // Level 0 runs on the exact DP tables: bit-identical.
-            assert_eq!(fast.resident[0].to_bits(), reference.resident[0].to_bits(), "k = {k}");
-            assert_eq!(fast.mutant[0].to_bits(), reference.mutant[0].to_bits(), "k = {k}");
-            // Rank-updated levels: within the 1e-12 agreement contract.
+            // Level 0 is g_C(σ(x)) at each site, with GTable's bits.
+            let table = ctx.kernel();
+            let mut scratch = table.scratch();
+            let (mut res0, mut mu0) = (0.0, 0.0);
+            for x in 0..f.len() {
+                let g = table.eval_with(&mut scratch, sigma.prob(x));
+                if sigma.prob(x) != 0.0 {
+                    res0 += sigma.prob(x) * f.value(x) * g;
+                }
+                if pi.prob(x) != 0.0 {
+                    mu0 += pi.prob(x) * f.value(x) * g;
+                }
+            }
+            assert_eq!(fast.resident[0].to_bits(), res0.to_bits(), "k = {k}");
+            assert_eq!(fast.mutant[0].to_bits(), mu0.to_bits(), "k = {k}");
+            // Every level: within 1e-13·S_B of the fresh DP.
+            let tol = 1e-13 * scale_bound(&ctx, &f);
             for ell in 0..k {
                 assert!(
-                    (fast.resident[ell] - reference.resident[ell]).abs() <= 1e-12,
+                    (fast.resident[ell] - reference.resident[ell]).abs() <= tol,
                     "k = {k} resident level {ell}: {} vs {}",
                     fast.resident[ell],
                     reference.resident[ell]
                 );
                 assert!(
-                    (fast.mutant[ell] - reference.mutant[ell]).abs() <= 1e-12,
+                    (fast.mutant[ell] - reference.mutant[ell]).abs() <= tol,
                     "k = {k} mutant level {ell}: {} vs {}",
                     fast.mutant[ell],
                     reference.mutant[ell]
@@ -860,6 +914,27 @@ mod tests {
         }
         assert_eq!(fast.to_bits(), reference.to_bits());
         assert!(fast > 0.0, "sigma* must hold off a small mixed invasion");
+    }
+
+    #[test]
+    fn ledger_rejects_out_of_range_probabilities() {
+        // A Strategy admits entries up to 1 + NORMALIZATION_TOL. The ledger
+        // clamps round-off (1e-12) and rejects the rest with a typed error:
+        // σ at construction, π before level 0, even where level 0 would
+        // settle the verdict.
+        let f = ValueProfile::new(vec![1.0]).unwrap();
+        let ctx = PayoffContext::new(&Sharing, 4).unwrap();
+        let exact = Strategy::new(vec![1.0]).unwrap();
+        let round_off = Strategy::new(vec![1.0 + 1e-13]).unwrap();
+        let beyond = Strategy::new(vec![1.0 + 1e-10]).unwrap();
+        let out_of_range = |r: Result<_>| matches!(r, Err(Error::ProbabilityOutOfRange { .. }));
+        assert!(out_of_range(LedgerEvaluator::new(&ctx, &f, &beyond).map(|_| ())));
+        let evaluator = LedgerEvaluator::new(&ctx, &f, &exact).unwrap();
+        assert!(out_of_range(evaluator.check(&beyond).map(|_| ())));
+        assert!(out_of_range(evaluator.ledger(&beyond).map(|_| ())));
+        assert_eq!(evaluator.check(&round_off).unwrap(), MutantVerdict::Indistinguishable);
+        let clamped = LedgerEvaluator::new(&ctx, &f, &round_off).unwrap();
+        assert_eq!(clamped.check(&exact).unwrap(), MutantVerdict::Indistinguishable);
     }
 
     #[test]
@@ -985,7 +1060,7 @@ mod tests {
         let sigma = crate::ifd::solve_ifd(&Sharing, &f, k).unwrap().strategy;
         let seeded = || ChaCha8Rng::seed_from_u64(7);
         let probe = probe_ess_k(&Sharing, &f, &sigma, 16, &mut seeded(), k).unwrap();
-        // The same mutants, each checked with fresh tables.
+        // The same mutants, each checked with a fresh evaluator.
         let ctx = PayoffContext::new(&Sharing, k).unwrap();
         let (mut repelled, mut indistinguishable) = (0, 0);
         let mut invasions = Vec::new();

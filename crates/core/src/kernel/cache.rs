@@ -1,12 +1,11 @@
 //! Concurrent, size-bounded, LRU-evicting kernel cache.
 //!
 //! Every expensive kernel object in this workspace — [`super::GTable`]
-//! grids, [`super::GBatch`] coefficient tiles, [`super::PbTable`] DP
-//! tables — is built once per key and then read many times. Before this
-//! module existed each consumer carried its own `&mut self` `HashMap`
-//! memo ([`super::PbCache`], `sim::sweep::SharedGridCache`), which meant warm
-//! tables could not be shared across engine worker threads, let alone
-//! across the requests of a long-lived daemon.
+//! grids and [`super::GBatch`] coefficient tiles — is built once per key
+//! and then read many times. Before this module existed each consumer
+//! carried its own `&mut self` `HashMap` memo, which meant warm tables
+//! could not be shared across engine worker threads, let alone across the
+//! requests of a long-lived daemon.
 //!
 //! [`SharedCache`] is the one primitive those memos now rebase on:
 //!
@@ -57,7 +56,7 @@ use std::sync::{Arc, Mutex};
 pub const CACHE_SHARDS: usize = 8;
 
 /// Uniform hit/miss/eviction snapshot shared by every cache in the
-/// workspace ([`super::PbCache`], `sim::sweep::SharedGridCache`,
+/// workspace (`sim::sweep::SharedGridCache`,
 /// `mech::evaluator::ResponseCache`). Produced by [`SharedCache::stats`],
 /// printed in the serve daemon's shutdown summary, and recorded by
 /// `bench::runner` manifests.

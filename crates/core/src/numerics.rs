@@ -3,9 +3,10 @@
 //! Everything here is exact-in-expectation combinatorics: binomial
 //! coefficients in log space, binomial/Bernstein probability masses, and the
 //! Poisson–binomial distribution (the law of a sum of independent but
-//! *non-identical* Bernoulli variables). The latter is what lets the ESS
-//! checker evaluate multi-opponent payoffs `E(ρ; σ^a, π^b)` exactly instead
-//! of by Monte Carlo.
+//! *non-identical* Bernoulli variables). The latter prices the ESS
+//! checker's multi-opponent payoffs `E(ρ; σ^a, π^b)` by a fresh DP per
+//! level in [`crate::ess::reference_ledger`], the oracle the ledger
+//! evaluator is tested against.
 
 /// Natural log of `n!` via the Stirling-free product for small `n` and a
 /// cached table. `n` never exceeds a few thousand in this crate, so a plain
@@ -77,18 +78,23 @@ pub fn binomial_pmf_vector(n: usize, p: f64) -> Vec<f64> {
 /// coins in `pmf[0..=count]` (entries above are ignored and overwritten at
 /// `count + 1`). Requires `pmf.len() >= count + 2`.
 ///
-/// This is the shared primitive behind [`poisson_binomial_pmf`] and the
-/// batched [`crate::kernel::PbTable`] — both perform the *identical*
-/// floating-point operation sequence, so a table built by repeated pushes
-/// is bit-identical to the one-shot DP.
+/// Each entry is `pmf[j]·(1 − p) + pmf[j − 1]·p`, a missing term being
+/// `+0.0`. The loop runs upward and carries the old `pmf[j − 1]` in a
+/// local, with both ends peeled off so that its body has no branch, which
+/// lets the compiler vectorize it; every entry gets the same two products
+/// and one sum, so the bits are the plain recurrence's.
 pub fn convolve_bernoulli(pmf: &mut [f64], count: usize, p: f64) {
     debug_assert!((0.0..=1.0).contains(&p), "bernoulli prob out of range: {p}");
     debug_assert!(pmf.len() >= count + 2, "pmf buffer too small for convolution step");
-    // Dispatched through `simd::convolve_step`; the AVX2 lane is
-    // bit-identical to the scalar downward recurrence (elementwise over
-    // the previous round's values, no FMA), so every bitwise contract
-    // on this primitive holds on either lane.
-    crate::simd::convolve_step(pmf, count, p);
+    let stay = 1.0 - p;
+    let mut below = pmf[0];
+    pmf[0] = below * stay + 0.0;
+    for slot in &mut pmf[1..=count] {
+        let here = *slot;
+        *slot = here * stay + below * p;
+        below = here;
+    }
+    pmf[count + 1] = 0.0 + below * p;
 }
 
 /// Exact Poisson–binomial PMF: the distribution of `Σ_i X_i` where
@@ -284,11 +290,10 @@ mod tests {
 
     #[test]
     fn poisson_binomial_expectation_linear_function() {
-        // E[L] via the table expectation with h(j) = j.
+        // E[L] as a Kahan dot of the PMF with h(j) = j.
         let probs = [0.2, 0.7, 0.4];
-        let h: Vec<f64> = (0..=3).map(|j| j as f64).collect();
-        let table = crate::kernel::PbTable::from_probs(&probs).unwrap();
-        assert_close(table.expectation(&h), 1.3, 1e-12);
+        let pmf = poisson_binomial_pmf(&probs);
+        assert_close(kahan_sum(pmf.iter().enumerate().map(|(j, p)| j as f64 * p)), 1.3, 1e-12);
     }
 
     #[test]

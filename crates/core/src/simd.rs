@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the evaluation hot loops.
 //!
 //! The 4-wide *scalar* unrolls that [`crate::kernel`] has always run —
-//! the `GEMM_BLOCK` policy-major matvec, the fused Bernstein basis
-//! walk, and the Poisson–binomial rank-update convolution — graduate
-//! here to explicit x86-64 AVX2/FMA intrinsics. The scalar paths are
+//! the `GEMM_BLOCK` policy-major matvec and the fused Bernstein basis
+//! walk — graduate here to explicit x86-64 AVX2/FMA intrinsics, and the
+//! exact tile walks eight reference points per pass. The scalar paths are
 //! kept as always-compiled fallbacks (they *are* the original kernels,
 //! moved verbatim) and every AVX2 path is reachable only through
 //! runtime feature detection, so the same binary runs everywhere.
@@ -21,16 +21,10 @@
 //!
 //! ## Numerical contracts
 //!
-//! * [`convolve_step`] is **bit-identical** across lanes: the scalar
-//!   recurrence `pmf[j]·(1−p) + pmf[j−1]·p` is elementwise over the
-//!   *previous* values, so a plain (non-FMA) vectorization performs the
-//!   exact same two roundings per element. Every bitwise `PbTable`
-//!   contract therefore holds on either lane, and `simd_seam` tests
-//!   assert the lanes agree bit-for-bit.
 //! * The reference tile ([`ref_walk8_avx2`] + [`ref_dot8_avx2`]) is
-//!   **bit-identical** to the per-point reference code in the same way.
-//!   The exact `GTable`/`GBatch` tile dispatches its interior points
-//!   here eight at a time, one point per f64 slot of two 4-wide groups.
+//!   **bit-identical** to the per-point reference code. The exact
+//!   `GTable`/`GBatch` tile dispatches its interior points here eight at
+//!   a time, one point per f64 slot of two 4-wide groups.
 //!   Each slot walks its binomial PMF in the scalar operation order
 //!   (`pmf·(n−j)/(j+1)·ratio` up, `pmf·(j+1)/(n−j)/ratio` down, plain
 //!   mul/div, no FMA) and finishes each coefficient row with its own
@@ -307,46 +301,6 @@ pub fn fused_dot_avx2(
         return unsafe { avx2::fused_dot(coeffs, up, down, mode, b_mode, ratio, inv_ratio) };
     }
     fused_dot_scalar(coeffs, up, down, mode, b_mode, ratio, inv_ratio)
-}
-
-// ---------------------------------------------------------------------------
-// Poisson–binomial convolution step (bit-identical lanes)
-// ---------------------------------------------------------------------------
-
-/// One in-place Bernoulli convolution step (fold `Bernoulli(p)` into a
-/// `count`-coin PMF). Dispatched on [`active_lane`]; **bit-identical**
-/// across lanes — see the module docs.
-pub fn convolve_step(pmf: &mut [f64], count: usize, p: f64) {
-    match active_lane() {
-        Lane::Scalar => convolve_step_scalar(pmf, count, p),
-        Lane::Avx2 => convolve_step_avx2(pmf, count, p),
-    }
-}
-
-/// Scalar lane of [`convolve_step`]: the original downward recurrence.
-pub fn convolve_step_scalar(pmf: &mut [f64], count: usize, p: f64) {
-    debug_assert!(pmf.len() >= count + 2);
-    for j in (0..=count + 1).rev() {
-        let stay = if j <= count { pmf[j] * (1.0 - p) } else { 0.0 };
-        let step = if j > 0 { pmf[j - 1] * p } else { 0.0 };
-        pmf[j] = stay + step;
-    }
-}
-
-/// AVX2 lane of [`convolve_step`]. Deliberately **without FMA**: each
-/// element is `pmf[j]·(1−p) + pmf[j−1]·p` with the same two roundings
-/// as the scalar lane, so the lanes agree bit-for-bit (asserted by the
-/// seam tests). Falls back to scalar off-AVX2 hosts.
-pub fn convolve_step_avx2(pmf: &mut [f64], count: usize, p: f64) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if avx2_available() {
-        debug_assert!(pmf.len() >= count + 2);
-        // SAFETY: AVX2 runtime-checked; buffer length asserted above
-        // (callers guarantee `pmf.len() ≥ count + 2`).
-        unsafe { avx2::convolve_step(pmf, count, p) };
-        return;
-    }
-    convolve_step_scalar(pmf, count, p);
 }
 
 // ---------------------------------------------------------------------------
@@ -732,40 +686,6 @@ mod avx2 {
         _mm256_storeu_pd(out.as_mut_ptr().add(4), sum_b);
         out
     }
-
-    /// # Safety
-    /// AVX2 must be available; `pmf.len() ≥ count + 2`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn convolve_step(pmf: &mut [f64], count: usize, p: f64) {
-        // Top boundary (j = count + 1): stay term is zero.
-        let mut j = count + 1;
-        pmf[j] = pmf[j - 1] * p;
-        j -= 1;
-        // Vector middle: elements [j−3 ..= j] need j ≤ count (stay term
-        // reads pmf[j]) and j ≥ 4 (step term reads pmf[j−4] for the
-        // lowest lane). Plain mul/mul/add — NOT fmadd — so each element
-        // gets the scalar lane's exact two roundings.
-        let pv = _mm256_set1_pd(p);
-        let sv = _mm256_set1_pd(1.0 - p);
-        let base = pmf.as_mut_ptr();
-        while j >= 4 {
-            let stay = _mm256_loadu_pd(base.add(j - 3));
-            let step = _mm256_loadu_pd(base.add(j - 4));
-            let res = _mm256_add_pd(_mm256_mul_pd(stay, sv), _mm256_mul_pd(step, pv));
-            _mm256_storeu_pd(base.add(j - 3), res);
-            j -= 4;
-        }
-        // Scalar bottom (j ..= 0), including the j = 0 no-step boundary.
-        loop {
-            let stay = pmf[j] * (1.0 - p);
-            let step = if j > 0 { pmf[j - 1] * p } else { 0.0 };
-            pmf[j] = stay + step;
-            if j == 0 {
-                return;
-            }
-            j -= 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -778,23 +698,6 @@ mod tests {
         assert_eq!(Lane::Avx2.name(), "avx2");
         // Whatever the host picks, the choice is cached and consistent.
         assert_eq!(active_lane(), active_lane());
-    }
-
-    #[test]
-    fn convolve_lanes_are_bit_identical() {
-        // Deterministic ugly probabilities; bitwise comparison per step.
-        let mut a = vec![0.0f64; 34];
-        let mut b = vec![0.0f64; 34];
-        a[0] = 1.0;
-        b[0] = 1.0;
-        for i in 0..32usize {
-            let p = ((i as f64) * 0.619_f64).fract();
-            convolve_step_scalar(&mut a, i, p);
-            convolve_step_avx2(&mut b, i, p);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "coin {i}");
-            }
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use dispersal_core::coverage::{coverage, coverage_gradient, miss_mass};
 use dispersal_core::ess::ess_ledger;
-use dispersal_core::kernel::{GBatch, GTable, PbTable};
+use dispersal_core::kernel::{GBatch, GTable};
 use dispersal_core::numerics::{
     binomial_pmf, binomial_pmf_vector, kahan_sum, poisson_binomial_pmf,
 };
@@ -261,105 +261,6 @@ proptest! {
                 "g not nonincreasing at k = {k}: g({}) = {} > g({}) = {}",
                 qw[1], w[1], qw[0], w[0]
             );
-        }
-    }
-
-    #[test]
-    fn pb_table_matches_scalar_pmf_and_is_a_distribution(
-        probs in proptest::collection::vec(0.0f64..=1.0, 1..=128),
-    ) {
-        let table = PbTable::from_probs(&probs).unwrap();
-        let reference = poisson_binomial_pmf(&probs);
-        prop_assert_eq!(table.pmf().len(), reference.len());
-        let mut total = 0.0;
-        for (j, (&a, &b)) in table.pmf().iter().zip(reference.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= 1e-13, "pmf[{j}]: batched {a} vs scalar {b}");
-            prop_assert!(a >= 0.0, "pmf[{j}] = {a} negative");
-            total += a;
-        }
-        prop_assert!((total - 1.0).abs() <= 1e-10, "pmf sums to {total}");
-    }
-
-    #[test]
-    fn pb_table_single_rank_update_matches_fresh_dp(
-        base in proptest::collection::vec(0.0f64..=1.0, 1..=128),
-        extra in 0.0f64..=1.0,
-        pick in 0usize..128,
-    ) {
-        // One add-one, one remove-one, and one replace, each checked
-        // against a from-scratch DP to the tight single-step bound.
-        let check = |table: &PbTable, multiset: &[f64], what: &str| {
-            let reference = poisson_binomial_pmf(multiset);
-            for (j, (&a, &b)) in table.pmf().iter().zip(reference.iter()).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-13,
-                    "{what} pmf[{j}]: updated {a} vs fresh {b}"
-                );
-                assert!(a >= 0.0, "{what} pmf[{j}] = {a} negative");
-            }
-            let total: f64 = table.pmf().iter().sum();
-            assert!((total - 1.0).abs() <= 1e-10, "{what} pmf sums to {total}");
-        };
-        let mut table = PbTable::from_probs(&base).unwrap();
-        let mut current = base;
-        table.push(extra).unwrap();
-        current.push(extra);
-        check(&table, &current, "add-one");
-        let victim = current.swap_remove(pick % current.len());
-        table.remove(victim).unwrap();
-        check(&table, &current, "remove-one");
-        if !current.is_empty() {
-            let slot = pick % current.len();
-            table.replace(current[slot], extra).unwrap();
-            current[slot] = extra;
-            check(&table, &current, "replace");
-        }
-    }
-
-    #[test]
-    fn pb_table_rank_update_walks_match_fresh_dp(
-        base in proptest::collection::vec(0.0f64..=1.0, 1..=48),
-        edits in proptest::collection::vec((0.0f64..=1.0, 0usize..64, 0u8..3), 1..=24),
-    ) {
-        // Random walk of add-one / remove-one / replace rank updates,
-        // compared against a from-scratch DP on the tracked multiset
-        // after every step. Deconvolution round-off accumulates over the
-        // walk; the contractive recurrences keep it at the 1e-12 bound
-        // the k-level ESS ledger is specified to (single-step paths hold
-        // 1e-13, see above).
-        let mut table = PbTable::from_probs(&base).unwrap();
-        let mut current = base;
-        for (p, pick, op) in edits {
-            match op {
-                0 => {
-                    table.push(p).unwrap();
-                    current.push(p);
-                }
-                1 if !current.is_empty() => {
-                    let victim = current.swap_remove(pick % current.len());
-                    table.remove(victim).unwrap();
-                }
-                _ if !current.is_empty() => {
-                    let slot = pick % current.len();
-                    let old = current[slot];
-                    table.replace(old, p).unwrap();
-                    current[slot] = p;
-                }
-                _ => {}
-            }
-            let reference = poisson_binomial_pmf(&current);
-            prop_assert_eq!(table.len(), current.len());
-            let mut total = 0.0;
-            for (j, (&a, &b)) in table.pmf().iter().zip(reference.iter()).enumerate() {
-                prop_assert!(
-                    (a - b).abs() <= 1e-12,
-                    "after walk to {} factors pmf[{j}]: updated {a} vs fresh {b}",
-                    current.len()
-                );
-                prop_assert!(a >= 0.0);
-                total += a;
-            }
-            prop_assert!((total - 1.0).abs() <= 1e-10);
         }
     }
 

@@ -6,10 +6,10 @@
 //!   AVX2 lane agrees with the scalar lane to ≤ 1e-13 × scale — the
 //!   same contract the fused evaluators carry against their scalar
 //!   references.
-//! * **Bitwise paths** (`convolve_step`, the reference tile's
-//!   `ref_walk8`/`ref_dot8`, and every *reference* evaluator): bit-for-bit
-//!   equality. `GTable::eval_many_with` and `GBatch::eval_many_with`
-//!   dispatch their interior points to the reference lane, so whole
+//! * **Bitwise paths** (the reference tile's `ref_walk8`/`ref_dot8`,
+//!   and every *reference* evaluator): bit-for-bit equality.
+//!   `GTable::eval_many_with` and `GBatch::eval_many_with` dispatch
+//!   their interior points to the reference lane, so whole
 //!   grids must keep the per-point `GTable::eval_with` bits no matter
 //!   which lane the process picked (CI runs this file on both lanes:
 //!   the `DISPERSAL_FORCE_SCALAR=1` leg and a release run on AVX2).
@@ -25,10 +25,9 @@
 use dispersal_core::kernel::{GBatch, GTable};
 use dispersal_core::numerics::binomial_pmf;
 use dispersal_core::simd::{
-    active_lane, avx2_available, convolve_step_avx2, convolve_step_scalar, force_scalar,
-    fused_dot_avx2, fused_dot_scalar, fused_fill_avx2, fused_fill_scalar, gemv_block4_avx2,
-    gemv_block4_scalar, ref_dot8_avx2, ref_dot8_scalar, ref_walk8_avx2, ref_walk8_scalar, Lane,
-    RefSeeds, GEMV_BLOCK, REF_LANES,
+    active_lane, avx2_available, force_scalar, fused_dot_avx2, fused_dot_scalar, fused_fill_avx2,
+    fused_fill_scalar, gemv_block4_avx2, gemv_block4_scalar, ref_dot8_avx2, ref_dot8_scalar,
+    ref_walk8_avx2, ref_walk8_scalar, Lane, RefSeeds, GEMV_BLOCK, REF_LANES,
 };
 use proptest::prelude::*;
 
@@ -123,27 +122,6 @@ proptest! {
         let v = fused_dot_avx2(&coeffs, &up, &down, mode, b_mode, ratio, inv_ratio);
         let scale = coeffs.iter().fold(1.0f64, |a, &c| a.max(c.abs()));
         prop_assert!((s - v).abs() <= 1e-13 * scale, "{s} vs {v}");
-    }
-
-    /// The convolution lanes are bit-identical on arbitrary PMF chains —
-    /// the property that keeps every bitwise `PbTable` contract
-    /// lane-independent.
-    #[test]
-    fn convolve_lanes_are_bitwise_identical(
-        probs in proptest::collection::vec(0.0f64..=1.0, 1..=40),
-    ) {
-        let n = probs.len();
-        let mut a = vec![0.0f64; n + 1];
-        let mut b = vec![0.0f64; n + 1];
-        a[0] = 1.0;
-        b[0] = 1.0;
-        for (i, &p) in probs.iter().enumerate() {
-            convolve_step_scalar(&mut a, i, p);
-            convolve_step_avx2(&mut b, i, p);
-        }
-        for (j, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "index {}", j);
-        }
     }
 
     /// The reference evaluators keep their bits on whole grids: every

@@ -9,8 +9,8 @@
 //! in wave order on the calling thread; then **one** fan-out on the
 //! persistent work-stealing pool (`dispersal_sim::engine::par_map`) scores
 //! every child of the wave as its own item, exactly, with
-//! [`dispersal_mech::scoring::score_table`] — whose ESS probe walks each
-//! mutant's `PbTable` ledger only as far as its verdict needs. The root
+//! [`dispersal_mech::scoring::score_table`] — whose ESS probe computes
+//! each mutant's ledger levels only as far as its verdict needs. The root
 //! boxes are tiled and fanned out the same way. The welfare optimum, the
 //! SPoA numerator every candidate shares, is computed once per search.
 //!

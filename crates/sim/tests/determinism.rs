@@ -95,9 +95,9 @@ fn outputs_bit_identical_across_thread_counts_and_pool_is_parallel() {
 
 #[test]
 fn ess_checker_and_barrier_bit_identical_across_thread_counts() {
-    // The kernel-backed ESS checker (PbTable rank updates + PbCache
-    // sharing) must not pick up any thread-count sensitivity: identical
-    // reports and barriers at RAYON_NUM_THREADS ∈ {1, 8}.
+    // The ESS checker (direct ledger levels, lazy verdicts) must not pick
+    // up any thread-count sensitivity: identical reports and barriers at
+    // RAYON_NUM_THREADS ∈ {1, 8}.
     let _guard = THREAD_SWEEP_LOCK.lock().unwrap();
     let f = ValueProfile::zipf(6, 1.0, 1.0).unwrap();
     let k = 4;
